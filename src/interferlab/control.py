@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .core import (
     SystemType,
     Transformation,
     ValidationError,
+    _as_unitary,
     _rng,
     apply,
     basis_state,
@@ -64,16 +65,6 @@ class ControlledTransformation:
     @property
     def n_branches(self) -> int:
         return len(self.branch_transforms)
-
-
-def _as_unitary(mat: np.ndarray, dim: int, label: str) -> np.ndarray:
-    u = np.asarray(mat, dtype=complex)
-    if u.shape != (dim, dim):
-        raise SystemMismatchError(f"{label} has shape {u.shape}, expected {(dim, dim)}")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-    if dev > 1e-9:
-        raise ValidationError(f"{label} is not unitary (deviation {dev!r})")
-    return u
 
 
 def build_controlled(
@@ -427,26 +418,7 @@ def realize_phase_as_kickback(
     branches = [np.diag([1.0, np.exp(1j * a)]) for a in angles]
     kets = _path_kets(control_experiment)
     built = build_controlled(branches, target, control_kets=kets, seed=seed)
-    designated = basis_state(target, 1)
-    return ControlledTransformation(
-        control_system=built.control_system,
-        target_system=built.target_system,
-        control_states=built.control_states,
-        control_measurement=built.control_measurement,
-        branch_transforms=built.branch_transforms,
-        composite=built.composite,
-        branch_unitaries=built.branch_unitaries,
-        control_kets=built.control_kets,
-        designated_target=designated,
-    )
-
-
-def _swap_unitary(dim: int) -> np.ndarray:
-    s = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            s[j * dim + i, i * dim + j] = 1.0
-    return s
+    return replace(built, designated_target=basis_state(target, 1))
 
 
 def control_target_swap_check(
@@ -479,7 +451,7 @@ def control_target_swap_check(
     rebuilt = build_controlled(swapped_branches, controlled.control_system)
     swap = unitary_channel(
         composite_system(controlled.control_system, controlled.target_system),
-        _swap_unitary(d_c),
+        swap_exchange_unitary(d_c),
     )
     conjugated = Transformation(
         swap.in_system,
@@ -562,7 +534,9 @@ def multi_path_permutation_experiment(
 
 def swap_exchange_unitary(factor_dim: int) -> np.ndarray:
     """The unitary exchanging two factors of equal dimension."""
-    return _swap_unitary(factor_dim)
+    # row (j, i) is basis vector (i, j): the identity with its rows transposed
+    n = factor_dim
+    return np.eye(n * n)[np.arange(n * n).reshape(n, n).T.reshape(-1)]
 
 
 def anyonic_exchange_unitary(
@@ -580,7 +554,7 @@ def anyonic_exchange_unitary(
     if vals[-1] < 1.0 - EPS_PSD:
         raise InfeasibleError("anyonic exchange needs a pure state")
     psi = vecs[:, -1]
-    swap = _swap_unitary(system.factors[0])
+    swap = swap_exchange_unitary(system.factors[0])
     if float(np.max(np.abs(swap @ psi - psi))) > 1e-9:
         raise InfeasibleError("state is not swap-symmetric; injected phase would not be clean")
     ray = np.outer(psi, psi.conj())

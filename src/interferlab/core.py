@@ -105,6 +105,11 @@ def hermitian_basis(dim: int) -> np.ndarray:
     Ordering: identity/sqrt(d), then the symmetric, antisymmetric, and diagonal
     generalized Gell-Mann matrices.  B_0 proportional to the identity is relied
     on throughout (unit effect, maximally mixed state).
+
+    The kernels read the stack through its flat (d**2, d**2) reshape view B,
+    whose row k is the row-major vec(B_k).  Each B_k is Hermitian, so
+    conj(B_k) = B_k^T and Tr(B_k X) = B[k] . vec(X^T): the one view serves
+    both encode (B @ vec(X^T)) and decode (c @ B), with no conjugated copy.
     """
     mats = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
     for k in range(1, dim):
@@ -126,9 +131,18 @@ def hermitian_basis(dim: int) -> np.ndarray:
     return _readonly(np.array(mats))
 
 
+def _flat_basis(dim: int) -> np.ndarray:
+    return hermitian_basis(dim).reshape(dim * dim, dim * dim)
+
+
+def _re_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a @ conj(b).T) as one real matmul over the interleaved float views."""
+    return a.view(float) @ b.view(float).T
+
+
 def _encode(mat: np.ndarray, dim: int) -> np.ndarray:
     """Coefficients of a Hermitian matrix in the orthonormal basis."""
-    coeffs = np.einsum("kij,ji->k", hermitian_basis(dim), mat)
+    coeffs = _flat_basis(dim) @ mat.T.reshape(-1)
     if np.max(np.abs(coeffs.imag)) > 1e-8:
         raise ValidationError("matrix is not Hermitian within tolerance")
     return coeffs.real
@@ -136,7 +150,7 @@ def _encode(mat: np.ndarray, dim: int) -> np.ndarray:
 
 def _decode(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian matrix with the given basis coefficients."""
-    return np.tensordot(coeffs, hermitian_basis(dim), axes=([0], [0]))
+    return (coeffs @ _flat_basis(dim)).reshape(dim, dim)
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,14 +159,14 @@ def _product_basis_change(dim_a: int, dim_b: int) -> np.ndarray:
 
     The product basis {A_i (x) B_j} and the canonical basis of dimension
     dim_a*dim_b are both orthonormal and Hermitian, so the change of basis is
-    a real orthogonal matrix.
+    the real orthogonal matrix Tr(C_k P_l) = Re(C @ conj(P).T): row k of the
+    flat canonical basis C is the row-major vec(C_k) (see hermitian_basis),
+    row (i, j) of P is vec(A_i (x) B_j), and P_l is Hermitian.
     """
+    a, b = hermitian_basis(dim_a), hermitian_basis(dim_b)
     dim = dim_a * dim_b
-    prod = np.einsum(
-        "imn,jpq->ijmpnq", hermitian_basis(dim_a), hermitian_basis(dim_b)
-    ).reshape(dim_a * dim_a * dim_b * dim_b, dim, dim)
-    change = np.einsum("kmn,lnm->kl", hermitian_basis(dim), prod)
-    return _readonly(change.real)
+    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
+    return _readonly(_re_gram(_flat_basis(dim), prod.reshape(dim * dim, dim * dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -621,21 +635,29 @@ def distinguishing_measurement(states: Sequence[StateVector]) -> Measurement:
 # transformation constructors
 
 
+def _as_unitary(mat: np.ndarray, dim: int, label: str) -> np.ndarray:
+    """The matrix as a complex d x d array, checked to be unitary."""
+    u = np.asarray(mat, dtype=complex)
+    if u.shape != (dim, dim):
+        raise SystemMismatchError(f"{label} has shape {u.shape}, expected {(dim, dim)}")
+    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+    if dev > 1e-9:
+        raise ValidationError(f"{label} is not unitary (deviation {dev!r})")
+    return u
+
+
 def unitary_channel(system: SystemType, unitary: np.ndarray) -> Transformation:
-    """Conjugation channel of a unitary; the quantum reversible constructor."""
+    """Conjugation channel of a unitary; the quantum reversible constructor.
+
+    M[j, k] = Tr(B_j U B_k U^dag) = Re(B @ conj(X).T), X the flat stack of the
+    Hermitian U B_k U^dag.
+    """
     if system.theory != QUANTUM:
         raise SystemMismatchError("unitary channels describe quantum systems only")
-    u = np.asarray(unitary, dtype=complex)
     d = system.dim
-    if u.shape != (d, d):
-        raise SystemMismatchError(f"unitary shape {u.shape} does not fit dimension {d}")
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
-    if dev > 1e-9:
-        raise ValidationError(f"matrix is not unitary (deviation {dev!r})")
-    basis = hermitian_basis(d)
-    moved = np.einsum("ab,kbc,dc->kad", u, basis, u.conj())
-    matrix = np.einsum("jmn,knm->jk", basis, moved).real
-    return Transformation(system, system, matrix, reversible=True)
+    u = _as_unitary(unitary, d, "matrix")
+    moved = (u @ hermitian_basis(d) @ u.conj().T).reshape(d * d, d * d)
+    return Transformation(system, system, _re_gram(_flat_basis(d), moved), reversible=True)
 
 
 def phase_unitary(system: SystemType, angles: Sequence[float]) -> Transformation:
@@ -688,12 +710,11 @@ def channel_from_matrix(
 def _choi_matrix(t: Transformation) -> np.ndarray:
     """Block operator whose positivity certifies complete positivity."""
     din, dout = t.in_system.dim, t.out_system.dim
-    basis_in = hermitian_basis(din)
-    # coefficients of the matrix units E_ab in the input basis: c[k, a, b] = B_k[b, a]
-    c_in = basis_in.transpose(0, 2, 1)
-    moved = np.einsum("jk,kab->jab", t.matrix.astype(complex), c_in)
-    te = np.einsum("jab,jmn->abmn", moved, hermitian_basis(dout))
-    return te.transpose(2, 0, 3, 1).reshape(dout * din, dout * din)
+    # row k of T^T @ B_out is vec T(B_k); summing B_k[b, a] T(B_k) over k gives
+    # T(E_ab), so w[(b, a), (m, n)] = T(E_ab)[m, n]
+    w = _flat_basis(din).T @ (t.matrix.T @ _flat_basis(dout))
+    w = w.reshape(din, din, dout, dout).transpose(2, 1, 3, 0)
+    return w.reshape(dout * din, dout * din)
 
 
 # ---------------------------------------------------------------------------
