@@ -28,18 +28,19 @@ from .core import (
     Transformation,
     ValidationError,
     _as_unitary,
+    _check_states,
+    _pair_factor,
     _rng,
+    _rowwise,
+    _tensor_coeffs,
     apply,
     basis_state,
     composite_system,
     density_matrix,
     distinguishing_measurement,
     ket_state,
-    pair,
-    partial_pair,
     quantum_system,
     random_state,
-    tensor_states,
     transform_effect,
     unitary_channel,
 )
@@ -133,21 +134,32 @@ def verify_control_contract(
     """Check the two defining equations on random target states.
 
     Returns max deviations for branch action on control basis states and for
-    control filtering on superposed controls.
+    control filtering on superposed controls.  The samples are checked as one
+    stack, each channel applied by one matmul; every intermediate state is
+    still validated, by one batched check per system, and each deviation is
+    bit for bit the one a sample-by-sample check would compute.
     """
+    _require_samples(trials)
     rng = _rng(seed)
-    branch_dev = 0.0
-    for sigma in _target_samples(controlled.target_system, trials, rng):
-        for i, state in enumerate(controlled.control_states):
-            out = apply(controlled.composite, tensor_states(state, sigma))
-            want = tensor_states(state, apply(controlled.branch_transforms[i], sigma))
-            branch_dev = max(branch_dev, float(np.max(np.abs(out.coeffs - want.coeffs))))
+    control, target = controlled.control_system, controlled.target_system
+    composite = controlled.composite
+    (sigmas,) = _sample_stacks((target,), trials, rng)
+    # axis 0 runs over the control basis states, axis 1 over the samples
+    controls = np.array([s.coeffs for s in controlled.control_states])[:, None, :]
+    branched = np.stack([_rowwise(t.matrix, sigmas) for t in controlled.branch_transforms])
+    dim = composite.matrix.shape[1]
+    prepared = _tensor_coeffs(control, target, controls, sigmas).reshape(-1, dim)
+    want = _tensor_coeffs(control, target, controls, branched).reshape(-1, dim)
+    out = _rowwise(composite.matrix, prepared)
+    _check_states(target, branched.reshape(-1, sigmas.shape[1]))
+    _check_states(composite.in_system, np.concatenate([prepared, out, want]))
+    branch_dev = float(np.max(np.abs(out - want)))
     filt = superposition_preservation_report(
-        controlled.composite,
+        composite,
         controlled.control_measurement.effects[: controlled.n_branches],
         controlled.branch_transforms,
-        controlled.control_system,
-        controlled.target_system,
+        control,
+        target,
         trials=trials,
         seed=rng,
     )
@@ -158,11 +170,26 @@ def verify_control_contract(
     }
 
 
-def _target_samples(
-    system: SystemType, trials: int, rng: np.random.Generator
-) -> list[StateVector]:
-    kinds = ["pure", "mixed"]
-    return [random_state(system, rng, kind=kinds[t % 2]) for t in range(trials)]
+def _require_samples(trials: int) -> None:
+    if trials < 1:
+        raise ValidationError(f"need at least one verification sample, got {trials}")
+
+
+def _sample_stacks(
+    systems: Sequence[SystemType], trials: int, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """Coefficient stacks of seeded random states, one stack per system.
+
+    Each trial draws one state per system, in order; system j's state in
+    trial t is pure when t + j is even and mixed otherwise.
+    """
+    kinds = ("pure", "mixed")
+    draws = [
+        random_state(system, rng, kind=kinds[(t + j) % 2]).coeffs
+        for t in range(trials)
+        for j, system in enumerate(systems)
+    ]
+    return [np.array(draws[j :: len(systems)]) for j in range(len(systems))]
 
 
 def superposition_preservation_report(
@@ -179,25 +206,36 @@ def superposition_preservation_report(
     For random control states w and target states sigma, compares
     (i| filtering of composite(w (x) sigma) against pair(i, w) times branch i
     of sigma.  Returns the maximum coefficient deviation over all samples and
-    branches; a genuinely controlled composite sits at numerical zero.
+    branches; a genuinely controlled composite sits at numerical zero.  The
+    samples are checked as one stack, like verify_control_contract's.
     """
+    _require_samples(trials)
     rng = _rng(seed)
-    if composite.in_system != composite_system(control_system, target_system):
+    joint = composite_system(control_system, target_system)
+    if composite.in_system != joint or composite.out_system != joint:
         raise SystemMismatchError("composite does not act on control (x) target")
-    max_dev = 0.0
-    worst_branch = 0
-    for t in range(trials):
-        omega = random_state(control_system, rng, kind="mixed" if t % 2 else "pure")
-        sigma = random_state(target_system, rng, kind="pure" if t % 2 else "mixed")
-        moved = apply(composite, tensor_states(omega, sigma))
-        for i, effect in enumerate(control_effects):
-            got = partial_pair(moved, effect, 0)
-            weight = pair(effect, omega)
-            want = weight * apply(branch_transforms[i], sigma).coeffs
-            dev = float(np.max(np.abs(got.coeffs - want)))
-            if dev > max_dev:
-                max_dev, worst_branch = dev, i
-    return {"max_deviation": max_dev, "worst_branch": worst_branch, "trials": trials}
+    branches = [branch_transforms[i] for i in range(len(control_effects))]
+    for effect, branch in zip(control_effects, branches):
+        if effect.system != control_system or branch.in_system != target_system:
+            raise SystemMismatchError("control effects or branches do not fit the systems")
+    omegas, sigmas = _sample_stacks((control_system, target_system), trials, rng)
+    prepared = _tensor_coeffs(control_system, target_system, omegas, sigmas)
+    moved = _rowwise(composite.matrix, prepared)
+    branched = np.stack([_rowwise(t.matrix, sigmas) for t in branches])
+    _check_states(joint, np.concatenate([prepared, moved]))
+    _check_states(target_system, branched.reshape(-1, sigmas.shape[1]))
+    effects = np.array([e.coeffs for e in control_effects])
+    got = _pair_factor(joint, moved, effects, 0)
+    # one dot product per weight, as pair() takes it
+    weights = np.stack([_rowwise(e[None], omegas) for e in effects])
+    # rows are trials and columns branches: the loop order the first maximum wins in
+    devs = np.max(np.abs(got - weights * branched), axis=-1).T
+    _, worst_branch = np.unravel_index(np.argmax(devs), devs.shape)
+    return {
+        "max_deviation": float(devs.max()),
+        "worst_branch": int(worst_branch),
+        "trials": trials,
+    }
 
 
 def verify_superposition_preservation(
@@ -338,7 +376,12 @@ def extract_kickback(
     ket is a simultaneous eigenvector.  Angles are the branch eigenphases
     gauged so branch 0 sits at zero; the returned transform acts on the
     control and fixes all which-path effects of the control basis.
+
+    The kick-back equation is checked on random control states as one stack,
+    each channel applied by one matmul; every intermediate state is still
+    validated, by one batched check per system.
     """
+    _require_samples(verify_samples)
     if fixed_state is None:
         fixed_state = common_fixed_state(
             controlled.branch_unitaries, controlled.target_system
@@ -377,12 +420,15 @@ def extract_kickback(
     kets = controlled.control_kets
     q_matrix = (kets * np.exp(1j * angles)) @ kets.conj().T
     transform = unitary_channel(controlled.control_system, q_matrix)
-    rng = _rng(seed)
-    kb_dev = 0.0
-    for sigma in _target_samples(controlled.control_system, verify_samples, rng):
-        lhs = apply(controlled.composite, tensor_states(sigma, fixed_state))
-        rhs = tensor_states(apply(transform, sigma), fixed_state)
-        kb_dev = max(kb_dev, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+    control, target = controlled.control_system, controlled.target_system
+    (sigmas,) = _sample_stacks((control,), verify_samples, _rng(seed))
+    prepared = _tensor_coeffs(control, target, sigmas, fixed_state.coeffs)
+    lhs = _rowwise(controlled.composite.matrix, prepared)
+    kicked = _rowwise(transform.matrix, sigmas)
+    rhs = _tensor_coeffs(control, target, kicked, fixed_state.coeffs)
+    _check_states(control, kicked)
+    _check_states(controlled.composite.in_system, np.concatenate([prepared, lhs, rhs]))
+    kb_dev = float(np.max(np.abs(lhs - rhs)))
     phase_dev = 0.0
     for effect in controlled.control_measurement.effects[: controlled.n_branches]:
         pulled = transform_effect(transform, effect)

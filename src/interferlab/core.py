@@ -140,17 +140,35 @@ def _re_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.view(float) @ b.view(float).T
 
 
+def _rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """matrix @ row for every row of a stack, in one matmul call.
+
+    Each row gets its own BLAS matrix-vector product, so a stacked row is bit
+    for bit what the product of that row alone gives; a gemm would round
+    differently and move the noise-level residuals the checks report.
+    """
+    return np.matmul(matrix, rows[..., None])[..., 0]
+
+
 def _encode(mat: np.ndarray, dim: int) -> np.ndarray:
-    """Coefficients of a Hermitian matrix in the orthonormal basis."""
-    coeffs = _flat_basis(dim) @ mat.T.reshape(-1)
-    if np.max(np.abs(coeffs.imag)) > 1e-8:
+    """Coefficients of a Hermitian matrix in the orthonormal basis.
+
+    Leading axes of `mat` are a stack, encoded row by row (see _rowwise).
+    """
+    vecs = mat.swapaxes(-1, -2).reshape(mat.shape[:-2] + (dim * dim,))
+    coeffs = _rowwise(_flat_basis(dim), vecs)
+    if np.abs(coeffs.imag).max() > 1e-8:
         raise ValidationError("matrix is not Hermitian within tolerance")
     return coeffs.real
 
 
 def _decode(coeffs: np.ndarray, dim: int) -> np.ndarray:
-    """Hermitian matrix with the given basis coefficients."""
-    return (coeffs @ _flat_basis(dim)).reshape(dim, dim)
+    """Hermitian matrix with the given basis coefficients.
+
+    Leading axes of `coeffs` are a stack, decoded row by row (see _rowwise).
+    """
+    flat = (coeffs[..., None, :] @ _flat_basis(dim))[..., 0, :]
+    return flat.reshape(coeffs.shape[:-1] + (dim, dim))
 
 
 @functools.lru_cache(maxsize=None)
@@ -189,15 +207,30 @@ class StateVector:
             self._validate()
 
     def _validate(self) -> None:
-        norm = float(unit_effect(self.system).coeffs @ self.coeffs)
-        if abs(norm - 1.0) > EPS_NORM:
-            raise ValidationError(f"state is not normalized: unit pairing {norm!r}")
-        if self.system.theory == QUANTUM:
-            low = float(np.linalg.eigvalsh(_decode(self.coeffs, self.system.dim))[0])
-        else:
-            low = float(self.coeffs.min())
-        if low < -EPS_PSD:
-            raise ValidationError(f"state is not positive: lowest eigenvalue {low!r}")
+        _check_states(self.system, self.coeffs[None])
+
+
+def _check_states(system: SystemType, coeffs: np.ndarray) -> None:
+    """Raise ValidationError unless every row of the stack is a normalized state.
+
+    Quantum rows are decoded by one real gemm over the interleaved float view
+    of the basis and checked by one batched eigvalsh; only their spectrum is
+    used, so the decode need not round like _decode.  The error reports the
+    worst row.
+    """
+    # Python reductions: on StateVector's one-row stacks numpy's cost more
+    norms = (coeffs @ unit_effect(system).coeffs).tolist()
+    norm = max(norms, key=lambda x: abs(x - 1.0))
+    if abs(norm - 1.0) > EPS_NORM:
+        raise ValidationError(f"state is not normalized: unit pairing {norm!r}")
+    if system.theory == QUANTUM:
+        d = system.dim
+        mats = (coeffs @ _flat_basis(d).view(float)).view(complex).reshape(-1, d, d)
+        low = min(np.linalg.eigvalsh(mats)[:, 0].tolist())
+    else:
+        low = float(coeffs.min())
+    if low < -EPS_PSD:
+        raise ValidationError(f"state is not positive: lowest eigenvalue {low!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,20 +378,29 @@ def identity_transformation(system: SystemType) -> Transformation:
 # tensor structure
 
 
+def _tensor_coeffs(
+    system_a: SystemType, system_b: SystemType, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Coefficients of a (x) b on the composite.
+
+    The leading axes of `a` and `b` broadcast as a stack: one row-wise
+    Kronecker product, then one product-basis matmul (see _rowwise).
+    """
+    prod = a[..., :, None] * b[..., None, :]
+    prod = prod.reshape(*prod.shape[:-2], -1)
+    if system_a.theory == QUANTUM:
+        prod = _rowwise(_product_basis_change(system_a.dim, system_b.dim), prod)
+    return prod
+
+
 def tensor_states(a: StateVector, b: StateVector) -> StateVector:
     system = composite_system(a.system, b.system)
-    prod = np.kron(a.coeffs, b.coeffs)
-    if system.theory == QUANTUM:
-        prod = _product_basis_change(a.system.dim, b.system.dim) @ prod
-    return StateVector(system, prod)
+    return StateVector(system, _tensor_coeffs(a.system, b.system, a.coeffs, b.coeffs))
 
 
 def tensor_effects(a: Effect, b: Effect) -> Effect:
     system = composite_system(a.system, b.system)
-    prod = np.kron(a.coeffs, b.coeffs)
-    if system.theory == QUANTUM:
-        prod = _product_basis_change(a.system.dim, b.system.dim) @ prod
-    return Effect(system, prod)
+    return Effect(system, _tensor_coeffs(a.system, b.system, a.coeffs, b.coeffs))
 
 
 def tensor_transformations(a: Transformation, b: Transformation) -> Transformation:
@@ -436,31 +478,49 @@ def partial_pair(state: StateVector, effect: Effect, factor: int) -> StateVector
         )
     kept = tuple(i for i in range(len(system.factors)) if i != factor)
     out_system = _kept_system(system, kept)
-    n = len(system.factors)
     if system.theory == QUANTUM:
-        rho = _decode(state.coeffs, system.dim).reshape(system.factors * 2)
-        e_mat = _decode(effect.coeffs, effect.system.dim)
-        # out_{r,s} = sum_{a,b} E_{ab} rho_{(..b..r..),(..a..s..)}
-        rho_labels = list(range(2 * n))
-        rho_labels[factor] = 2 * n + 1         # row index of the paired factor
-        rho_labels[n + factor] = 2 * n         # column index of the paired factor
-        out = np.einsum(
-            e_mat, [2 * n, 2 * n + 1],
-            rho, rho_labels,
-            [i for i in kept] + [n + i for i in kept],
-        )
-        out = out.reshape(out_system.dim, out_system.dim)
-        return StateVector(out_system, _encode(out, out_system.dim), check=False)
+        out = _pair_factor(system, state.coeffs, effect.coeffs[None], factor)[0]
+        return StateVector(out_system, out, check=False)
     p = state.coeffs.reshape(system.factors)
     e = effect.coeffs
     out = np.tensordot(e, p, axes=([0], [factor]))
     return StateVector(out_system, out.reshape(-1), check=False)
 
 
+def _pair_factor(
+    system: SystemType, coeffs: np.ndarray, effects: np.ndarray, factor: int
+) -> np.ndarray:
+    """Quantum partial pairing of one factor, for every effect and state.
+
+    `coeffs` is a stack of composite states (any leading axes) and `effects`
+    a 2-D stack of effect rows on the factor; returns the remaining factors'
+    coefficients, indexed (effect, *stack).  The states are decoded once.
+    """
+    n = len(system.factors)
+    stack = coeffs.shape[:-1]
+    kept = [i for i in range(n) if i != factor]
+    dim = int(np.prod([system.factors[i] for i in kept]))
+    rho = _decode(coeffs, system.dim).reshape(*stack, *system.factors * 2)
+    e_mats = _decode(effects, system.factors[factor])
+    # out_{r,s} = sum_{a,b} E_{ab} rho_{(..b..r..),(..a..s..)}
+    rho_labels = list(range(2 * n))
+    rho_labels[factor] = 2 * n + 1         # row index of the paired factor
+    rho_labels[n + factor] = 2 * n         # column index of the paired factor
+    out = np.einsum(
+        e_mats, [2 * n + 2, 2 * n, 2 * n + 1],
+        rho, [Ellipsis, *rho_labels],
+        [2 * n + 2, Ellipsis, *kept, *(n + i for i in kept)],
+    )
+    return _encode(out.reshape(len(effects), *stack, dim, dim), dim)
+
+
 # ---------------------------------------------------------------------------
 # distinguished states, effects, and measurements
 
 
+# Effects are frozen with read-only coefficients, so one cached instance per
+# system serves every caller.
+@functools.lru_cache(maxsize=None)
 def unit_effect(system: SystemType) -> Effect:
     if system.theory == QUANTUM:
         coeffs = np.zeros(system.vector_space_dim)

@@ -126,6 +126,57 @@ def test_filtering_detects_mislabeled_branches():
     assert report["max_deviation"] > 0.1
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_contract_checks_reject_sample_counts_below_one(count):
+    target = quantum_system(2)
+    with pytest.raises(ValidationError, match="at least one verification sample"):
+        build_controlled([np.eye(2), Z], target, verify_samples=count)
+    controlled = build_controlled([np.eye(2), Z], target)
+    with pytest.raises(ValidationError, match="at least one verification sample"):
+        verify_control_contract(controlled, trials=count)
+    with pytest.raises(ValidationError, match="at least one verification sample"):
+        verify_superposition_preservation(controlled, trials=count)
+    with pytest.raises(ValidationError, match="at least one verification sample"):
+        superposition_preservation_report(
+            controlled.composite,
+            controlled.control_measurement.effects[:2],
+            controlled.branch_transforms,
+            controlled.control_system,
+            target,
+            trials=count,
+        )
+    with pytest.raises(ValidationError, match="at least one verification sample"):
+        extract_kickback(controlled, basis_state(target, 1), verify_samples=count)
+
+
+def test_one_sample_is_enough_for_the_contract_checks():
+    controlled = build_controlled([np.eye(2), Z], quantum_system(2), verify_samples=1)
+    assert verify_control_contract(controlled, trials=1)["trials"] == 1
+    result = extract_kickback(controlled, basis_state(quantum_system(2), 1), verify_samples=1)
+    assert result.kickback_residual < 1e-9
+
+
+def test_filter_report_rejects_effects_or_branches_on_other_systems():
+    controlled = build_controlled([np.eye(2), Z], quantum_system(2))
+    args = [
+        controlled.composite,
+        controlled.control_measurement.effects[:2],
+        controlled.branch_transforms,
+        controlled.control_system,
+        controlled.target_system,
+    ]
+    three_paths = build_controlled([np.eye(2), Z, np.eye(2)], quantum_system(2))
+    qutrit = build_controlled([np.eye(3), np.eye(3)], quantum_system(3))
+    for slot, wrong in (
+        (1, three_paths.control_measurement.effects[:2]),
+        (2, qutrit.branch_transforms),
+    ):
+        bad = list(args)
+        bad[slot] = wrong
+        with pytest.raises(SystemMismatchError):
+            superposition_preservation_report(*bad, trials=2)
+
+
 def test_composite_is_reversible():
     rng = np.random.default_rng(13)
     controlled = build_controlled(random_branches(rng, 2, 4), quantum_system(4))
