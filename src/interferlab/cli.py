@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from .core import (
-    EPS_EQ,
     InfeasibleError,
     SystemMismatchError,
     ValidationError,
@@ -77,38 +76,48 @@ class CliError(Exception):
         self.code = code
 
 
-_COMMON_OPTIONS: dict[str, tuple] = {
-    "theory": (str, "quantum"),
-    "dim": (int, None),
-    "paths": (int, None),
-    "trials": (int, None),
-    "seed": (int, None),
-    "eps_eq": (float, EPS_EQ),
-    "format": (str, None),
-    "out": (str, None),
-    "config": (str, None),
+# option -> (type, default, help); None means unset or derived by the command
+_OPTIONS: dict[str, tuple] = {
+    "theory": (str, "quantum", "backend: quantum or classical"),
+    "dim": (int, None, "system dimension"),
+    "paths": (int, None, "number of paths"),
+    "trials": (int, None, "number of sampled trials"),
+    "seed": (int, None, f"rng seed (default: ${SEED_ENV_VAR})"),
+    "format": (str, None, "output format (default: the first one listed above)"),
+    "out": (str, None, "output file (default: stdout)"),
+    "config": (str, None, "JSON config file (flags take precedence)"),
+    "grid_points": (int, 200, "number of grid points"),
+    "angle_min": (float, 0.0, "first grid angle"),
+    "angle_max": (float, math.pi, "last grid angle"),
+    "order": (int, None, "interference order to scan"),
+    "unitaries": (str, None, "JSON file with branch unitaries (row-major [re, im] entries)"),
+    "function": (str, None, "function table as a bit string, e.g. 01"),
+    "state": (str, None, "sym, antisym, or anyon:THETA"),
+    "angles": (str, None, "comma-separated phase angles, e.g. 0,0,1.5"),
 }
 
-_COMMAND_OPTIONS: dict[str, dict[str, tuple]] = {
-    "mz-sweep": {
-        "grid_points": (int, 200),
-        "angle_min": (float, 0.0),
-        "angle_max": (float, math.pi),
-    },
-    "sorkin": {"order": (int, None)},
-    "kickback": {"unitaries": (str, None)},
-    "deutsch": {"function": (str, None)},
-    "exchange": {"state": (str, None)},
-    "phase-order": {"angles": (str, None)},
-}
+_SHARED = ("theory", "dim", "paths", "format", "out", "config")
 
-_FORMATS = {
-    "mz-sweep": ("csv", "json"),
-    "sorkin": ("json", "csv"),
-    "kickback": ("json",),
-    "deutsch": ("json",),
-    "exchange": ("json",),
-    "phase-order": ("json",),
+# command -> (help, output formats with the default first, options read beyond _SHARED)
+_COMMANDS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
+    "mz-sweep": (
+        "two-path pattern over a phase grid",
+        ("csv", "json"),
+        ("grid_points", "angle_min", "angle_max"),
+    ),
+    "sorkin": (
+        "interference-order scan (order 2 or 3)",
+        ("json", "csv"),
+        ("order", "trials", "seed"),
+    ),
+    "kickback": (
+        "extract the kicked phase of branch unitaries",
+        ("json",),
+        ("unitaries", "seed"),
+    ),
+    "deutsch": ("single-query parity of a two-bit function", ("json",), ("function",)),
+    "exchange": ("classify exchange statistics of a state", ("json",), ("state", "seed")),
+    "phase-order": ("detection order of a diagonal phase", ("json",), ("angles",)),
 }
 
 
@@ -118,53 +127,18 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Path-experiment, interference, kick-back, and oracle runs.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def common(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--theory", help="backend: quantum or classical")
-        sp.add_argument("--dim", type=int, help="system dimension")
-        sp.add_argument("--paths", type=int, help="number of paths")
-        sp.add_argument("--trials", type=int, help="number of sampled trials")
-        sp.add_argument("--seed", type=int, help=f"rng seed (default: ${SEED_ENV_VAR})")
-        sp.add_argument("--eps-eq", type=float, help="support/equality tolerance")
-        sp.add_argument("--format", help="output format: json or csv")
-        sp.add_argument("--out", help="output file (default: stdout)")
-        sp.add_argument("--config", help="JSON config file (flags take precedence)")
-
-    mz = sub.add_parser("mz-sweep", help="two-path pattern over a phase grid")
-    mz.add_argument("--grid-points", type=int, help="number of grid points")
-    mz.add_argument("--angle-min", type=float, help="first grid angle")
-    mz.add_argument("--angle-max", type=float, help="last grid angle")
-    common(mz)
-
-    so = sub.add_parser("sorkin", help="interference-order scan (order 2 or 3)")
-    so.add_argument("--order", type=int, help="interference order to scan")
-    common(so)
-
-    kb = sub.add_parser("kickback", help="extract the kicked phase of branch unitaries")
-    kb.add_argument(
-        "--unitaries",
-        help="JSON file with branch unitaries (row-major [re, im] entries)",
-    )
-    common(kb)
-
-    de = sub.add_parser("deutsch", help="single-query parity of a two-bit function")
-    de.add_argument("--function", help="function table as a bit string, e.g. 01")
-    common(de)
-
-    ex = sub.add_parser("exchange", help="classify exchange statistics of a state")
-    ex.add_argument("--state", help="sym, antisym, or anyon:THETA")
-    common(ex)
-
-    po = sub.add_parser("phase-order", help="detection order of a diagonal phase")
-    po.add_argument("--angles", help="comma-separated phase angles, e.g. 0,0,1.5")
-    common(po)
-
+    for command, (summary, formats, own) in _COMMANDS.items():
+        description = f"{summary}; output formats: {', '.join(formats)}"
+        sp = sub.add_parser(command, help=summary, description=description)
+        for key in own + _SHARED:
+            cast, _, text = _OPTIONS[key]
+            sp.add_argument("--" + key.replace("_", "-"), type=cast, help=text)
     return parser
 
 
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     """Merge flags over config-file values over defaults."""
-    spec = {**_COMMON_OPTIONS, **_COMMAND_OPTIONS[command]}
+    keys = _COMMANDS[command][2] + _SHARED
     file_values: dict = {}
     config_path = args.config
     if config_path is not None:
@@ -177,24 +151,22 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
             raise CliError(f"config file is not valid JSON: {err}") from err
         if not isinstance(file_values, dict):
             raise CliError("config file must hold a JSON object")
-        unknown = set(file_values) - set(spec)
+        unknown = set(file_values) - set(keys)
         if unknown:
             raise CliError(
-                f"unknown config keys {sorted(unknown)}; allowed: {sorted(spec)}"
+                f"unknown config keys {sorted(unknown)}; allowed: {sorted(keys)}"
             )
     resolved = {}
-    for key, (cast, default) in spec.items():
-        value = getattr(args, key, None)
-        if value is None and key in file_values and file_values[key] is not None:
+    for key in keys:
+        cast, default, _ = _OPTIONS[key]
+        value = getattr(args, key)
+        if value is None and file_values.get(key) is not None:
             try:
                 value = cast(file_values[key])
             except (TypeError, ValueError) as err:
                 raise CliError(f"config key {key!r}: {err}") from err
-        if value is None:
-            value = default
-        resolved[key] = value
-    resolved["config"] = config_path
-    if resolved["seed"] is None:
+        resolved[key] = default if value is None else value
+    if "seed" in resolved and resolved["seed"] is None:
         env = os.environ.get(SEED_ENV_VAR)
         if env is not None:
             try:
@@ -212,11 +184,9 @@ def _validate_common(command: str, cfg: dict) -> None:
         raise CliError(f"dim must be >= 2, got {cfg['dim']}")
     if cfg["paths"] is not None and cfg["paths"] < 2:
         raise CliError(f"paths must be >= 2, got {cfg['paths']}")
-    if cfg["trials"] is not None and cfg["trials"] < 1:
+    if cfg.get("trials") is not None and cfg["trials"] < 1:
         raise CliError(f"trials must be >= 1, got {cfg['trials']}")
-    if cfg["eps_eq"] is not None and cfg["eps_eq"] <= 0:
-        raise CliError(f"eps-eq must be positive, got {cfg['eps_eq']}")
-    allowed = _FORMATS[command]
+    allowed = _COMMANDS[command][1]
     if cfg["format"] is None:
         cfg["format"] = allowed[0]
     if cfg["format"] not in allowed:
@@ -265,7 +235,7 @@ def _run_mz_sweep(cfg: dict) -> tuple[str, int]:
     if cfg["grid_points"] < 1:
         raise CliError(f"grid-points must be >= 1, got {cfg['grid_points']}")
     system = quantum_system(2)
-    experiment = basis_experiment(system, epsilon_support=cfg["eps_eq"])
+    experiment = basis_experiment(system)
     uniform = np.array([1.0, 1.0]) / math.sqrt(2.0)
     state = ket_state(system, uniform)
     effect = projector_effect(system, uniform)
@@ -295,7 +265,7 @@ def _run_sorkin(cfg: dict) -> tuple[str, int]:
     randomized = cfg["theory"] == "quantum"
     seed = _require_seed(cfg, "sorkin") if randomized else (cfg["seed"] or 0)
     make = quantum_system if cfg["theory"] == "quantum" else classical_system
-    experiment = basis_experiment(make(order), epsilon_support=cfg["eps_eq"])
+    experiment = basis_experiment(make(order))
     if order == 2:
         report = second_order_witness(experiment, seed=seed, phase_samples=cfg["trials"])
     else:
@@ -446,7 +416,7 @@ def _run_phase_order(cfg: dict) -> tuple[str, int]:
     _pin(cfg, "dim", len(angles), "the angle list")
     _pin(cfg, "paths", len(angles), "the angle list")
     system = quantum_system(len(angles))
-    experiment = basis_experiment(system, epsilon_support=cfg["eps_eq"])
+    experiment = basis_experiment(system)
     transformation = phase_unitary(system, angles)
     order = detection_order(transformation, experiment)
     payload = _metadata("phase-order", cfg)

@@ -154,15 +154,7 @@ def verify_control_contract(
     _check_states(target, branched.reshape(-1, sigmas.shape[1]))
     _check_states(composite.in_system, np.concatenate([prepared, out, want]))
     branch_dev = float(np.max(np.abs(out - want)))
-    filt = superposition_preservation_report(
-        composite,
-        controlled.control_measurement.effects[: controlled.n_branches],
-        controlled.branch_transforms,
-        control,
-        target,
-        trials=trials,
-        seed=rng,
-    )
+    filt = verify_superposition_preservation(controlled, trials=trials, seed=rng)
     return {
         "max_branch_deviation": branch_dev,
         "max_filter_deviation": filt["max_deviation"],
@@ -548,12 +540,7 @@ def exchange_experiment(
     The exchange operation must fix the state; the returned angle is its
     eigenphase on the state's ket, read out through the two-branch kick-back.
     """
-    system = particle_state.system
-    d = system.dim
-    u = _as_unitary(exchange_op, d, "exchange operation")
-    controlled = build_controlled([np.eye(d), u], system, seed=seed)
-    result = extract_kickback(controlled, particle_state, seed=seed)
-    return float(result.angles[1])
+    return float(multi_path_permutation_experiment([exchange_op], particle_state, seed)[0])
 
 
 def multi_path_permutation_experiment(

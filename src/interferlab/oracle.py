@@ -27,7 +27,12 @@ from .core import (
     tensor_states,
     unit_effect,
 )
-from .control import ControlledTransformation, build_controlled, extract_kickback
+from .control import (
+    ControlledTransformation,
+    build_controlled,
+    classify_particle,
+    extract_kickback,
+)
 
 DECISION_TOL = 1e-6  # outcome probabilities this far from {0, 1} are an anomaly
 
@@ -85,15 +90,19 @@ def build_oracle(function: DecisionFunction | tuple[int, ...]) -> OracleInstance
     return OracleInstance(function, controlled)
 
 
-def _interference_readout(
-    oracle: OracleInstance, i: int, j: int
-) -> tuple[int, float, int]:
-    """One-query parity of f(i) and f(j) via two-path interference.
+@dataclass(frozen=True)
+class ParityResult:
+    parity: int
+    probability: float
+    queries: int
+
+
+def run_pairwise(oracle: OracleInstance, i: int, j: int) -> ParityResult:
+    """Single-query parity f(i) xor f(j) for any two levels of an n-input oracle.
 
     Prepares the target on the flip-sensitive state and the control balanced
     across levels i and j, queries once, and measures the control along the
-    balanced/anti-balanced pair.  Returns (parity, outcome probability,
-    queries spent here).
+    balanced/anti-balanced pair.
     """
     control = oracle.controlled.control_system
     target = oracle.controlled.target_system
@@ -106,25 +115,20 @@ def _interference_readout(
     before = oracle.query_count
     moved = oracle.query(prepared)
     spent = oracle.query_count - before
+    if spent != 1:
+        raise RuntimeError(f"protocol spent {spent} queries, expected exactly 1")
     antipose = np.zeros(n, dtype=complex)
     antipose[i], antipose[j] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
     stay = tensor_effects(projector_effect(control, superpose), unit_effect(target))
     flip = tensor_effects(projector_effect(control, antipose), unit_effect(target))
     p_stay, p_flip = pair(stay, moved), pair(flip, moved)
     if p_stay > 1.0 - DECISION_TOL and p_flip < DECISION_TOL:
-        return 0, p_stay, spent
+        return ParityResult(0, p_stay, spent)
     if p_flip > 1.0 - DECISION_TOL and p_stay < DECISION_TOL:
-        return 1, p_flip, spent
+        return ParityResult(1, p_flip, spent)
     raise RuntimeError(
         f"oracle readout is not deterministic: p_stay={p_stay!r}, p_flip={p_flip!r}"
     )
-
-
-@dataclass(frozen=True)
-class ParityResult:
-    parity: int
-    probability: float
-    queries: int
 
 
 def run_deutsch(oracle: OracleInstance) -> ParityResult:
@@ -133,26 +137,11 @@ def run_deutsch(oracle: OracleInstance) -> ParityResult:
         raise ValidationError(
             f"the two-input protocol needs n = 2, got n = {oracle.function.n}"
         )
-    parity, probability, spent = _interference_readout(oracle, 0, 1)
-    if spent != 1:
-        raise RuntimeError(f"protocol spent {spent} queries, expected exactly 1")
-    return ParityResult(parity, probability, spent)
+    return run_pairwise(oracle, 0, 1)
 
 
-def deutsch_parity(oracle: OracleInstance) -> int:
-    return run_deutsch(oracle).parity
-
-
-def run_pairwise(oracle: OracleInstance, i: int, j: int) -> ParityResult:
-    """Single-query parity f(i) xor f(j) for any two levels of an n-input oracle."""
-    parity, probability, spent = _interference_readout(oracle, i, j)
-    if spent != 1:
-        raise RuntimeError(f"protocol spent {spent} queries, expected exactly 1")
-    return ParityResult(parity, probability, spent)
-
-
-def pairwise_parity(oracle: OracleInstance, i: int, j: int) -> int:
-    return run_pairwise(oracle, i, j).parity
+# kicked angles 0 and pi, as classify_particle names them
+_SIGNS = {"boson": 1, "fermion": -1}
 
 
 def kickback_signature(oracle: OracleInstance) -> np.ndarray:
@@ -165,11 +154,8 @@ def kickback_signature(oracle: OracleInstance) -> np.ndarray:
     result = extract_kickback(oracle.controlled, basis_state(target, 1))
     signs = np.empty(len(result.angles), dtype=int)
     for idx, angle in enumerate(result.angles):
-        wrapped = angle % (2.0 * math.pi)
-        if min(wrapped, 2.0 * math.pi - wrapped) < 1e-9:
-            signs[idx] = 1
-        elif abs(wrapped - math.pi) < 1e-9:
-            signs[idx] = -1
-        else:
+        kind = classify_particle(angle).kind
+        if kind not in _SIGNS:
             raise RuntimeError(f"branch {idx} kicked a non-sign angle {angle!r}")
+        signs[idx] = _SIGNS[kind]
     return signs

@@ -2,6 +2,8 @@
 
 import json
 import math
+import pathlib
+import shlex
 import shutil
 import subprocess
 
@@ -13,6 +15,30 @@ from interferlab import complex_matrix_to_dict, load_schema
 from interferlab.cli import SEED_ENV_VAR, main
 
 PI_LITERAL = format(math.pi, ".17g")
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+# the options each command reads: its flags, its config-file keys and its
+# metadata.config echo
+SHARED_KEYS = {"theory", "dim", "paths", "format", "out", "config"}
+COMMAND_KEYS = {
+    "mz-sweep": SHARED_KEYS | {"grid_points", "angle_min", "angle_max"},
+    "sorkin": SHARED_KEYS | {"order", "trials", "seed"},
+    "kickback": SHARED_KEYS | {"unitaries", "seed"},
+    "deutsch": SHARED_KEYS | {"function"},
+    "exchange": SHARED_KEYS | {"state", "seed"},
+    "phase-order": SHARED_KEYS | {"angles"},
+}
+
+# options that once were accepted but that the command never read
+REMOVED_OPTIONS = (
+    [(command, "eps_eq") for command in COMMAND_KEYS]
+    + [
+        (command, "trials")
+        for command in ("mz-sweep", "kickback", "deutsch", "exchange", "phase-order")
+    ]
+    + [(command, "seed") for command in ("mz-sweep", "deutsch", "phase-order")]
+)
 
 
 @pytest.fixture(autouse=True)
@@ -370,3 +396,78 @@ def test_unknown_command_is_a_usage_error(capsys):
     assert main(["teleport"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+def valid_args(tmp_path, command):
+    """Arguments on which `command` succeeds."""
+    if command == "kickback":
+        spec = unitaries_file(tmp_path, [np.eye(2), np.diag([1.0, -1.0])])
+        return ["kickback", "--unitaries", spec, "--seed", "1"]
+    return {
+        "mz-sweep": ["mz-sweep", "--grid-points", "3"],
+        "sorkin": ["sorkin", "--order", "2", "--seed", "1"],
+        "deutsch": ["deutsch", "--function", "01"],
+        "exchange": ["exchange", "--state", "sym", "--seed", "0"],
+        "phase-order": ["phase-order", "--angles", "0,1"],
+    }[command]
+
+
+@pytest.mark.parametrize("command, key", REMOVED_OPTIONS)
+def test_options_a_command_does_not_read_are_rejected(tmp_path, capsys, command, key):
+    args = valid_args(tmp_path, command)
+    assert main(args) == 0
+    capsys.readouterr()
+    assert main(args + ["--" + key.replace("_", "-"), "1"]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: 1}), encoding="utf-8")
+    assert main(args + ["--config", str(config)]) == 2
+    assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["deutsch", "--function", "01"],
+        ["phase-order", "--angles", "0,3.1,1.0"],
+        ["mz-sweep", "--format", "json"],
+    ],
+)
+def test_unseeded_commands_ignore_the_seed_variable(monkeypatch, capsys, args):
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv(SEED_ENV_VAR, "9")
+    assert main(args) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_metadata_echoes_exactly_the_options_a_command_reads(tmp_path, command):
+    args = valid_args(tmp_path, command) + ["--format", "json"]
+    code, doc = run_json(tmp_path, args)
+    assert code == 0
+    assert set(doc["metadata"]["config"]) == COMMAND_KEYS[command]
+
+
+def readme_block(language):
+    """The first fenced block of `language` in the README's command-line section."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
+
+
+README_COMMANDS = [
+    shlex.split(line.partition("#")[0])[1:]
+    for line in readme_block("sh").splitlines()
+    if line.startswith("interferlab ")
+]
+
+
+def test_readme_shows_every_command():
+    assert {argv[0] for argv in README_COMMANDS} == set(COMMAND_KEYS)
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_commands_run(tmp_path, monkeypatch, capsys, argv):
+    (tmp_path / "branches.json").write_text(readme_block("json"), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0, capsys.readouterr().err

@@ -9,9 +9,7 @@ from interferlab import (
     ValidationError,
     basis_state,
     build_oracle,
-    deutsch_parity,
     kickback_signature,
-    pairwise_parity,
     run_deutsch,
     run_pairwise,
     tensor_states,
@@ -46,7 +44,7 @@ def test_single_query_parity_on_every_two_bit_function(table):
 def test_parity_readout_never_consults_the_table():
     oracle = build_oracle((0, 1))
     oracle.function = DecisionFunction((0, 0))
-    assert deutsch_parity(oracle) == 1
+    assert run_deutsch(oracle).parity == 1
 
 
 def test_query_count_tracks_every_application():
@@ -82,9 +80,9 @@ def test_pairwise_parity_matches_table_on_all_functions(n):
 def test_pairwise_rejects_bad_level_pairs():
     oracle = build_oracle((0, 1, 1))
     with pytest.raises(ValidationError):
-        pairwise_parity(oracle, 1, 1)
+        run_pairwise(oracle, 1, 1)
     with pytest.raises(ValidationError):
-        pairwise_parity(oracle, 0, 3)
+        run_pairwise(oracle, 0, 3)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -108,4 +106,4 @@ def test_signature_disagreement_bit_matches_pairwise_parity():
         oracle = build_oracle(table)
         signs = kickback_signature(oracle)
         for i, j in itertools.combinations(range(3), 2):
-            assert (signs[i] != signs[j]) == bool(pairwise_parity(oracle, i, j))
+            assert (signs[i] != signs[j]) == bool(run_pairwise(oracle, i, j).parity)
