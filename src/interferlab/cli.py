@@ -96,6 +96,9 @@ _OPTIONS: dict[str, tuple] = {
     "angles": (str, None, "comma-separated phase angles, e.g. 0,0,1.5"),
 }
 
+# option type -> (Python types json.load gives an accepted value, JSON type name)
+_JSON_TYPES = {int: (int, "integer"), float: ((int, float), "number"), str: (str, "string")}
+
 _SHARED = ("theory", "dim", "paths", "format", "out", "config")
 
 # command -> (help, output formats with the default first, options read beyond _SHARED)
@@ -161,10 +164,11 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         cast, default, _ = _OPTIONS[key]
         value = getattr(args, key)
         if value is None and file_values.get(key) is not None:
-            try:
-                value = cast(file_values[key])
-            except (TypeError, ValueError) as err:
-                raise CliError(f"config key {key!r}: {err}") from err
+            value = file_values[key]
+            accepted, kind = _JSON_TYPES[cast]
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise CliError(f"config key {key!r} must be a JSON {kind}, got {value!r}")
+            value = cast(value)
         resolved[key] = default if value is None else value
     if "seed" in resolved and resolved["seed"] is None:
         env = os.environ.get(SEED_ENV_VAR)
@@ -186,6 +190,8 @@ def _validate_common(command: str, cfg: dict) -> None:
         raise CliError(f"paths must be >= 2, got {cfg['paths']}")
     if cfg.get("trials") is not None and cfg["trials"] < 1:
         raise CliError(f"trials must be >= 1, got {cfg['trials']}")
+    if cfg.get("seed") is not None and cfg["seed"] < 0:
+        raise CliError(f"seed must be >= 0, got {cfg['seed']}")
     allowed = _COMMANDS[command][1]
     if cfg["format"] is None:
         cfg["format"] = allowed[0]

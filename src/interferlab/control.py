@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .core import (
     QUANTUM,
     Effect,
     InfeasibleError,
-    Measurement,
     StateVector,
     SystemMismatchError,
     SystemType,
@@ -30,6 +30,7 @@ from .core import (
     _as_unitary,
     _check_states,
     _pair_factor,
+    _readonly,
     _rng,
     _rowwise,
     _tensor_coeffs,
@@ -37,35 +38,66 @@ from .core import (
     basis_state,
     composite_system,
     density_matrix,
-    distinguishing_measurement,
     ket_state,
+    projector_effect,
     quantum_system,
     random_state,
     transform_effect,
     unitary_channel,
 )
-from .paths import NotAPhaseError, PathExperiment, _path_kets, is_phase, phase_relative_angles
+from .paths import NotAPhaseError, PathExperiment, is_phase, phase_relative_angles
 
 KICKBACK_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class ControlledTransformation:
-    """A branch-indexed reversible transformation on control (x) target."""
+    """A branch-indexed reversible transformation on control (x) target.
 
-    control_system: SystemType
+    Stores the branch unitaries and one control ket per branch (columns), as
+    read-only copies; everything else derives from them once, on first use.
+    """
+
     target_system: SystemType
-    control_states: tuple[StateVector, ...]
-    control_measurement: Measurement
-    branch_transforms: tuple[Transformation, ...]
-    composite: Transformation
     branch_unitaries: tuple[np.ndarray, ...]
     control_kets: np.ndarray
     designated_target: StateVector | None = None
 
+    def __post_init__(self) -> None:
+        unitaries = tuple(_readonly(np.array(u, dtype=complex)) for u in self.branch_unitaries)
+        object.__setattr__(self, "branch_unitaries", unitaries)
+        kets = _readonly(np.array(self.control_kets, dtype=complex))
+        object.__setattr__(self, "control_kets", kets)
+
     @property
     def n_branches(self) -> int:
-        return len(self.branch_transforms)
+        return len(self.branch_unitaries)
+
+    @cached_property
+    def control_system(self) -> SystemType:
+        return quantum_system(self.n_branches)
+
+    @cached_property
+    def control_states(self) -> tuple[StateVector, ...]:
+        return tuple(ket_state(self.control_system, k) for k in self.control_kets.T)
+
+    @cached_property
+    def control_effects(self) -> tuple[Effect, ...]:
+        """Projectors onto the control kets: effect i fires exactly on branch i."""
+        return tuple(projector_effect(self.control_system, k) for k in self.control_kets.T)
+
+    @cached_property
+    def branch_transforms(self) -> tuple[Transformation, ...]:
+        return tuple(unitary_channel(self.target_system, u) for u in self.branch_unitaries)
+
+    @cached_property
+    def composite(self) -> Transformation:
+        """Conjugation by the block sum of |k_i><k_i| (x) U_i over the branches."""
+        block = sum(
+            np.kron(np.outer(k, k.conj()), u)
+            for k, u in zip(self.control_kets.T, self.branch_unitaries)
+        )
+        return unitary_channel(composite_system(self.control_system, self.target_system), block)
 
 
 def build_controlled(
@@ -92,34 +124,8 @@ def build_controlled(
     unitaries = tuple(
         _as_unitary(u, d_t, f"branch {i}") for i, u in enumerate(branch_unitaries)
     )
-    if control_kets is None:
-        kets = np.eye(n, dtype=complex)
-    else:
-        kets = np.asarray(control_kets, dtype=complex)
-        if kets.shape != (n, n):
-            raise SystemMismatchError(
-                f"control kets of shape {kets.shape} do not form a basis for {n} branches"
-            )
-        dev = float(np.max(np.abs(kets.conj().T @ kets - np.eye(n))))
-        if dev > 1e-9:
-            raise ValidationError(f"control kets are not orthonormal (deviation {dev!r})")
-    control_system = quantum_system(n)
-    block = sum(
-        np.kron(np.outer(kets[:, i], kets[:, i].conj()), unitaries[i]) for i in range(n)
-    )
-    composite = unitary_channel(composite_system(control_system, target_system), block)
-    control_states = tuple(ket_state(control_system, kets[:, i]) for i in range(n))
-    branch_transforms = tuple(unitary_channel(target_system, u) for u in unitaries)
-    built = ControlledTransformation(
-        control_system=control_system,
-        target_system=target_system,
-        control_states=control_states,
-        control_measurement=distinguishing_measurement(control_states),
-        branch_transforms=branch_transforms,
-        composite=composite,
-        branch_unitaries=unitaries,
-        control_kets=kets,
-    )
+    kets = np.eye(n) if control_kets is None else _as_unitary(control_kets, n, "control kets")
+    built = ControlledTransformation(target_system, unitaries, kets)
     report = verify_control_contract(built, trials=verify_samples, seed=seed)
     if report["max_branch_deviation"] > 1e-9 or report["max_filter_deviation"] > 1e-9:
         raise ValidationError(f"controlled contract failed at construction: {report}")
@@ -237,7 +243,7 @@ def verify_superposition_preservation(
 ) -> dict:
     return superposition_preservation_report(
         controlled.composite,
-        controlled.control_measurement.effects[: controlled.n_branches],
+        controlled.control_effects,
         controlled.branch_transforms,
         controlled.control_system,
         controlled.target_system,
@@ -422,7 +428,7 @@ def extract_kickback(
     _check_states(controlled.composite.in_system, np.concatenate([prepared, lhs, rhs]))
     kb_dev = float(np.max(np.abs(lhs - rhs)))
     phase_dev = 0.0
-    for effect in controlled.control_measurement.effects[: controlled.n_branches]:
+    for effect in controlled.control_effects:
         pulled = transform_effect(transform, effect)
         phase_dev = max(phase_dev, float(np.max(np.abs(pulled.coeffs - effect.coeffs))))
     if kb_dev > KICKBACK_TOL:
@@ -454,8 +460,7 @@ def realize_phase_as_kickback(
     angles = phase_relative_angles(phase, control_experiment)
     target = quantum_system(2)
     branches = [np.diag([1.0, np.exp(1j * a)]) for a in angles]
-    kets = _path_kets(control_experiment)
-    built = build_controlled(branches, target, control_kets=kets, seed=seed)
+    built = build_controlled(branches, target, control_kets=control_experiment.kets, seed=seed)
     return replace(built, designated_target=basis_state(target, 1))
 
 

@@ -591,10 +591,10 @@ def effect_from_matrix(system: SystemType, mat: np.ndarray) -> Effect:
     return Effect(system, _encode(mat, system.dim))
 
 
-def ket_state(system: SystemType, amplitudes: Sequence[complex]) -> StateVector:
-    """Pure quantum state from a normalized amplitude vector."""
+def _ket_projector(system: SystemType, amplitudes: Sequence[complex]) -> np.ndarray:
+    """Coefficients of |psi><psi| for a normalized amplitude vector psi."""
     if system.theory != QUANTUM:
-        raise SystemMismatchError("amplitude vectors describe quantum states only")
+        raise SystemMismatchError("amplitude vectors describe quantum systems only")
     psi = np.asarray(amplitudes, dtype=complex)
     if psi.shape != (system.dim,):
         raise SystemMismatchError(
@@ -603,18 +603,17 @@ def ket_state(system: SystemType, amplitudes: Sequence[complex]) -> StateVector:
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > EPS_NORM:
         raise ValidationError(f"amplitudes are not normalized: |psi| = {norm!r}")
-    return StateVector(system, _encode(np.outer(psi, psi.conj()), system.dim))
+    return _encode(np.outer(psi, psi.conj()), system.dim)
+
+
+def ket_state(system: SystemType, amplitudes: Sequence[complex]) -> StateVector:
+    """Pure quantum state from a normalized amplitude vector."""
+    return StateVector(system, _ket_projector(system, amplitudes))
 
 
 def projector_effect(system: SystemType, amplitudes: Sequence[complex]) -> Effect:
     """Rank-1 projector effect from a normalized amplitude vector."""
-    if system.theory != QUANTUM:
-        raise SystemMismatchError("projector effects describe quantum systems only")
-    psi = np.asarray(amplitudes, dtype=complex)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > EPS_NORM:
-        raise ValidationError(f"amplitudes are not normalized: |psi| = {norm!r}")
-    return Effect(system, _encode(np.outer(psi, psi.conj()), system.dim))
+    return Effect(system, _ket_projector(system, amplitudes))
 
 
 def basis_state(system: SystemType, index: int) -> StateVector:

@@ -36,7 +36,6 @@ from .core import (
 from .paths import (
     NotAPhaseError,
     PathExperiment,
-    _path_kets,
     enumerate_classical_phases,
     is_phase,
     support_of_effect,
@@ -88,7 +87,7 @@ def filtered_effect(
     idx = sorted(set(int(i) for i in indices))
     if not idx or not set(idx) <= set(range(experiment.n)):
         raise ValidationError(f"invalid path subset {idx} for {experiment.n} paths")
-    kets = _path_kets(experiment)[:, idx]
+    kets = experiment.kets[:, idx]
     proj = kets @ kets.conj().T
     return effect_from_matrix(system, proj @ effect_matrix(effect) @ proj)
 
@@ -180,14 +179,6 @@ def sorkin_residual(
     return lhs, rhs, lhs - rhs
 
 
-def _verdict(max_abs_residual: float) -> str:
-    if max_abs_residual > PRESENCE_THRESHOLD:
-        return VERDICT_PRESENT
-    if max_abs_residual < ABSENCE_THRESHOLD:
-        return VERDICT_ABSENT
-    return VERDICT_INCONCLUSIVE
-
-
 @dataclass(frozen=True)
 class SorkinSample:
     angles: tuple[float, ...]
@@ -205,15 +196,26 @@ class SorkinWitness:
 
 @dataclass(frozen=True, eq=False)
 class SorkinReport:
-    """Outcome of an interference-order scan."""
+    """Outcome of an interference-order scan; the summary derives from the samples."""
 
     order: int
-    trials: int
     samples: tuple[SorkinSample, ...]
-    max_abs_residual: float
     witness: SorkinWitness | None
-    verdict: str
-    convention_note: str | None = None
+
+    @property
+    def trials(self) -> int:
+        return len(self.samples)
+
+    @property
+    def max_abs_residual(self) -> float:
+        return max((abs(s.residual) for s in self.samples), default=0.0)
+
+    @property
+    def verdict(self) -> str:
+        worst = self.max_abs_residual
+        if worst > PRESENCE_THRESHOLD:
+            return VERDICT_PRESENT
+        return VERDICT_ABSENT if worst < ABSENCE_THRESHOLD else VERDICT_INCONCLUSIVE
 
     def to_json_dict(self) -> dict:
         witness = None
@@ -223,39 +225,21 @@ class SorkinReport:
                 "state_coeffs": [float(x) for x in self.witness.state.coeffs],
                 "effect_coeffs": [float(x) for x in self.witness.effect.coeffs],
             }
-        payload = {
+        return {
             "order": self.order,
             "trials": self.trials,
             "max_abs_residual": self.max_abs_residual,
             "verdict": self.verdict,
             "witness": witness,
         }
-        if self.convention_note is not None:
-            payload["convention_note"] = self.convention_note
-        return payload
 
 
 def _report(order: int, samples: list[SorkinSample], state, effect) -> SorkinReport:
-    max_abs = max((abs(s.residual) for s in samples), default=0.0)
+    worst = max(samples, key=lambda s: abs(s.residual), default=None)
     witness = None
-    if max_abs > ABSENCE_THRESHOLD:
-        worst = max(samples, key=lambda s: abs(s.residual))
+    if worst is not None and abs(worst.residual) > ABSENCE_THRESHOLD:
         witness = SorkinWitness(state, effect, worst.angles)
-    note = None
-    if order >= 4:
-        note = (
-            "subset range above order 3 is convention-dependent; this report uses "
-            "all nonempty proper subsets with alternating signs"
-        )
-    return SorkinReport(
-        order=order,
-        trials=len(samples),
-        samples=tuple(samples),
-        max_abs_residual=max_abs,
-        witness=witness,
-        verdict=_verdict(max_abs),
-        convention_note=note,
-    )
+    return SorkinReport(order, tuple(samples), witness)
 
 
 def second_order_witness(
@@ -283,7 +267,7 @@ def second_order_witness(
             values.append(pair(effect, apply(t, state)))
             angle_sets.append(())
     else:
-        kets = _path_kets(experiment)
+        kets = experiment.kets
         uniform = (kets[:, 0] + kets[:, 1]) / math.sqrt(2.0)
         state = ket_state(system, uniform)
         effect = projector_effect(system, uniform)
@@ -326,7 +310,7 @@ def third_order_scan_quantum(
         raise ValidationError("need at least one trial")
     rng = _rng(seed)
     system = experiment.system
-    kets = _path_kets(experiment)
+    kets = experiment.kets
     samples = []
     worst = (0.0, None, None)
     for _ in range(trials):
@@ -363,7 +347,7 @@ def interference_pattern_sweep(
             f"angle vectors of length {grid.shape[1]} do not fit {experiment.n} paths"
         )
     system = experiment.system
-    kets = _path_kets(experiment)
+    kets = experiment.kets
     full_pattern = pattern(state, effect, experiment)
     rows = np.empty((grid.shape[0], experiment.n + 1))
     for r, angles in enumerate(grid):

@@ -13,6 +13,7 @@ import itertools
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .core import (
     SystemType,
     Transformation,
     ValidationError,
+    _readonly,
     _rng,
     basis_effect,
     basis_state,
@@ -95,7 +97,7 @@ class PathExperiment:
                 f"path effects do not resolve the unit effect (deviation {dev!r})"
             )
         if system.theory == QUANTUM:
-            _path_kets(self)  # rank-1 check; raises on rank >= 2 paths
+            self.kets  # fills the cache; raises PathRankError on rank >= 2 paths
 
     @property
     def system(self) -> SystemType:
@@ -104,6 +106,19 @@ class PathExperiment:
     @property
     def n(self) -> int:
         return len(self.paths)
+
+    @cached_property
+    def kets(self) -> np.ndarray:
+        """Kets of the rank-1 quantum paths, one column per path, read-only."""
+        if self.system.theory != QUANTUM:
+            raise SystemMismatchError("path kets exist for quantum experiments only")
+        kets = []
+        for i, p in enumerate(self.paths):
+            vals, vecs = np.linalg.eigh(density_matrix(p.state))
+            if vals[-1] < 1.0 - EPS_PSD or abs(vals[:-1]).max() > EPS_PSD:
+                raise PathRankError(f"path {i} state has rank above 1 (spectrum {vals!r})")
+            kets.append(vecs[:, -1])
+        return _readonly(np.column_stack(kets))
 
 
 def make_experiment(
@@ -121,22 +136,6 @@ def basis_experiment(system: SystemType, epsilon_support: float = EPS_EQ) -> Pat
         Path(basis_state(system, i), basis_effect(system, i)) for i in range(system.dim)
     ]
     return PathExperiment(tuple(paths), epsilon_support)
-
-
-def _path_kets(experiment: PathExperiment) -> np.ndarray:
-    """Kets of the rank-1 quantum paths, one column per path."""
-    system = experiment.system
-    if system.theory != QUANTUM:
-        raise SystemMismatchError("path kets exist for quantum experiments only")
-    kets = []
-    for i, p in enumerate(experiment.paths):
-        vals, vecs = np.linalg.eigh(density_matrix(p.state))
-        if vals[-1] < 1.0 - EPS_PSD or abs(vals[:-1]).max() > EPS_PSD:
-            raise PathRankError(
-                f"path {i} state has rank above 1 (spectrum {vals!r})"
-            )
-        kets.append(vecs[:, -1])
-    return np.column_stack(kets)
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,7 +202,7 @@ def is_superposition(state: StateVector, experiment: PathExperiment) -> bool:
         return False
     if len(support.indices) < 2:
         return False
-    kets = _path_kets(experiment)
+    kets = experiment.kets
     rho = density_matrix(state)
     overlap = kets.conj().T @ rho @ kets
     off = overlap - np.diag(np.diag(overlap))
@@ -237,7 +236,7 @@ def phase_relative_angles(
         raise SystemMismatchError("relative phase angles exist for quantum experiments only")
     if not is_phase(transformation, experiment):
         raise NotAPhaseError("transformation does not fix the which-path effects")
-    kets = _path_kets(experiment)
+    kets = experiment.kets
     angles = np.zeros(experiment.n)
     for j in range(1, experiment.n):
         coherence = np.outer(kets[:, 0], kets[:, j].conj())
@@ -315,7 +314,7 @@ def _subset_effects(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Stack of random effect covectors supported inside the given paths."""
-    kets = _path_kets(experiment)[:, list(indices)]
+    kets = experiment.kets[:, list(indices)]
     k = len(indices)
     out = np.empty((trials, experiment.system.vector_space_dim))
     for t in range(trials):

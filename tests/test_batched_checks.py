@@ -71,7 +71,7 @@ def ref_contract(controlled, trials, seed):
             branch_dev = max(branch_dev, float(np.max(np.abs(out.coeffs - want.coeffs))))
     filt = ref_filter_report(
         controlled.composite,
-        controlled.control_measurement.effects[: controlled.n_branches],
+        controlled.control_effects,
         controlled.branch_transforms,
         controlled.control_system,
         controlled.target_system,
@@ -95,13 +95,18 @@ def ref_kickback_deviation(controlled, transform, fixed_state, trials, seed):
     return kb_dev
 
 
+def with_composite(controlled, composite):
+    """A copy of the controlled map whose cached composite is the given one."""
+    copy = dataclasses.replace(controlled)
+    vars(copy)["composite"] = composite
+    return copy
+
+
 def built_and_broken(n, d):
     rng = np.random.default_rng(10 * n + d)
     target = quantum_system(d)
     built = build_controlled([haar_unitary(d, rng) for _ in range(n)], target, seed=3)
-    broken = dataclasses.replace(
-        built, composite=random_unitary(built.composite.in_system, 99)
-    )
+    broken = with_composite(built, random_unitary(built.composite.in_system, 99))
     return built, broken
 
 
@@ -132,7 +137,7 @@ def test_filter_report_matches_the_loop(n, d, broken):
     controlled = built_and_broken(n, d)[broken]
     args = (
         controlled.composite,
-        controlled.control_measurement.effects[:n],
+        controlled.control_effects,
         controlled.branch_transforms,
         controlled.control_system,
         controlled.target_system,
@@ -164,9 +169,7 @@ def test_broken_kickback_reports_the_loop_deviation(n, d):
     controlled = phase_controlled(n, d)
     fixed = basis_state(controlled.target_system, 0)
     transform = extract_kickback(controlled, fixed).transform
-    broken = dataclasses.replace(
-        controlled, composite=random_unitary(controlled.composite.in_system, 99)
-    )
+    broken = with_composite(controlled, random_unitary(controlled.composite.in_system, 99))
     with pytest.raises(ValidationError, match="kick-back equation failed") as err:
         extract_kickback(broken, fixed, seed=1)
     got = float(re.search(r"deviation (\S+)\)", str(err.value)).group(1))
@@ -224,7 +227,7 @@ def leaky_composite(controlled):
     leaky = Transformation(system, system, flip)
     with pytest.raises(ValidationError, match="state is not positive"):
         apply(leaky, state_from_density(system, np.diag([1.0, 0.0, 0.0, 0.0])))
-    return dataclasses.replace(controlled, composite=leaky)
+    return with_composite(controlled, leaky)
 
 
 def test_each_check_validates_the_composite_outputs(monkeypatch):
@@ -241,7 +244,7 @@ def test_each_check_validates_the_composite_outputs(monkeypatch):
     with pytest.raises(ValidationError, match="state is not positive"):
         superposition_preservation_report(
             controlled.composite,
-            controlled.control_measurement.effects[:2],
+            controlled.control_effects,
             controlled.branch_transforms,
             controlled.control_system,
             controlled.target_system,

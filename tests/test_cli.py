@@ -371,6 +371,51 @@ def test_environment_seed_is_used_and_echoed(tmp_path, monkeypatch):
     assert out.read_bytes() == env_bytes
 
 
+@pytest.mark.parametrize("source", ["flag", "config", "environment"])
+@pytest.mark.parametrize("command", [["exchange", "--state", "sym"], ["sorkin", "--order", "2"]])
+def test_negative_seeds_are_usage_errors(tmp_path, monkeypatch, capsys, source, command):
+    args = list(command)
+    if source == "flag":
+        args += ["--seed", "-1"]
+    elif source == "config":
+        config = tmp_path / "seed.json"
+        config.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+        args += ["--config", str(config)]
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+    assert main(args) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, key, value",
+    [
+        (["mz-sweep"], "grid_points", 3.7),
+        (["mz-sweep"], "grid_points", True),
+        (["mz-sweep"], "angle_max", True),
+        (["mz-sweep"], "angle_max", "1.0"),
+        (["sorkin", "--order", "2"], "seed", "5"),
+        (["sorkin", "--seed", "1"], "order", 2.0),
+        (["deutsch"], "function", 10),
+        (["exchange", "--seed", "0"], "state", ["sym"]),
+    ],
+)
+def test_config_values_must_have_the_option_json_type(tmp_path, capsys, args, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert main(args + ["--config", str(config)]) == 2
+    assert f"config key {key!r} must be a JSON" in capsys.readouterr().err
+
+
+def test_float_options_take_json_integers(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"angle_min": 0, "angle_max": 1}), encoding="utf-8")
+    code, doc = run_json(tmp_path, ["mz-sweep", "--config", str(config), "--format", "json"])
+    assert code == 0
+    assert doc["metadata"]["config"]["angle_max"] == 1.0
+    assert isinstance(doc["metadata"]["config"]["angle_max"], float)
+
+
 def test_bad_environment_seed_is_a_usage_error(monkeypatch, capsys):
     monkeypatch.setenv(SEED_ENV_VAR, "lots")
     assert main(["sorkin", "--order", "2"]) == 2

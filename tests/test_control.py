@@ -1,11 +1,14 @@
 """Tests for controlled transformations, kick-back, and exchange statistics."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from interferlab import (
+    ControlledTransformation,
     InfeasibleError,
     NotAPhaseError,
     SystemMismatchError,
@@ -22,6 +25,7 @@ from interferlab import (
     composite_system,
     control_target_swap_check,
     density_matrix,
+    distinguishing_measurement,
     exchange_experiment,
     extract_kickback,
     haar_unitary,
@@ -104,11 +108,56 @@ def test_build_rejects_bad_branches():
 
 def test_build_rejects_bad_control_kets():
     target = quantum_system(2)
-    with pytest.raises(SystemMismatchError):
+    with pytest.raises(SystemMismatchError, match=r"control kets has shape \(3, 3\)"):
         build_controlled([np.eye(2), Z], target, control_kets=np.eye(3))
     skewed = np.array([[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="control kets is not unitary"):
         build_controlled([np.eye(2), Z], target, control_kets=skewed)
+
+
+DERIVED = ("control_system", "control_states", "control_effects", "branch_transforms", "composite")
+
+
+def test_controlled_map_stores_only_its_defining_data():
+    names = [f.name for f in dataclasses.fields(ControlledTransformation)]
+    assert names == ["target_system", "branch_unitaries", "control_kets", "designated_target"]
+    for name in DERIVED:
+        assert isinstance(vars(ControlledTransformation)[name], functools.cached_property), name
+    controlled = build_controlled([np.eye(2), Z], quantum_system(2))
+    for name in DERIVED:
+        assert getattr(controlled, name) is getattr(controlled, name), name
+
+
+def test_controlled_map_keeps_read_only_copies_of_its_arrays():
+    branches = [np.eye(2, dtype=complex), Z.astype(complex)]
+    kets = np.eye(2, dtype=complex)
+    controlled = build_controlled(branches, quantum_system(2), control_kets=kets)
+    branches[1][1, 1] = 5.0
+    kets[0, 0] = 5.0
+    assert controlled.branch_unitaries[1][1, 1] == -1.0
+    assert controlled.control_kets[0, 0] == 1.0
+    for array in (*controlled.branch_unitaries, controlled.control_kets):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_derived_control_data_matches_the_old_constructions(n):
+    rng = np.random.default_rng(40 + n)
+    for d_t in (1, 2, 3):
+        kets = haar_unitary(n, rng)
+        branches = random_branches(rng, n, d_t)
+        controlled = build_controlled(branches, quantum_system(d_t), control_kets=kets)
+        old_effects = distinguishing_measurement(controlled.control_states).effects
+        assert len(old_effects) == len(controlled.control_effects) == n
+        for got, want in zip(controlled.control_effects, old_effects):
+            assert float(np.max(np.abs(got.coeffs - want.coeffs))) <= 1e-12
+        block = np.zeros((n * d_t, n * d_t), dtype=complex)
+        for i, u in enumerate(branches):
+            block += np.kron(np.outer(kets[:, i], kets[:, i].conj()), u)
+        want = unitary_channel(composite_system(quantum_system(n), quantum_system(d_t)), block)
+        assert float(np.max(np.abs(controlled.composite.matrix - want.matrix))) <= 1e-12
 
 
 def test_filtering_detects_mislabeled_branches():
@@ -116,7 +165,7 @@ def test_filtering_detects_mislabeled_branches():
     swapped = (controlled.branch_transforms[1], controlled.branch_transforms[0])
     report = superposition_preservation_report(
         controlled.composite,
-        controlled.control_measurement.effects[:2],
+        controlled.control_effects,
         swapped,
         controlled.control_system,
         controlled.target_system,
@@ -139,7 +188,7 @@ def test_contract_checks_reject_sample_counts_below_one(count):
     with pytest.raises(ValidationError, match="at least one verification sample"):
         superposition_preservation_report(
             controlled.composite,
-            controlled.control_measurement.effects[:2],
+            controlled.control_effects,
             controlled.branch_transforms,
             controlled.control_system,
             target,
@@ -160,7 +209,7 @@ def test_filter_report_rejects_effects_or_branches_on_other_systems():
     controlled = build_controlled([np.eye(2), Z], quantum_system(2))
     args = [
         controlled.composite,
-        controlled.control_measurement.effects[:2],
+        controlled.control_effects,
         controlled.branch_transforms,
         controlled.control_system,
         controlled.target_system,
@@ -168,7 +217,7 @@ def test_filter_report_rejects_effects_or_branches_on_other_systems():
     three_paths = build_controlled([np.eye(2), Z, np.eye(2)], quantum_system(2))
     qutrit = build_controlled([np.eye(3), np.eye(3)], quantum_system(3))
     for slot, wrong in (
-        (1, three_paths.control_measurement.effects[:2]),
+        (1, three_paths.control_effects[:2]),
         (2, qutrit.branch_transforms),
     ):
         bad = list(args)

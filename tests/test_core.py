@@ -36,6 +36,7 @@ from interferlab import (
     pair,
     partial_pair,
     permutation_transformation,
+    projector_effect,
     quantum_system,
     random_effect,
     random_reversible,
@@ -132,6 +133,21 @@ def test_state_validation_rejects_bad_inputs():
         StateVector(c, np.array([0.5, 0.6, -0.1]))
     with pytest.raises(ValidationError):
         ket_state(q, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("make", [ket_state, projector_effect])
+def test_amplitude_constructors_check_shape_norm_and_theory(make):
+    q = quantum_system(2)
+    for wrong in ([1.0, 0.0, 0.0], [[1.0, 0.0]], 1.0):
+        with pytest.raises(SystemMismatchError, match="does not fit dimension 2"):
+            make(q, wrong)
+    with pytest.raises(ValidationError, match="not normalized"):
+        make(q, [1.0, 1.0])
+    with pytest.raises(SystemMismatchError, match="quantum systems only"):
+        make(classical_system(2), [1.0, 0.0])
+    amps = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+    want = state_from_density(q, np.outer(amps, amps.conj())).coeffs
+    assert np.array_equal(make(q, amps).coeffs, want)
 
 
 def test_effect_validation_rejects_bad_spectra():

@@ -1,5 +1,6 @@
 """Tests for interference patterns, restriction choices, and order scans."""
 
+import dataclasses
 import itertools
 import math
 
@@ -10,6 +11,7 @@ from interferlab import (
     EPS_EQ,
     VERDICT_ABSENT,
     VERDICT_PRESENT,
+    VERDICT_INCONCLUSIVE,
     EffectChoice,
     NotAPhaseError,
     StateVector,
@@ -35,6 +37,8 @@ from interferlab import (
     projector_effect,
     quantum_system,
     second_order_witness,
+    SorkinReport,
+    SorkinSample,
     sorkin_residual,
     third_order_scan_quantum,
     unit_effect,
@@ -251,6 +255,30 @@ def test_third_order_scan_is_absent_for_quantum():
     assert report.verdict == VERDICT_ABSENT
     assert report.max_abs_residual < 1e-9
     assert report.witness is None
+
+
+@pytest.mark.parametrize(
+    "residuals, worst, verdict",
+    [
+        ((), 0.0, VERDICT_ABSENT),
+        ((1e-10, -3e-8), 3e-8, VERDICT_INCONCLUSIVE),
+        ((0.2, -0.5, 0.5), 0.5, VERDICT_PRESENT),
+    ],
+)
+def test_sorkin_report_derives_its_summary_from_the_samples(residuals, worst, verdict):
+    assert [f.name for f in dataclasses.fields(SorkinReport)] == ["order", "samples", "witness"]
+    samples = tuple(SorkinSample((), 0.0, 0.0, r) for r in residuals)
+    report = SorkinReport(3, samples, None)
+    assert report.trials == len(residuals)
+    assert report.max_abs_residual == worst
+    assert report.verdict == verdict
+    assert report.to_json_dict() == {
+        "order": 3,
+        "trials": len(residuals),
+        "max_abs_residual": worst,
+        "verdict": verdict,
+        "witness": None,
+    }
 
 
 def test_third_order_scan_guards():

@@ -89,6 +89,24 @@ def test_quantum_paths_must_be_rank_one():
         make_experiment([(block, block_effect), (rest, rest_effect)])
 
 
+def test_path_kets_are_computed_once_and_read_only():
+    system = quantum_system(3)
+    v = haar_unitary(3, np.random.default_rng(5))
+    experiment = make_experiment(
+        [(ket_state(system, v[:, i]), projector_effect(system, v[:, i])) for i in range(3)]
+    )
+    kets = experiment.kets
+    assert kets is experiment.kets
+    assert not kets.flags.writeable
+    with pytest.raises(ValueError):
+        kets[0, 0] = 0.0
+    # each column is its path's ket up to a global phase
+    overlaps = np.abs(np.einsum("ij,ij->j", v.conj(), kets))
+    assert float(np.max(np.abs(overlaps - 1.0))) < 1e-12
+    with pytest.raises(SystemMismatchError):
+        basis_experiment(classical_system(3)).kets
+
+
 def test_single_path_is_rejected():
     system = quantum_system(2)
     with pytest.raises(ValidationError):

@@ -1,9 +1,11 @@
-"""Property tests for the stacked codec, tensor and partial-pairing paths.
+"""Property tests: algebraic invariants and the stacked kernel paths.
 
 A stack is computed row by row through one matmul call, so every stacked row
 must equal the single-row result exactly, not just within a tolerance.  The
 one exception is noted at the partial-pairing test.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,15 +13,29 @@ from hypothesis import strategies as st
 
 from interferlab import core
 from interferlab import (
+    EPS_EQ,
+    basis_state,
+    build_controlled,
+    classify_particle,
+    compose_seq,
     composite_system,
     density_matrix,
     effect_matrix,
+    extract_kickback,
+    haar_unitary,
+    ket_state,
+    make_experiment,
+    marginalize,
     partial_pair,
+    projector_effect,
     quantum_system,
     random_effect,
     random_state,
     tensor_effects,
     tensor_states,
+    tensor_transformations,
+    third_order_scan_quantum,
+    unitary_channel,
 )
 
 TOL = 1e-12
@@ -108,3 +124,96 @@ def test_stacked_partial_pairing_equals_partial_pair(dim_a, dim_b, rows, factor,
             want = partial_pair(state, effect, factor).coeffs
             assert float(np.max(np.abs(got[j, i] - want))) <= TOL
             assert np.array_equal(got[j, i], want) or not exact
+
+
+@SETTINGS
+@given(dim=dims, shape=stack_shapes, seed=seeds)
+def test_decode_then_encode_returns_the_coefficients(dim, shape, seed):
+    coeffs = np.random.default_rng(seed).standard_normal((*shape, dim * dim))
+    back = core._encode(core._decode(coeffs, dim), dim)
+    assert float(np.max(np.abs(back - coeffs))) <= TOL
+
+
+@SETTINGS
+@given(dim=dims, seed=seeds)
+def test_channel_of_a_product_is_the_composed_channel(dim, seed):
+    rng = np.random.default_rng(seed)
+    system = quantum_system(dim)
+    u, v = haar_unitary(dim, rng), haar_unitary(dim, rng)
+    got = unitary_channel(system, u @ v).matrix
+    want = compose_seq(unitary_channel(system, u), unitary_channel(system, v)).matrix
+    assert float(np.max(np.abs(got - want))) <= TOL
+
+
+@SETTINGS
+@given(dim_a=dims, dim_b=dims, seed=seeds)
+def test_tensor_transformations_is_the_channel_of_the_kron(dim_a, dim_b, seed):
+    rng = np.random.default_rng(seed)
+    qa, qb = quantum_system(dim_a), quantum_system(dim_b)
+    u, v = haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)
+    got = tensor_transformations(unitary_channel(qa, u), unitary_channel(qb, v)).matrix
+    want = unitary_channel(composite_system(qa, qb), np.kron(u, v)).matrix
+    assert float(np.max(np.abs(got - want))) <= TOL
+
+
+@SETTINGS
+@given(dim_a=dims, dim_b=dims, seed=seeds, kind_a=kinds, kind_b=kinds)
+def test_marginals_of_a_product_state_are_its_factors(dim_a, dim_b, seed, kind_a, kind_b):
+    rng = np.random.default_rng(seed)
+    a = random_state(quantum_system(dim_a), rng, kind=kind_a)
+    b = random_state(quantum_system(dim_b), rng, kind=kind_b)
+    joint = tensor_states(a, b)
+    for factor, want in enumerate((a, b)):
+        got = marginalize(joint, factor)
+        assert got.system == want.system
+        assert float(np.max(np.abs(got.coeffs - want.coeffs))) <= TOL
+
+
+inside = st.floats(0.0, 0.99)
+outside = st.floats(1.01, 1e3)
+signs = st.sampled_from([-1.0, 1.0])
+
+
+@SETTINGS
+@given(scale=inside, sign=signs)
+def test_angles_within_tolerance_of_zero_or_pi_are_bosons_or_fermions(scale, sign):
+    offset = sign * scale * EPS_EQ
+    for base in (0.0, 2.0 * math.pi):
+        assert classify_particle(base + offset).kind == "boson"
+    fermion = classify_particle(math.pi + offset)
+    assert (fermion.kind, fermion.theta) == ("fermion", math.pi)
+
+
+@SETTINGS
+@given(scale=outside, sign=signs)
+def test_angles_past_tolerance_of_zero_or_pi_are_anyons(scale, sign):
+    offset = sign * scale * EPS_EQ
+    for base in (0.0, math.pi, 2.0 * math.pi):
+        particle = classify_particle(base + offset)
+        assert particle.kind == "anyon"
+        assert abs(particle.theta - (base + offset) % (2.0 * math.pi)) <= TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 4), dim=st.integers(1, 3), seed=seeds)
+def test_kickback_recovers_random_diagonal_phases(n, dim, seed):
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * math.pi, (n, dim))
+    target = quantum_system(dim)
+    controlled = build_controlled([np.diag(np.exp(1j * row)) for row in phases], target)
+    column = int(rng.integers(dim))
+    result = extract_kickback(controlled, basis_state(target, column))
+    want = (phases[:, column] - phases[0, column]) % (2.0 * math.pi)
+    gap = (result.angles - want) % (2.0 * math.pi)
+    assert float(np.max(np.minimum(gap, 2.0 * math.pi - gap))) <= 1e-9
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds)
+def test_third_order_residual_vanishes_on_random_qutrit_paths(seed):
+    rng = np.random.default_rng(seed)
+    system = quantum_system(3)
+    basis = haar_unitary(3, rng)
+    paths = [(ket_state(system, k), projector_effect(system, k)) for k in basis.T]
+    report = third_order_scan_quantum(make_experiment(paths), trials=20, seed=rng)
+    assert report.verdict == "absent"
