@@ -192,6 +192,9 @@ def _validate_common(command: str, cfg: dict) -> None:
         raise CliError(f"trials must be >= 1, got {cfg['trials']}")
     if cfg.get("seed") is not None and cfg["seed"] < 0:
         raise CliError(f"seed must be >= 0, got {cfg['seed']}")
+    for key, value in cfg.items():
+        if _OPTIONS[key][0] is float and not math.isfinite(value):
+            raise CliError(f"{key.replace('_', '-')} must be finite, got {value!r}")
     allowed = _COMMANDS[command][1]
     if cfg["format"] is None:
         cfg["format"] = allowed[0]
@@ -368,9 +371,12 @@ def _exchange_state_spec(spec: str) -> tuple[str, float | None]:
         return lowered, None
     if lowered.startswith("anyon:"):
         try:
-            return "anyon", float(lowered.partition(":")[2])
+            theta = float(lowered.partition(":")[2])
         except ValueError as err:
             raise CliError(f"bad anyon angle in {spec!r}: {err}") from err
+        if not math.isfinite(theta):
+            raise CliError(f"state anyon angle must be finite, got {spec!r}")
+        return "anyon", theta
     raise CliError(f"state must be sym, antisym, or anyon:THETA, got {spec!r}")
 
 
@@ -417,6 +423,8 @@ def _run_phase_order(cfg: dict) -> tuple[str, int]:
         angles = [float(a) for a in str(cfg["angles"]).split(",")]
     except ValueError as err:
         raise CliError(f"bad angle list {cfg['angles']!r}: {err}") from err
+    if not all(map(math.isfinite, angles)):
+        raise CliError(f"angles must be finite, got {cfg['angles']!r}")
     if len(angles) < 2:
         raise CliError(f"need at least two angles, got {len(angles)}")
     _pin(cfg, "dim", len(angles), "the angle list")

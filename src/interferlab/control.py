@@ -17,6 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    EPS_DECISION,
     EPS_EQ,
     EPS_PSD,
     QUANTUM,
@@ -31,6 +32,7 @@ from .core import (
     _check_states,
     _pair_factor,
     _readonly,
+    _require_finite,
     _rng,
     _rowwise,
     _tensor_coeffs,
@@ -46,8 +48,6 @@ from .core import (
     unitary_channel,
 )
 from .paths import NotAPhaseError, PathExperiment, is_phase, phase_relative_angles
-
-KICKBACK_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +127,7 @@ def build_controlled(
     kets = np.eye(n) if control_kets is None else _as_unitary(control_kets, n, "control kets")
     built = ControlledTransformation(target_system, unitaries, kets)
     report = verify_control_contract(built, trials=verify_samples, seed=seed)
-    if report["max_branch_deviation"] > 1e-9 or report["max_filter_deviation"] > 1e-9:
+    if report["max_branch_deviation"] > EPS_EQ or report["max_filter_deviation"] > EPS_EQ:
         raise ValidationError(f"controlled contract failed at construction: {report}")
     return built
 
@@ -252,7 +252,7 @@ def verify_superposition_preservation(
     )
 
 
-def _eigenphase_clusters(u: np.ndarray, tol: float = 1e-8) -> list[tuple[float, np.ndarray]]:
+def _eigenphase_clusters(u: np.ndarray) -> list[tuple[float, np.ndarray]]:
     """Eigenspaces of a unitary, clustered by eigenphase on the circle.
 
     Returns (angle, orthonormal basis columns) sorted by angle in [0, 2 pi).
@@ -263,12 +263,12 @@ def _eigenphase_clusters(u: np.ndarray, tol: float = 1e-8) -> list[tuple[float, 
     angles, vecs = angles[order], vecs[:, order]
     groups: list[list[int]] = [[0]]
     for i in range(1, len(angles)):
-        if angles[i] - angles[groups[-1][-1]] < tol:
+        if angles[i] - angles[groups[-1][-1]] < EPS_PSD:
             groups[-1].append(i)
         else:
             groups.append([i])
     # the circle wraps: a cluster at 2 pi belongs with one at 0
-    if len(groups) > 1 and (2.0 * math.pi - angles[groups[-1][0]]) + angles[0] < tol:
+    if len(groups) > 1 and (2.0 * math.pi - angles[groups[-1][0]]) + angles[0] < EPS_PSD:
         groups[0] = groups.pop() + groups[0]
     clusters = []
     for g in groups:
@@ -277,19 +277,19 @@ def _eigenphase_clusters(u: np.ndarray, tol: float = 1e-8) -> list[tuple[float, 
     return clusters
 
 
-def _intersect_subspaces(a: np.ndarray, b: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _intersect_subspaces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the intersection of two column spaces."""
     stacked = np.hstack([a, -b])
     _, svals, vh = np.linalg.svd(stacked)
     null_mask = np.zeros(vh.shape[0], dtype=bool)
-    null_mask[: len(svals)] = svals < tol
+    null_mask[: len(svals)] = svals < EPS_PSD
     null_mask[len(svals):] = True
     null = vh[null_mask].conj().T
     if null.shape[1] == 0:
         return np.zeros((a.shape[0], 0), dtype=complex)
     vectors = a @ null[: a.shape[1]]
     q, r = np.linalg.qr(vectors)
-    keep = np.abs(np.diag(r)) > tol
+    keep = np.abs(np.diag(r)) > EPS_PSD
     return q[:, keep]
 
 
@@ -329,7 +329,7 @@ def common_fixed_state(
     # canonical representative: first basis vector with weight in the subspace
     for j in range(d):
         v = space @ (space.conj().T @ np.eye(d, dtype=complex)[:, j])
-        if np.linalg.norm(v) > 1e-6:
+        if np.linalg.norm(v) > EPS_DECISION:
             v = v / np.linalg.norm(v)
             lead = np.argmax(np.abs(v))
             v = v * np.exp(-1j * np.angle(v[lead]))
@@ -409,7 +409,7 @@ def extract_kickback(
         moved = u @ psi
         eig = np.vdot(psi, moved)
         residue = float(np.max(np.abs(moved - eig * psi)))
-        if residue > 1e-8 or abs(abs(eig) - 1.0) > 1e-8:
+        if residue > EPS_PSD or abs(abs(eig) - 1.0) > EPS_PSD:
             raise InfeasibleError(
                 f"branch {i} does not phase the fixed state (residue {residue!r})"
             )
@@ -431,9 +431,9 @@ def extract_kickback(
     for effect in controlled.control_effects:
         pulled = transform_effect(transform, effect)
         phase_dev = max(phase_dev, float(np.max(np.abs(pulled.coeffs - effect.coeffs))))
-    if kb_dev > KICKBACK_TOL:
+    if kb_dev > EPS_EQ:
         raise ValidationError(f"kick-back equation failed verification (deviation {kb_dev!r})")
-    if phase_dev > KICKBACK_TOL:
+    if phase_dev > EPS_EQ:
         raise ValidationError(f"kicked transform moves a which-path effect ({phase_dev!r})")
     return KickbackResult(
         fixed_state=fixed_state,
@@ -464,9 +464,7 @@ def realize_phase_as_kickback(
     return replace(built, designated_target=basis_state(target, 1))
 
 
-def control_target_swap_check(
-    controlled: ControlledTransformation, tol: float = EPS_EQ
-) -> dict:
+def control_target_swap_check(controlled: ControlledTransformation) -> dict:
     """Verify the two factorizations of a doubly diagonal controlled map.
 
     When every branch is diagonal in the computational target basis, swapping
@@ -505,7 +503,7 @@ def control_target_swap_check(
     deviation = float(np.max(np.abs(conjugated.matrix - rebuilt.composite.matrix)))
     return {
         "deviation": deviation,
-        "equal": deviation <= tol,
+        "equal": deviation <= EPS_EQ,
         "kicked_columns": betas.T.tolist(),
     }
 
@@ -526,11 +524,12 @@ class ParticleClass:
             raise ValidationError(f"unknown particle kind {self.kind!r}")
 
 
-def classify_particle(theta: float, tol: float = EPS_EQ) -> ParticleClass:
+def classify_particle(theta: float) -> ParticleClass:
+    _require_finite(theta, "exchange angle")
     wrapped = float(theta) % (2.0 * math.pi)
-    if min(wrapped, 2.0 * math.pi - wrapped) <= tol:
+    if min(wrapped, 2.0 * math.pi - wrapped) <= EPS_EQ:
         return ParticleClass("boson", 0.0)
-    if abs(wrapped - math.pi) <= tol:
+    if abs(wrapped - math.pi) <= EPS_EQ:
         return ParticleClass("fermion", math.pi)
     return ParticleClass("anyon", wrapped)
 
@@ -593,7 +592,7 @@ def anyonic_exchange_unitary(
         raise InfeasibleError("anyonic exchange needs a pure state")
     psi = vecs[:, -1]
     swap = swap_exchange_unitary(system.factors[0])
-    if float(np.max(np.abs(swap @ psi - psi))) > 1e-9:
+    if float(np.max(np.abs(swap @ psi - psi))) > EPS_EQ:
         raise InfeasibleError("state is not swap-symmetric; injected phase would not be clean")
     ray = np.outer(psi, psi.conj())
     return swap @ (np.eye(system.dim) + (np.exp(1j * theta) - 1.0) * ray)

@@ -23,9 +23,16 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
+# Tolerance policy: every threshold in the package is one of three absolute
+# values, whatever the dimension.  EPS_EQ bounds quantities equal in exact
+# arithmetic (norms, pairings, unitarity, support, verification residuals);
+# EPS_PSD bounds values read from a decomposition or an encoding (spectra,
+# singular values, eigenphase gaps, an encoding's imaginary part);
+# EPS_DECISION bounds a probability or magnitude read as yes or no.  Inputs
+# are finite (_require_finite), so every deviation is a number.
 EPS_EQ = 1e-9
-EPS_NORM = 1e-9
 EPS_PSD = 1e-8
+EPS_DECISION = 1e-6
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -50,6 +57,11 @@ def _rng(seed: int | np.random.Generator) -> np.random.Generator:
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _require_finite(a: np.ndarray | float, what: str) -> None:
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{what} holds NaN or infinity")
 
 
 @dataclass(frozen=True)
@@ -157,7 +169,7 @@ def _encode(mat: np.ndarray, dim: int) -> np.ndarray:
     """
     vecs = mat.swapaxes(-1, -2).reshape(mat.shape[:-2] + (dim * dim,))
     coeffs = _rowwise(_flat_basis(dim), vecs)
-    if np.abs(coeffs.imag).max() > 1e-8:
+    if np.abs(coeffs.imag).max() > EPS_PSD:
         raise ValidationError("matrix is not Hermitian within tolerance")
     return coeffs.real
 
@@ -203,6 +215,7 @@ class StateVector:
                 f"state vector of length {arr.shape} does not fit system "
                 f"(expected {self.system.vector_space_dim})"
             )
+        _require_finite(arr, "state vector")
         if check:
             self._validate()
 
@@ -221,7 +234,7 @@ def _check_states(system: SystemType, coeffs: np.ndarray) -> None:
     # Python reductions: on StateVector's one-row stacks numpy's cost more
     norms = (coeffs @ unit_effect(system).coeffs).tolist()
     norm = max(norms, key=lambda x: abs(x - 1.0))
-    if abs(norm - 1.0) > EPS_NORM:
+    if abs(norm - 1.0) > EPS_EQ:
         raise ValidationError(f"state is not normalized: unit pairing {norm!r}")
     if system.theory == QUANTUM:
         d = system.dim
@@ -249,6 +262,7 @@ class Effect:
                 f"effect vector of length {arr.shape} does not fit system "
                 f"(expected {self.system.vector_space_dim})"
             )
+        _require_finite(arr, "effect vector")
         if check:
             self._validate()
 
@@ -286,6 +300,7 @@ class Transformation:
                 f"transformation matrix shape {arr.shape} does not fit systems "
                 f"(expected {shape})"
             )
+        _require_finite(arr, "transformation matrix")
         # Unit-effect preservation holds for every transformation we admit.
         pulled = unit_effect(self.out_system).coeffs @ arr
         dev = float(np.max(np.abs(pulled - unit_effect(self.in_system).coeffs)))
@@ -601,7 +616,7 @@ def _ket_projector(system: SystemType, amplitudes: Sequence[complex]) -> np.ndar
             f"amplitude vector of shape {psi.shape} does not fit dimension {system.dim}"
         )
     norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > EPS_NORM:
+    if abs(norm - 1.0) > EPS_EQ:
         raise ValidationError(f"amplitudes are not normalized: |psi| = {norm!r}")
     return _encode(np.outer(psi, psi.conj()), system.dim)
 
@@ -699,8 +714,9 @@ def _as_unitary(mat: np.ndarray, dim: int, label: str) -> np.ndarray:
     u = np.asarray(mat, dtype=complex)
     if u.shape != (dim, dim):
         raise SystemMismatchError(f"{label} has shape {u.shape}, expected {(dim, dim)}")
+    _require_finite(u, label)
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-    if dev > 1e-9:
+    if dev > EPS_EQ:
         raise ValidationError(f"{label} is not unitary (deviation {dev!r})")
     return u
 
@@ -726,6 +742,7 @@ def phase_unitary(system: SystemType, angles: Sequence[float]) -> Transformation
         raise SystemMismatchError(
             f"need {system.dim} angles for dimension {system.dim}, got {theta.shape}"
         )
+    _require_finite(theta, "phase angles")
     return unitary_channel(system, np.diag(np.exp(1j * theta)))
 
 

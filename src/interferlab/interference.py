@@ -17,6 +17,8 @@ import numpy as np
 
 from .core import (
     CLASSICAL,
+    EPS_DECISION,
+    EPS_EQ,
     QUANTUM,
     Effect,
     StateVector,
@@ -40,9 +42,6 @@ from .paths import (
     is_phase,
     support_of_effect,
 )
-
-PRESENCE_THRESHOLD = 1e-6
-ABSENCE_THRESHOLD = 1e-9
 
 VERDICT_PRESENT = "present"
 VERDICT_ABSENT = "absent"
@@ -213,9 +212,9 @@ class SorkinReport:
     @property
     def verdict(self) -> str:
         worst = self.max_abs_residual
-        if worst > PRESENCE_THRESHOLD:
+        if worst > EPS_DECISION:
             return VERDICT_PRESENT
-        return VERDICT_ABSENT if worst < ABSENCE_THRESHOLD else VERDICT_INCONCLUSIVE
+        return VERDICT_ABSENT if worst < EPS_EQ else VERDICT_INCONCLUSIVE
 
     def to_json_dict(self) -> dict:
         witness = None
@@ -237,7 +236,7 @@ class SorkinReport:
 def _report(order: int, samples: list[SorkinSample], state, effect) -> SorkinReport:
     worst = max(samples, key=lambda s: abs(s.residual), default=None)
     witness = None
-    if worst is not None and abs(worst.residual) > ABSENCE_THRESHOLD:
+    if worst is not None and abs(worst.residual) > EPS_EQ:
         witness = SorkinWitness(state, effect, worst.angles)
     return SorkinReport(order, tuple(samples), witness)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    EPS_DECISION,
     StateVector,
     SystemMismatchError,
     ValidationError,
@@ -33,8 +34,6 @@ from .control import (
     classify_particle,
     extract_kickback,
 )
-
-DECISION_TOL = 1e-6  # outcome probabilities this far from {0, 1} are an anomaly
 
 
 @dataclass(frozen=True)
@@ -122,9 +121,9 @@ def run_pairwise(oracle: OracleInstance, i: int, j: int) -> ParityResult:
     stay = tensor_effects(projector_effect(control, superpose), unit_effect(target))
     flip = tensor_effects(projector_effect(control, antipose), unit_effect(target))
     p_stay, p_flip = pair(stay, moved), pair(flip, moved)
-    if p_stay > 1.0 - DECISION_TOL and p_flip < DECISION_TOL:
+    if p_stay > 1.0 - EPS_DECISION and p_flip < EPS_DECISION:
         return ParityResult(0, p_stay, spent)
-    if p_flip > 1.0 - DECISION_TOL and p_stay < DECISION_TOL:
+    if p_flip > 1.0 - EPS_DECISION and p_stay < EPS_DECISION:
         return ParityResult(1, p_flip, spent)
     raise RuntimeError(
         f"oracle readout is not deterministic: p_stay={p_stay!r}, p_flip={p_flip!r}"

@@ -19,6 +19,7 @@ import numpy as np
 
 from .core import (
     CLASSICAL,
+    EPS_DECISION,
     EPS_EQ,
     EPS_PSD,
     QUANTUM,
@@ -28,12 +29,12 @@ from .core import (
     SystemType,
     Transformation,
     ValidationError,
+    _encode,
     _readonly,
     _rng,
     basis_effect,
     basis_state,
     density_matrix,
-    effect_from_matrix,
     effects_close,
     haar_unitary,
     pair,
@@ -42,8 +43,6 @@ from .core import (
     transform_operator,
     unit_effect,
 )
-
-DETECT_TOL = 1e-8  # covector deviation above which an effect counts as detecting
 
 
 class NotAPhaseError(ValueError):
@@ -74,7 +73,6 @@ class PathExperiment:
     """Pairwise disjoint paths whose effects resolve the unit effect."""
 
     paths: tuple[Path, ...]
-    epsilon_support: float = EPS_EQ
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "paths", tuple(self.paths))
@@ -121,21 +119,18 @@ class PathExperiment:
         return _readonly(np.column_stack(kets))
 
 
-def make_experiment(
-    paths: Iterable[Path | tuple[StateVector, Effect]],
-    epsilon_support: float = EPS_EQ,
-) -> PathExperiment:
+def make_experiment(paths: Iterable[Path | tuple[StateVector, Effect]]) -> PathExperiment:
     """Validated path experiment from (state, effect) pairs."""
     built = [p if isinstance(p, Path) else Path(*p) for p in paths]
-    return PathExperiment(tuple(built), epsilon_support)
+    return PathExperiment(tuple(built))
 
 
-def basis_experiment(system: SystemType, epsilon_support: float = EPS_EQ) -> PathExperiment:
+def basis_experiment(system: SystemType) -> PathExperiment:
     """The computational-basis experiment: one path per basis outcome."""
     paths = [
         Path(basis_state(system, i), basis_effect(system, i)) for i in range(system.dim)
     ]
-    return PathExperiment(tuple(paths), epsilon_support)
+    return PathExperiment(tuple(paths))
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +155,7 @@ def support_of_state(state: StateVector, experiment: PathExperiment) -> SupportS
     hits = {
         i
         for i, p in enumerate(experiment.paths)
-        if pair(p.effect, state) > experiment.epsilon_support
+        if pair(p.effect, state) > EPS_EQ
     }
     return SupportSet(experiment, frozenset(hits))
 
@@ -172,7 +167,7 @@ def support_of_effect(effect: Effect, experiment: PathExperiment) -> SupportSet:
     hits = {
         i
         for i, p in enumerate(experiment.paths)
-        if pair(effect, p.state) > experiment.epsilon_support
+        if pair(effect, p.state) > EPS_EQ
     }
     return SupportSet(experiment, frozenset(hits))
 
@@ -242,7 +237,7 @@ def phase_relative_angles(
         coherence = np.outer(kets[:, 0], kets[:, j].conj())
         moved = transform_operator(transformation, coherence + coherence.conj().T)
         val = kets[:, 0].conj() @ moved @ kets[:, j]
-        if abs(abs(val) - 1.0) > 1e-6:
+        if abs(abs(val) - 1.0) > EPS_DECISION:
             raise NotAPhaseError(
                 f"path coherence 0-{j} is not phase-transported (magnitude {abs(val)!r})"
             )
@@ -313,18 +308,20 @@ def _subset_effects(
     trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Stack of random effect covectors supported inside the given paths."""
+    """Stack of random effect covectors supported inside the given paths.
+
+    Each V diag(u) V^dag with u in [0, 1] is an effect by construction, so the
+    stack is encoded without an Effect's check.
+    """
     kets = experiment.kets[:, list(indices)]
-    k = len(indices)
-    out = np.empty((trials, experiment.system.vector_space_dim))
+    k, d = len(indices), experiment.system.dim
+    mats = np.empty((trials, d, d), dtype=complex)
     for t in range(trials):
         v = haar_unitary(k, rng)
         vals = rng.uniform(0.0, 1.0, k)
         block = (v * vals) @ v.conj().T
-        out[t] = effect_from_matrix(
-            experiment.system, kets @ block @ kets.conj().T
-        ).coeffs
-    return out
+        mats[t] = kets @ block @ kets.conj().T
+    return _encode(mats, d)
 
 
 def search_detecting_effect(
@@ -351,7 +348,7 @@ def search_detecting_effect(
             moved = stack @ transformation.matrix
             dev = np.max(np.abs(moved - stack), axis=1)
             hit = int(np.argmax(dev))
-            if dev[hit] > DETECT_TOL:
+            if dev[hit] > EPS_PSD:
                 return Effect(experiment.system, stack[hit])
     return None
 

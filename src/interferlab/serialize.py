@@ -115,7 +115,6 @@ def effect_from_dict(data: dict) -> Effect:
 
 def experiment_to_dict(experiment: PathExperiment) -> dict:
     return {
-        "epsilon_support": experiment.epsilon_support,
         "paths": [
             {"state": state_to_dict(p.state), "effect": effect_to_dict(p.effect)}
             for p in experiment.paths
@@ -125,14 +124,15 @@ def experiment_to_dict(experiment: PathExperiment) -> dict:
 
 def experiment_from_dict(data: dict) -> PathExperiment:
     try:
+        if "epsilon_support" in data:
+            raise ValidationError("'epsilon_support' is not supported: support is fixed at EPS_EQ")
         paths = [
             Path(state_from_dict(p["state"]), effect_from_dict(p["effect"]))
             for p in data["paths"]
         ]
-        eps = float(data.get("epsilon_support", 1e-9))
     except (KeyError, TypeError) as err:
         raise ValidationError(f"malformed experiment descriptor: {err}") from err
-    return make_experiment(paths, epsilon_support=eps)
+    return make_experiment(paths)
 
 
 def load_schema(command: str) -> dict:

@@ -6,6 +6,7 @@ import pathlib
 import shlex
 import shutil
 import subprocess
+import warnings
 
 import jsonschema
 import numpy as np
@@ -414,6 +415,39 @@ def test_float_options_take_json_integers(tmp_path):
     assert code == 0
     assert doc["metadata"]["config"]["angle_max"] == 1.0
     assert isinstance(doc["metadata"]["config"]["angle_max"], float)
+
+
+@pytest.mark.parametrize(
+    "args, config, option",
+    [
+        (["mz-sweep", "--grid-points", "3", "--angle-max", "inf"], None, "angle-max"),
+        (["mz-sweep", "--angle-min=nan"], None, "angle-min"),
+        (["mz-sweep"], '{"angle_max": NaN}', "angle-max"),
+        (["mz-sweep"], '{"angle_min": -Infinity}', "angle-min"),
+        (["phase-order", "--angles", "0,nan,1"], None, "angles"),
+        (["phase-order", "--angles", "0,inf"], None, "angles"),
+        (["exchange", "--state", "anyon:nan", "--seed", "1"], None, "state"),
+        (["exchange", "--state", "anyon:-inf", "--seed", "1"], None, "state"),
+    ],
+    ids=[
+        "angle-max-flag", "angle-min-flag", "angle-max-config", "angle-min-config",
+        "angles-nan", "angles-inf", "anyon-nan", "anyon-inf",
+    ],
+)
+def test_non_finite_numbers_are_usage_errors(tmp_path, capsys, args, config, option):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        args = args + ["--config", str(path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(args)
+    err = capsys.readouterr().err
+    assert code == 2
+    # one error line naming the option: no traceback, no numpy warning
+    assert err.startswith(f"interferlab: error: {option} ") and err.count("\n") == 1
+    assert "finite" in err
+    assert not caught
 
 
 def test_bad_environment_seed_is_a_usage_error(monkeypatch, capsys):

@@ -394,6 +394,12 @@ def test_classify_particle_wraps_to_canonical_angles(theta, kind, canonical):
     assert abs(particle.theta - canonical) < 1e-9
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_classify_particle_rejects_non_finite_angles(theta):
+    with pytest.raises(ValidationError, match="NaN or infinity"):
+        classify_particle(theta)
+
+
 def test_classify_particle_rejects_unknown_kind():
     from interferlab import ParticleClass
 

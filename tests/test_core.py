@@ -7,12 +7,12 @@ import pytest
 
 from interferlab import (
     EPS_EQ,
-    EPS_NORM,
     EPS_PSD,
     Effect,
     InfeasibleError,
     StateVector,
     SystemMismatchError,
+    Transformation,
     ValidationError,
     apply,
     basis_effect,
@@ -36,6 +36,7 @@ from interferlab import (
     pair,
     partial_pair,
     permutation_transformation,
+    phase_unitary,
     projector_effect,
     quantum_system,
     random_effect,
@@ -150,6 +151,24 @@ def test_amplitude_constructors_check_shape_norm_and_theory(make):
     assert np.array_equal(make(q, amps).coeffs, want)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_entries_are_rejected(bad):
+    q, c = quantum_system(2), classical_system(2)
+    builds = [
+        lambda: StateVector(c, [bad, 1.0]),
+        lambda: StateVector(q, [bad] * 4, check=False),
+        lambda: ket_state(q, [bad, 1.0]),
+        lambda: Effect(q, [bad] * 4),
+        lambda: Effect(c, [bad, 0.0], check=False),
+        lambda: Transformation(q, q, np.full((4, 4), bad)),
+        lambda: phase_unitary(q, [0.0, bad]),
+        lambda: unitary_channel(q, np.diag([1.0, bad])),
+    ]
+    for build in builds:
+        with pytest.raises(ValidationError):
+            build()
+
+
 def test_effect_validation_rejects_bad_spectra():
     q = quantum_system(2)
     with pytest.raises(ValidationError):
@@ -179,7 +198,7 @@ def test_reversibles_preserve_normalization(make):
     for _ in range(25):
         t = random_reversible(system, rng)
         s = random_state(system, rng)
-        assert abs(pair(u, apply(t, s)) - 1.0) < EPS_NORM
+        assert abs(pair(u, apply(t, s)) - 1.0) < EPS_EQ
 
 
 def test_compose_seq_is_associative():

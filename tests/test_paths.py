@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from interferlab import (
-    DETECT_TOL,
     EPS_EQ,
+    EPS_PSD,
     Effect,
     NotAPhaseError,
     Path,
@@ -45,6 +45,7 @@ from interferlab import (
     transformations_close,
     unitary_channel,
 )
+from interferlab.paths import _subset_effects
 
 
 def wrapped_spread(angles):
@@ -150,13 +151,11 @@ def test_classical_states_are_never_superpositions():
 
 def test_support_threshold_is_respected():
     system = quantum_system(2)
-    experiment = basis_experiment(system, epsilon_support=1e-4)
-    tiny = 0.05  # pairing with path 1 is tiny squared = 2.5e-3
-    amps = np.array([math.sqrt(1.0 - tiny**2), tiny])
-    state = ket_state(system, amps)
-    assert state_support_equals(state, experiment, {0, 1})
-    coarse = basis_experiment(system, epsilon_support=1e-2)
-    assert state_support_equals(state, coarse, {0})
+    experiment = basis_experiment(system)
+    # the pairing with path 1 is `weight`, on either side of the EPS_EQ threshold
+    for weight, support in [(10 * EPS_EQ, {0, 1}), (0.1 * EPS_EQ, {0})]:
+        state = ket_state(system, np.array([math.sqrt(1.0 - weight), math.sqrt(weight)]))
+        assert state_support_equals(state, experiment, support)
 
 
 def test_support_of_effect_uses_path_states():
@@ -284,7 +283,7 @@ def test_search_finds_a_pairwise_detecting_effect():
     assert found is not None
     assert len(support_of_effect(found, experiment).indices) <= 2
     moved = Effect(system, found.coeffs @ t.matrix, check=False)
-    assert float(np.max(np.abs(moved.coeffs - found.coeffs))) > DETECT_TOL
+    assert float(np.max(np.abs(moved.coeffs - found.coeffs))) > EPS_PSD
 
 
 def test_search_cannot_falsify_a_trivial_phase():
@@ -306,6 +305,36 @@ def subset_effect_bank(experiment, indices, count, rng):
         mat[np.ix_(indices, indices)] = block
         bank.append(effect_from_matrix(experiment.system, mat).coeffs)
     return np.array(bank)
+
+
+def subset_effects_reference(experiment, indices, trials, rng):
+    """_subset_effects as it was: one validated Effect per trial."""
+    kets = experiment.kets[:, list(indices)]
+    k = len(indices)
+    out = np.empty((trials, experiment.system.vector_space_dim))
+    for t in range(trials):
+        v = haar_unitary(k, rng)
+        vals = rng.uniform(0.0, 1.0, k)
+        block = (v * vals) @ v.conj().T
+        out[t] = effect_from_matrix(experiment.system, kets @ block @ kets.conj().T).coeffs
+    return out
+
+
+@pytest.mark.parametrize("dim", [3, 4, 6])
+def test_subset_effects_equal_the_validated_loop(dim):
+    system = quantum_system(dim)
+    v = haar_unitary(dim, np.random.default_rng(dim))
+    rotated = make_experiment(
+        (ket_state(system, v[:, k]), projector_effect(system, v[:, k])) for k in range(dim)
+    )
+    for experiment in (basis_experiment(system), rotated):
+        for size in (1, 2, 3):
+            indices = tuple(range(size))
+            got = _subset_effects(experiment, indices, 300, np.random.default_rng(size))
+            want = subset_effects_reference(
+                experiment, indices, 300, np.random.default_rng(size)
+            )
+            assert np.array_equal(got, want)
 
 
 def test_closed_form_agrees_with_search_on_many_qutrit_phases():
@@ -330,7 +359,7 @@ def test_closed_form_agrees_with_search_on_many_qutrit_phases():
         for subset in subsets:
             stack = banks[subset]
             moved = stack @ t.matrix
-            if float(np.max(np.abs(moved - stack))) > DETECT_TOL:
+            if float(np.max(np.abs(moved - stack))) > EPS_PSD:
                 detected = True
                 break
         assert detected == detectable_closed, (angles, detected, detectable_closed)

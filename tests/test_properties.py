@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from interferlab import core
 from interferlab import (
     EPS_EQ,
+    EPS_PSD,
     basis_state,
     build_controlled,
     classify_particle,
@@ -37,6 +38,7 @@ from interferlab import (
     third_order_scan_quantum,
     unitary_channel,
 )
+from interferlab.paths import _subset_effects
 
 TOL = 1e-12
 dims = st.integers(1, 5)
@@ -217,3 +219,21 @@ def test_third_order_residual_vanishes_on_random_qutrit_paths(seed):
     paths = [(ket_state(system, k), projector_effect(system, k)) for k in basis.T]
     report = third_order_scan_quantum(make_experiment(paths), trials=20, seed=rng)
     assert report.verdict == "absent"
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.integers(2, 6), size=st.integers(1, 3), seed=seeds)
+def test_subset_effects_are_effects_that_fire_only_inside_the_subset(dim, size, seed):
+    rng = np.random.default_rng(seed)
+    system = quantum_system(dim)
+    basis = haar_unitary(dim, rng)
+    experiment = make_experiment(
+        (ket_state(system, k), projector_effect(system, k)) for k in basis.T
+    )
+    indices = tuple(sorted(rng.choice(dim, min(size, dim), replace=False).tolist()))
+    rows = _subset_effects(experiment, indices, 20, rng)
+    spectra = np.linalg.eigvalsh(core._decode(rows, dim))
+    assert spectra.min() >= -EPS_PSD and spectra.max() <= 1.0 + EPS_PSD
+    outside = [p.state.coeffs for i, p in enumerate(experiment.paths) if i not in indices]
+    if outside:
+        assert float(np.max(np.abs(rows @ np.array(outside).T))) <= EPS_EQ

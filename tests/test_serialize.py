@@ -135,12 +135,11 @@ def test_effect_form_guards():
     "system", [quantum_system(2), quantum_system(3), classical_system(3)]
 )
 def test_experiment_round_trip_preserves_paths(system):
-    experiment = basis_experiment(system, epsilon_support=1e-7)
+    experiment = basis_experiment(system)
     doc = experiment_to_dict(experiment)
-    assert doc["epsilon_support"] == 1e-7
+    assert set(doc) == {"paths"}
     back = experiment_from_dict(doc)
     assert back.system == system
-    assert back.epsilon_support == 1e-7
     for original, restored in zip(experiment.paths, back.paths):
         assert np.max(np.abs(original.state.coeffs - restored.state.coeffs)) < 1e-12
         assert np.max(np.abs(original.effect.coeffs - restored.effect.coeffs)) < 1e-12
@@ -162,7 +161,15 @@ def test_rotated_experiment_round_trip():
 
 def test_experiment_descriptor_guards():
     with pytest.raises(ValidationError):
-        experiment_from_dict({"epsilon_support": 1e-9})
+        experiment_from_dict({})
+    with pytest.raises(ValidationError):
+        experiment_from_dict(None)
+
+
+def test_experiment_descriptor_rejects_a_support_threshold():
+    doc = experiment_to_dict(basis_experiment(quantum_system(2)))
+    with pytest.raises(ValidationError, match="epsilon_support"):
+        experiment_from_dict({**doc, "epsilon_support": 1e-7})
 
 
 @pytest.mark.parametrize(
