@@ -139,6 +139,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _negative_numbers(token: str) -> bool:
+    """Whether the token is a number, or a comma list of numbers, led by '-'."""
+    try:
+        [float(part) for part in token.split(",")]
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite `--option -1,2` as `--option=-1,2`.
+
+    argparse takes a token starting with '-' for an option unless it is a
+    plain negative number, so values like -1e-3 or -1,2 need the `=` form.
+    """
+    joined: list[str] = []
+    for token in argv:
+        option = joined[-1] if joined else ""
+        if (
+            option.startswith("--")
+            and option[2:].replace("-", "_") in _OPTIONS
+            and _negative_numbers(token)
+        ):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     """Merge flags over config-file values over defaults."""
     keys = _COMMANDS[command][2] + _SHARED
@@ -462,8 +491,9 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as err:
         return int(err.code or 0)
     try:

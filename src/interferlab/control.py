@@ -30,24 +30,23 @@ from .core import (
     ValidationError,
     _as_unitary,
     _check_states,
+    _encode,
     _pair_factor,
+    _random_density,
     _readonly,
     _require_finite,
     _rng,
     _rowwise,
     _tensor_coeffs,
-    apply,
     basis_state,
     composite_system,
     density_matrix,
     ket_state,
     projector_effect,
     quantum_system,
-    random_state,
-    transform_effect,
     unitary_channel,
 )
-from .paths import NotAPhaseError, PathExperiment, is_phase, phase_relative_angles
+from .paths import NotAPhaseError, PathExperiment, phase_relative_angles
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,23 +178,24 @@ def _sample_stacks(
     """Coefficient stacks of seeded random states, one stack per system.
 
     Each trial draws one state per system, in order; system j's state in
-    trial t is pure when t + j is even and mixed otherwise.
+    trial t is pure when t + j is even and mixed otherwise.  The draws are
+    states by construction, so each stack is one unchecked row-exact encode,
+    made C-contiguous for the row-exact matmuls downstream.
     """
     kinds = ("pure", "mixed")
     draws = [
-        random_state(system, rng, kind=kinds[(t + j) % 2]).coeffs
+        _random_density(system.dim, rng, kinds[(t + j) % 2])
         for t in range(trials)
         for j, system in enumerate(systems)
     ]
-    return [np.array(draws[j :: len(systems)]) for j in range(len(systems))]
+    return [
+        np.ascontiguousarray(_encode(np.array(draws[j :: len(systems)]), system.dim))
+        for j, system in enumerate(systems)
+    ]
 
 
-def superposition_preservation_report(
-    composite: Transformation,
-    control_effects: Sequence[Effect],
-    branch_transforms: Sequence[Transformation],
-    control_system: SystemType,
-    target_system: SystemType,
+def verify_superposition_preservation(
+    controlled: ControlledTransformation,
     trials: int = 50,
     seed: int | np.random.Generator = 0,
 ) -> dict:
@@ -209,20 +209,15 @@ def superposition_preservation_report(
     """
     _require_samples(trials)
     rng = _rng(seed)
-    joint = composite_system(control_system, target_system)
-    if composite.in_system != joint or composite.out_system != joint:
-        raise SystemMismatchError("composite does not act on control (x) target")
-    branches = [branch_transforms[i] for i in range(len(control_effects))]
-    for effect, branch in zip(control_effects, branches):
-        if effect.system != control_system or branch.in_system != target_system:
-            raise SystemMismatchError("control effects or branches do not fit the systems")
-    omegas, sigmas = _sample_stacks((control_system, target_system), trials, rng)
-    prepared = _tensor_coeffs(control_system, target_system, omegas, sigmas)
-    moved = _rowwise(composite.matrix, prepared)
-    branched = np.stack([_rowwise(t.matrix, sigmas) for t in branches])
+    control, target = controlled.control_system, controlled.target_system
+    joint = controlled.composite.in_system
+    omegas, sigmas = _sample_stacks((control, target), trials, rng)
+    prepared = _tensor_coeffs(control, target, omegas, sigmas)
+    moved = _rowwise(controlled.composite.matrix, prepared)
+    branched = np.stack([_rowwise(t.matrix, sigmas) for t in controlled.branch_transforms])
     _check_states(joint, np.concatenate([prepared, moved]))
-    _check_states(target_system, branched.reshape(-1, sigmas.shape[1]))
-    effects = np.array([e.coeffs for e in control_effects])
+    _check_states(target, branched.reshape(-1, sigmas.shape[1]))
+    effects = np.array([e.coeffs for e in controlled.control_effects])
     got = _pair_factor(joint, moved, effects, 0)
     # one dot product per weight, as pair() takes it
     weights = np.stack([_rowwise(e[None], omegas) for e in effects])
@@ -234,22 +229,6 @@ def superposition_preservation_report(
         "worst_branch": int(worst_branch),
         "trials": trials,
     }
-
-
-def verify_superposition_preservation(
-    controlled: ControlledTransformation,
-    trials: int = 50,
-    seed: int | np.random.Generator = 0,
-) -> dict:
-    return superposition_preservation_report(
-        controlled.composite,
-        controlled.control_effects,
-        controlled.branch_transforms,
-        controlled.control_system,
-        controlled.target_system,
-        trials=trials,
-        seed=seed,
-    )
 
 
 def _eigenphase_clusters(u: np.ndarray) -> list[tuple[float, np.ndarray]]:
@@ -389,7 +368,7 @@ def extract_kickback(
     if fixed_state.system != controlled.target_system:
         raise SystemMismatchError("fixed state does not live on the target system")
     deviations = [
-        float(np.max(np.abs(apply(t, fixed_state).coeffs - fixed_state.coeffs)))
+        float(np.max(np.abs(t.matrix @ fixed_state.coeffs - fixed_state.coeffs)))
         for t in controlled.branch_transforms
     ]
     worst = int(np.argmax(deviations))
@@ -429,8 +408,8 @@ def extract_kickback(
     kb_dev = float(np.max(np.abs(lhs - rhs)))
     phase_dev = 0.0
     for effect in controlled.control_effects:
-        pulled = transform_effect(transform, effect)
-        phase_dev = max(phase_dev, float(np.max(np.abs(pulled.coeffs - effect.coeffs))))
+        pulled = transform.matrix.T @ effect.coeffs
+        phase_dev = max(phase_dev, float(np.max(np.abs(pulled - effect.coeffs))))
     if kb_dev > EPS_EQ:
         raise ValidationError(f"kick-back equation failed verification (deviation {kb_dev!r})")
     if phase_dev > EPS_EQ:
@@ -455,8 +434,6 @@ def realize_phase_as_kickback(
     relative angles, so the designated fixed state |1><1| kicks back exactly
     those angles.  The two-path zero/pi phase yields the controlled-sign gate.
     """
-    if not is_phase(phase, control_experiment):
-        raise NotAPhaseError("transformation to realize is not a phase for the experiment")
     angles = phase_relative_angles(phase, control_experiment)
     target = quantum_system(2)
     branches = [np.diag([1.0, np.exp(1j * a)]) for a in angles]

@@ -34,6 +34,16 @@ EPS_EQ = 1e-9
 EPS_PSD = 1e-8
 EPS_DECISION = 1e-6
 
+# Validation policy: data is checked once, where it enters: the StateVector,
+# Effect and Transformation constructors on caller arrays, ket_state,
+# projector_effect, state_from_density, effect_from_matrix,
+# channel_from_matrix, _as_unitary, the serialize descriptors and
+# PathExperiment.  A value derived from validated values by a step that
+# preserves validity (a seeded draw, a projector sandwich, a phase built from
+# path kets) is not checked again (check=False, or bare coefficients).  apply,
+# transform_effect, the tensor products and the verify functions keep their
+# checks: a raw reversible=True Transformation need not preserve positivity.
+
 QUANTUM = "quantum"
 CLASSICAL = "classical"
 
@@ -797,13 +807,22 @@ def _choi_matrix(t: Transformation) -> np.ndarray:
 # seeded randomness
 
 
+def _haar(z: np.ndarray) -> np.ndarray:
+    """Haar unitaries from complex Gaussian matrices, via QR with the phase fixed.
+
+    Leading axes of `z` are a stack; each matrix gets its own QR, so a stacked
+    draw is bit for bit what one matrix at a time gives (Mezzadri, *How to
+    generate random matrices from the classical compact groups*).
+    """
+    q, r = np.linalg.qr(z / np.sqrt(2.0))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with the phase convention fixed."""
     rng = _rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    diag = np.diag(r)
-    return q * (diag / np.abs(diag))
+    return _haar(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 
 
 def random_unitary(system: SystemType, seed: int | np.random.Generator) -> Transformation:
@@ -820,6 +839,17 @@ def random_reversible(system: SystemType, seed: int | np.random.Generator) -> Tr
     return permutation_transformation(system, rng.permutation(system.dim))
 
 
+def _random_density(dim: int, rng: np.random.Generator, kind: str) -> np.ndarray:
+    """Density matrix of one Haar-pure or Hilbert-Schmidt-mixed draw."""
+    if kind == "pure":
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi = psi / np.linalg.norm(psi)
+        return np.outer(psi, psi.conj())
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
 def random_state(
     system: SystemType, seed: int | np.random.Generator, kind: str = "pure"
 ) -> StateVector:
@@ -829,17 +859,11 @@ def random_state(
     if kind not in ("pure", "mixed"):
         raise ValidationError(f"unknown state kind {kind!r}")
     if system.theory == QUANTUM:
-        d = system.dim
-        if kind == "pure":
-            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            return ket_state(system, psi / np.linalg.norm(psi))
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        rho = g @ g.conj().T
-        return state_from_density(system, rho / np.trace(rho).real)
+        rho = _random_density(system.dim, rng, kind)
+        return StateVector(system, _encode(rho, system.dim), check=False)
     if kind == "pure":
         return basis_state(system, int(rng.integers(system.dim)))
-    p = rng.dirichlet(np.ones(system.dim))
-    return StateVector(system, p)
+    return StateVector(system, rng.dirichlet(np.ones(system.dim)), check=False)
 
 
 def random_effect(system: SystemType, seed: int | np.random.Generator) -> Effect:
@@ -848,7 +872,7 @@ def random_effect(system: SystemType, seed: int | np.random.Generator) -> Effect
     if system.theory == QUANTUM:
         v = haar_unitary(system.dim, rng)
         vals = rng.uniform(0.0, 1.0, system.dim)
-        return effect_from_matrix(system, (v * vals) @ v.conj().T)
+        return Effect(system, _encode((v * vals) @ v.conj().T, system.dim), check=False)
     return Effect(system, rng.uniform(0.0, 1.0, system.dim))
 
 

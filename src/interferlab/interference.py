@@ -25,9 +25,9 @@ from .core import (
     SystemMismatchError,
     Transformation,
     ValidationError,
+    _encode,
     _rng,
     apply,
-    effect_from_matrix,
     effect_matrix,
     ket_state,
     pair,
@@ -88,7 +88,8 @@ def filtered_effect(
         raise ValidationError(f"invalid path subset {idx} for {experiment.n} paths")
     kets = experiment.kets[:, idx]
     proj = kets @ kets.conj().T
-    return effect_from_matrix(system, proj @ effect_matrix(effect) @ proj)
+    # P E P is an effect whenever E is; _encode still checks Hermiticity
+    return Effect(system, _encode(proj @ effect_matrix(effect) @ proj, system.dim), check=False)
 
 
 def masked_effect(
@@ -127,7 +128,7 @@ class EffectChoice:
                 )
             if effect.system != self.experiment.system:
                 raise SystemMismatchError("choice effect lives on the wrong system")
-            found = support_of_effect(effect, self.experiment).indices
+            found = support_of_effect(effect, self.experiment)
             if not found <= subset:
                 raise ValidationError(
                     f"effect for subset {sorted(subset)} has support {sorted(found)}"
@@ -164,9 +165,10 @@ def sorkin_residual(
     n = experiment.n
     if choice.experiment.system != experiment.system or choice.experiment.n != n:
         raise SystemMismatchError("choice was built for a different experiment")
-    full_pattern = pattern(state, effect, experiment)
-    lhs = full_pattern(transformation)
+    if not is_phase(transformation, experiment):
+        raise NotAPhaseError("patterns are evaluated on phase transformations only")
     moved = apply(transformation, state)
+    lhs = pair(effect, moved)
     rhs = 0.0
     for size in range(1, n):
         sign = (-1.0) ** (n - size + 1)
@@ -277,10 +279,10 @@ def second_order_witness(
         deltas = np.concatenate([grid, extra])
         values = []
         angle_sets = []
-        full_pattern = pattern(state, effect, experiment)
+        # each channel is a phase by construction: diagonal in the path kets
         for dphi in deltas:
             u = kets @ np.diag(np.exp(1j * np.array([0.0, dphi]))) @ kets.conj().T
-            values.append(full_pattern(unitary_channel(system, u)))
+            values.append(pair(effect, apply(unitary_channel(system, u), state)))
             angle_sets.append((0.0, float(dphi)))
     values_arr = np.asarray(values)
     best_const = 0.5 * (values_arr.max() + values_arr.min())
@@ -347,10 +349,11 @@ def interference_pattern_sweep(
         )
     system = experiment.system
     kets = experiment.kets
-    full_pattern = pattern(state, effect, experiment)
+    pattern(state, effect, experiment)  # checks the systems once
     rows = np.empty((grid.shape[0], experiment.n + 1))
+    # each channel is a phase by construction: diagonal in the path kets
     for r, angles in enumerate(grid):
         u = kets @ np.diag(np.exp(1j * angles)) @ kets.conj().T
         rows[r, : experiment.n] = angles
-        rows[r, experiment.n] = full_pattern(unitary_channel(system, u))
+        rows[r, experiment.n] = pair(effect, apply(unitary_channel(system, u), state))
     return rows

@@ -16,7 +16,6 @@ import numpy as np
 from .core import (
     EPS_DECISION,
     StateVector,
-    SystemMismatchError,
     ValidationError,
     apply,
     basis_state,

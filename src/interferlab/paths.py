@@ -30,16 +30,14 @@ from .core import (
     Transformation,
     ValidationError,
     _encode,
+    _haar,
     _readonly,
     _rng,
     basis_effect,
     basis_state,
     density_matrix,
-    effects_close,
-    haar_unitary,
     pair,
     permutation_transformation,
-    transform_effect,
     transform_operator,
     unit_effect,
 )
@@ -133,57 +131,22 @@ def basis_experiment(system: SystemType) -> PathExperiment:
     return PathExperiment(tuple(paths))
 
 
-@dataclass(frozen=True, eq=False)
-class SupportSet:
-    """The set of paths on which a state or effect has weight."""
-
-    experiment: PathExperiment
-    indices: frozenset[int]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", frozenset(int(i) for i in self.indices))
-        if not self.indices <= set(range(self.experiment.n)):
-            raise ValidationError(
-                f"support {set(self.indices)} exceeds path count {self.experiment.n}"
-            )
-
-
-def support_of_state(state: StateVector, experiment: PathExperiment) -> SupportSet:
+def support_of_state(state: StateVector, experiment: PathExperiment) -> frozenset[int]:
     """Paths whose effect fires on the state above the support threshold."""
     if state.system != experiment.system:
         raise SystemMismatchError("state does not live on the experiment's system")
-    hits = {
-        i
-        for i, p in enumerate(experiment.paths)
-        if pair(p.effect, state) > EPS_EQ
-    }
-    return SupportSet(experiment, frozenset(hits))
+    return frozenset(
+        i for i, p in enumerate(experiment.paths) if pair(p.effect, state) > EPS_EQ
+    )
 
 
-def support_of_effect(effect: Effect, experiment: PathExperiment) -> SupportSet:
+def support_of_effect(effect: Effect, experiment: PathExperiment) -> frozenset[int]:
     """Paths whose state triggers the effect above the support threshold."""
     if effect.system != experiment.system:
         raise SystemMismatchError("effect does not live on the experiment's system")
-    hits = {
-        i
-        for i, p in enumerate(experiment.paths)
-        if pair(effect, p.state) > EPS_EQ
-    }
-    return SupportSet(experiment, frozenset(hits))
-
-
-def state_support_equals(
-    state: StateVector, experiment: PathExperiment, indices: Iterable[int]
-) -> bool:
-    """Exact support equality, not containment."""
-    return support_of_state(state, experiment).indices == frozenset(indices)
-
-
-def effect_support_equals(
-    effect: Effect, experiment: PathExperiment, indices: Iterable[int]
-) -> bool:
-    """Exact support equality, not containment."""
-    return support_of_effect(effect, experiment).indices == frozenset(indices)
+    return frozenset(
+        i for i, p in enumerate(experiment.paths) if pair(effect, p.state) > EPS_EQ
+    )
 
 
 def is_superposition(state: StateVector, experiment: PathExperiment) -> bool:
@@ -195,7 +158,7 @@ def is_superposition(state: StateVector, experiment: PathExperiment) -> bool:
     support = support_of_state(state, experiment)
     if experiment.system.theory == CLASSICAL:
         return False
-    if len(support.indices) < 2:
+    if len(support) < 2:
         return False
     kets = experiment.kets
     rho = density_matrix(state)
@@ -212,8 +175,10 @@ def is_phase(transformation: Transformation, experiment: PathExperiment) -> bool
         return False
     if not transformation.reversible:
         return False
+    # transform_effect's arithmetic, without building an Effect per path
+    m = transformation.matrix.T
     return all(
-        effects_close(transform_effect(transformation, p.effect), p.effect)
+        float(np.max(np.abs(m @ p.effect.coeffs - p.effect.coeffs))) <= EPS_EQ
         for p in experiment.paths
     )
 
@@ -311,17 +276,19 @@ def _subset_effects(
     """Stack of random effect covectors supported inside the given paths.
 
     Each V diag(u) V^dag with u in [0, 1] is an effect by construction, so the
-    stack is encoded without an Effect's check.
+    stack is encoded without an Effect's check.  The draws are made trial by
+    trial, in order; only the QR and the products run on the stack.
     """
     kets = experiment.kets[:, list(indices)]
-    k, d = len(indices), experiment.system.dim
-    mats = np.empty((trials, d, d), dtype=complex)
+    k = len(indices)
+    z = np.empty((trials, k, k), dtype=complex)
+    vals = np.empty((trials, k))
     for t in range(trials):
-        v = haar_unitary(k, rng)
-        vals = rng.uniform(0.0, 1.0, k)
-        block = (v * vals) @ v.conj().T
-        mats[t] = kets @ block @ kets.conj().T
-    return _encode(mats, d)
+        z[t] = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        vals[t] = rng.uniform(0.0, 1.0, k)
+    v = _haar(z)
+    blocks = (v * vals[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return _encode(kets @ blocks @ kets.conj().T, experiment.system.dim)
 
 
 def search_detecting_effect(
@@ -349,7 +316,7 @@ def search_detecting_effect(
             dev = np.max(np.abs(moved - stack), axis=1)
             hit = int(np.argmax(dev))
             if dev[hit] > EPS_PSD:
-                return Effect(experiment.system, stack[hit])
+                return Effect(experiment.system, stack[hit], check=False)
     return None
 
 

@@ -24,6 +24,7 @@ from interferlab import (
     classical_system,
     extract_kickback,
     haar_unitary,
+    ket_state,
     maximally_mixed,
     pair,
     partial_pair,
@@ -31,9 +32,9 @@ from interferlab import (
     random_state,
     random_unitary,
     state_from_density,
-    superposition_preservation_report,
     tensor_states,
     verify_control_contract,
+    verify_superposition_preservation,
 )
 
 TOL = 1e-12
@@ -144,7 +145,7 @@ def test_filter_report_matches_the_loop(n, d, broken):
     )
     for trials, seed in ((20, 0), (9, 5)):
         want = ref_filter_report(*args, trials, seed)
-        got = superposition_preservation_report(*args, trials=trials, seed=seed)
+        got = verify_superposition_preservation(controlled, trials=trials, seed=seed)
         assert_reports_agree(got, want)
 
 
@@ -174,6 +175,43 @@ def test_broken_kickback_reports_the_loop_deviation(n, d):
         extract_kickback(broken, fixed, seed=1)
     got = float(re.search(r"deviation (\S+)\)", str(err.value)).group(1))
     assert abs(got - ref_kickback_deviation(broken, transform, fixed, 20, 1)) <= TOL
+
+
+def ref_sample_stacks(systems, trials, rng):
+    """_sample_stacks as a loop: one random_state per draw, in draw order."""
+    kinds = ("pure", "mixed")
+    rows = [[] for _ in systems]
+    for t in range(trials):
+        for j, system in enumerate(systems):
+            rows[j].append(random_state(system, rng, kind=kinds[(t + j) % 2]).coeffs)
+    return [np.array(r) for r in rows]
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,), (4,), (6,), (2, 3), (4, 2), (3, 6)])
+def test_sample_stacks_equal_the_random_state_loop(dims):
+    systems = [quantum_system(d) for d in dims]
+    for trials, seed in ((1, 0), (9, 5), (20, 7)):
+        got = control._sample_stacks(systems, trials, np.random.default_rng(seed))
+        want = ref_sample_stacks(systems, trials, np.random.default_rng(seed))
+        assert len(got) == len(systems)
+        for rows, ref in zip(got, want):
+            assert np.array_equal(rows, ref)
+            assert rows.flags.c_contiguous
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_random_states_equal_the_validated_constructors(d):
+    system = quantum_system(d)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = g @ g.conj().T
+        pure = ket_state(system, psi / np.linalg.norm(psi))
+        mixed = state_from_density(system, rho / np.trace(rho).real)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(random_state(system, rng, kind="pure").coeffs, pure.coeffs)
+        assert np.array_equal(random_state(system, rng, kind="mixed").coeffs, mixed.coeffs)
 
 
 def single_row_error(system, row):
@@ -238,16 +276,10 @@ def test_each_check_validates_the_composite_outputs(monkeypatch):
 
     # the branch check must reject the outputs itself, before the filter check
     with monkeypatch.context() as m:
-        m.setattr(control, "superposition_preservation_report", unreachable)
+        m.setattr(control, "verify_superposition_preservation", unreachable)
         with pytest.raises(ValidationError, match="state is not positive"):
             verify_control_contract(controlled)
     with pytest.raises(ValidationError, match="state is not positive"):
-        superposition_preservation_report(
-            controlled.composite,
-            controlled.control_effects,
-            controlled.branch_transforms,
-            controlled.control_system,
-            controlled.target_system,
-        )
+        verify_superposition_preservation(controlled)
     with pytest.raises(ValidationError, match="state is not positive"):
         extract_kickback(controlled, basis_state(controlled.target_system, 1))

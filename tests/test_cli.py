@@ -252,6 +252,7 @@ def test_phase_order_input_guards():
     assert main(["phase-order", "--angles", "1.0"]) == 2
     assert main(["phase-order", "--angles", "a,b"]) == 2
     assert main(["phase-order", "--angles", "0,1", "--dim", "3"]) == 2
+    assert main(["phase-order", "--angles", "--format", "json"]) == 2
 
 
 def unitaries_file(tmp_path, mats, fixed_amplitudes=None, name="unitaries.json"):
@@ -386,6 +387,22 @@ def test_negative_seeds_are_usage_errors(tmp_path, monkeypatch, capsys, source, 
         monkeypatch.setenv(SEED_ENV_VAR, "-1")
     assert main(args) == 2
     assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        (["phase-order"], "--angles", "-1,2"),
+        (["phase-order"], "--angles", "-1,-2,-3"),
+        (["mz-sweep", "--grid-points", "5"], "--angle-min", "-1e-3"),
+        (["mz-sweep", "--format", "json"], "--angle-max", "-.5"),
+    ],
+)
+def test_negative_option_values_read_like_the_equals_form(capsys, command, option, value):
+    assert main(command + [f"{option}={value}"]) == 0
+    joined = capsys.readouterr().out
+    assert main(command + [option, value]) == 0
+    assert capsys.readouterr().out == joined
 
 
 @pytest.mark.parametrize(

@@ -36,7 +36,6 @@ from interferlab import (
     phase_unitary,
     quantum_system,
     realize_phase_as_kickback,
-    superposition_preservation_report,
     swap_exchange_unitary,
     transformations_close,
     unitary_channel,
@@ -162,16 +161,11 @@ def test_derived_control_data_matches_the_old_constructions(n):
 
 def test_filtering_detects_mislabeled_branches():
     controlled = build_controlled([np.eye(2), Z], quantum_system(2))
-    swapped = (controlled.branch_transforms[1], controlled.branch_transforms[0])
-    report = superposition_preservation_report(
-        controlled.composite,
-        controlled.control_effects,
-        swapped,
-        controlled.control_system,
-        controlled.target_system,
-        trials=10,
-        seed=3,
+    swapped = dataclasses.replace(
+        controlled, branch_unitaries=controlled.branch_unitaries[::-1]
     )
+    vars(swapped)["composite"] = controlled.composite
+    report = verify_superposition_preservation(swapped, trials=10, seed=3)
     assert report["max_deviation"] > 0.1
 
 
@@ -186,15 +180,6 @@ def test_contract_checks_reject_sample_counts_below_one(count):
     with pytest.raises(ValidationError, match="at least one verification sample"):
         verify_superposition_preservation(controlled, trials=count)
     with pytest.raises(ValidationError, match="at least one verification sample"):
-        superposition_preservation_report(
-            controlled.composite,
-            controlled.control_effects,
-            controlled.branch_transforms,
-            controlled.control_system,
-            target,
-            trials=count,
-        )
-    with pytest.raises(ValidationError, match="at least one verification sample"):
         extract_kickback(controlled, basis_state(target, 1), verify_samples=count)
 
 
@@ -203,27 +188,6 @@ def test_one_sample_is_enough_for_the_contract_checks():
     assert verify_control_contract(controlled, trials=1)["trials"] == 1
     result = extract_kickback(controlled, basis_state(quantum_system(2), 1), verify_samples=1)
     assert result.kickback_residual < 1e-9
-
-
-def test_filter_report_rejects_effects_or_branches_on_other_systems():
-    controlled = build_controlled([np.eye(2), Z], quantum_system(2))
-    args = [
-        controlled.composite,
-        controlled.control_effects,
-        controlled.branch_transforms,
-        controlled.control_system,
-        controlled.target_system,
-    ]
-    three_paths = build_controlled([np.eye(2), Z, np.eye(2)], quantum_system(2))
-    qutrit = build_controlled([np.eye(3), np.eye(3)], quantum_system(3))
-    for slot, wrong in (
-        (1, three_paths.control_effects[:2]),
-        (2, qutrit.branch_transforms),
-    ):
-        bad = list(args)
-        bad[slot] = wrong
-        with pytest.raises(SystemMismatchError):
-            superposition_preservation_report(*bad, trials=2)
 
 
 def test_composite_is_reversible():

@@ -1,5 +1,6 @@
 """Tests for path experiments, supports, phases, and detectability orders."""
 
+import dataclasses
 import itertools
 import math
 
@@ -23,7 +24,7 @@ from interferlab import (
     compose_seq,
     detection_order,
     effect_from_matrix,
-    effect_support_equals,
+    effects_close,
     enumerate_classical_phases,
     haar_unitary,
     identity_transformation,
@@ -37,11 +38,12 @@ from interferlab import (
     phase_unitary,
     projector_effect,
     quantum_system,
+    random_unitary,
     search_detecting_effect,
     state_from_density,
-    state_support_equals,
     support_of_effect,
     support_of_state,
+    transform_effect,
     transformations_close,
     unitary_channel,
 )
@@ -122,15 +124,15 @@ def test_basis_experiment_supports(make):
     experiment = basis_experiment(system)
     assert experiment.n == 3
     for i in range(3):
-        assert state_support_equals(basis_state(system, i), experiment, {i})
-        assert effect_support_equals(basis_effect(system, i), experiment, {i})
+        assert support_of_state(basis_state(system, i), experiment) == {i}
+        assert support_of_effect(basis_effect(system, i), experiment) == {i}
 
 
 def test_quantum_superposition_supports_all_paths():
     system = quantum_system(3)
     experiment = basis_experiment(system)
     uniform = ket_state(system, np.ones(3) / math.sqrt(3.0))
-    assert state_support_equals(uniform, experiment, {0, 1, 2})
+    assert support_of_state(uniform, experiment) == {0, 1, 2}
     assert is_superposition(uniform, experiment)
 
 
@@ -138,7 +140,7 @@ def test_mixture_on_several_paths_is_not_a_superposition():
     system = quantum_system(2)
     experiment = basis_experiment(system)
     mixed = state_from_density(system, np.diag([0.5, 0.5]))
-    assert support_of_state(mixed, experiment).indices == frozenset({0, 1})
+    assert support_of_state(mixed, experiment) == {0, 1}
     assert not is_superposition(mixed, experiment)
 
 
@@ -155,14 +157,14 @@ def test_support_threshold_is_respected():
     # the pairing with path 1 is `weight`, on either side of the EPS_EQ threshold
     for weight, support in [(10 * EPS_EQ, {0, 1}), (0.1 * EPS_EQ, {0})]:
         state = ket_state(system, np.array([math.sqrt(1.0 - weight), math.sqrt(weight)]))
-        assert state_support_equals(state, experiment, support)
+        assert support_of_state(state, experiment) == support
 
 
 def test_support_of_effect_uses_path_states():
     system = quantum_system(3)
     experiment = basis_experiment(system)
     e = effect_from_matrix(system, np.diag([1.0, 0.0, 0.3]))
-    assert support_of_effect(e, experiment).indices == frozenset({0, 2})
+    assert support_of_effect(e, experiment) == {0, 2}
 
 
 def test_diagonal_phases_are_phases():
@@ -281,7 +283,7 @@ def test_search_finds_a_pairwise_detecting_effect():
     t = phase_unitary(system, [0.0, 0.0, 1.5])
     found = search_detecting_effect(t, experiment, max_support=2, trials=100, seed=5)
     assert found is not None
-    assert len(support_of_effect(found, experiment).indices) <= 2
+    assert len(support_of_effect(found, experiment)) <= 2
     moved = Effect(system, found.coeffs @ t.matrix, check=False)
     assert float(np.max(np.abs(moved.coeffs - found.coeffs))) > EPS_PSD
 
@@ -335,6 +337,50 @@ def test_subset_effects_equal_the_validated_loop(dim):
                 experiment, indices, 300, np.random.default_rng(size)
             )
             assert np.array_equal(got, want)
+
+
+def is_phase_reference(t, experiment):
+    """is_phase as it was: one validated pulled-back Effect per path."""
+    return (
+        t.out_system == experiment.system
+        and t.reversible
+        and all(effects_close(transform_effect(t, p.effect), p.effect) for p in experiment.paths)
+    )
+
+
+def test_is_phase_agrees_with_the_pulled_back_effects():
+    rng = np.random.default_rng(41)
+    cases = []
+    for dim in (2, 3, 4):
+        system = quantum_system(dim)
+        v = haar_unitary(dim, rng)
+        rotated = make_experiment(
+            (ket_state(system, v[:, k]), projector_effect(system, v[:, k])) for k in range(dim)
+        )
+        for experiment in (basis_experiment(system), rotated):
+            kets = experiment.kets
+            for _ in range(4):
+                angles = rng.uniform(0.0, 2.0 * math.pi, dim)
+                u = (kets * np.exp(1j * angles)) @ kets.conj().T
+                cases.append((unitary_channel(system, u), experiment, True))
+                cases.append((random_unitary(system, rng), experiment, False))
+            for eps in (1e-6, 1e-12):
+                tilt = np.eye(dim, dtype=complex)
+                tilt[:2, :2] = [[math.cos(eps), -math.sin(eps)], [math.sin(eps), math.cos(eps)]]
+                cases.append((unitary_channel(system, kets @ tilt @ kets.conj().T), experiment, None))
+            plain = identity_transformation(system)
+            cases.append((dataclasses.replace(plain, reversible=False), experiment, False))
+    classical = classical_system(3)
+    for perm in itertools.permutations(range(3)):
+        cases.append((
+            permutation_transformation(classical, perm),
+            basis_experiment(classical),
+            perm == (0, 1, 2),
+        ))
+    for t, experiment, expected in cases:
+        got = is_phase(t, experiment)
+        assert got == is_phase_reference(t, experiment)
+        assert expected is None or got == expected
 
 
 def test_closed_form_agrees_with_search_on_many_qutrit_phases():

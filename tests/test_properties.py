@@ -11,10 +11,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from interferlab import core
+from interferlab import control, core
 from interferlab import (
     EPS_EQ,
     EPS_PSD,
+    Effect,
     basis_state,
     build_controlled,
     classify_particle,
@@ -23,6 +24,7 @@ from interferlab import (
     density_matrix,
     effect_matrix,
     extract_kickback,
+    filtered_effect,
     haar_unitary,
     ket_state,
     make_experiment,
@@ -237,3 +239,25 @@ def test_subset_effects_are_effects_that_fire_only_inside_the_subset(dim, size, 
     outside = [p.state.coeffs for i, p in enumerate(experiment.paths) if i not in indices]
     if outside:
         assert float(np.max(np.abs(rows @ np.array(outside).T))) <= EPS_EQ
+
+
+@SETTINGS
+@given(sizes=st.lists(dims, min_size=1, max_size=2), trials=st.integers(1, 6), seed=seeds)
+def test_sampled_rows_pass_the_state_check(sizes, trials, seed):
+    systems = [quantum_system(d) for d in sizes]
+    stacks = control._sample_stacks(systems, trials, np.random.default_rng(seed))
+    for system, rows in zip(systems, stacks):
+        core._check_states(system, rows)
+
+
+@SETTINGS
+@given(dim=st.integers(2, 5), seed=seeds, data=st.data())
+def test_filtered_effects_pass_the_effect_check(dim, seed, data):
+    rng = np.random.default_rng(seed)
+    system = quantum_system(dim)
+    experiment = make_experiment(
+        (ket_state(system, k), projector_effect(system, k)) for k in haar_unitary(dim, rng).T
+    )
+    subset = data.draw(st.sets(st.integers(0, dim - 1), min_size=1))
+    restricted = filtered_effect(random_effect(system, rng), subset, experiment)
+    Effect(system, restricted.coeffs, check=True)
