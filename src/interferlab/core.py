@@ -158,8 +158,11 @@ def _flat_basis(dim: int) -> np.ndarray:
 
 
 def _re_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(a @ conj(b).T) as one real matmul over the interleaved float views."""
-    return a.view(float) @ b.view(float).T
+    """Re(a @ conj(b).T) as one real matmul over the interleaved float views.
+
+    Leading axes of `b` are a stack; each matrix gets its own product.
+    """
+    return a.view(float) @ b.view(float).swapaxes(-1, -2)
 
 
 def _rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -170,6 +173,16 @@ def _rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     differently and move the noise-level residuals the checks report.
     """
     return np.matmul(matrix, rows[..., None])[..., 0]
+
+
+def _rowpair(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """effect . state for every row pair of two stacks, in one matmul call.
+
+    Each pair gets its own BLAS dot, so a stacked value is bit for bit what
+    pair gives on that row alone, provided the rows are contiguous: a dot
+    over strided rows (an encoding's .real view) rounds differently.
+    """
+    return np.matmul(effects[..., None, :], states[..., :, None])[..., 0, 0]
 
 
 def _encode(mat: np.ndarray, dim: int) -> np.ndarray:
@@ -277,17 +290,23 @@ class Effect:
             self._validate()
 
     def _validate(self) -> None:
-        # Pairing bounds are extremized on pure states, so the spectrum of the
-        # decoded operator is the exact check.
-        if self.system.theory == QUANTUM:
-            eigs = np.linalg.eigvalsh(_decode(self.coeffs, self.system.dim))
-            low, high = float(eigs[0]), float(eigs[-1])
-        else:
-            low, high = float(self.coeffs.min()), float(self.coeffs.max())
-        if low < -EPS_PSD or high > 1.0 + EPS_PSD:
-            raise ValidationError(
-                f"effect pairing range [{low!r}, {high!r}] leaves [0, 1]"
-            )
+        _check_effects(self.system, self.coeffs[None])
+
+
+def _check_effects(system: SystemType, coeffs: np.ndarray) -> None:
+    """Raise ValidationError unless every row of the stack is an effect.
+
+    Pairing bounds are extremized on pure states, so the spectrum of the
+    decoded operator is the exact check: one batched eigvalsh over the stack.
+    The error reports the lowest and highest values over all rows.
+    """
+    if system.theory == QUANTUM:
+        eigs = np.linalg.eigvalsh(_decode(coeffs, system.dim))
+        low, high = float(eigs[:, 0].min()), float(eigs[:, -1].max())
+    else:
+        low, high = float(coeffs.min()), float(coeffs.max())
+    if low < -EPS_PSD or high > 1.0 + EPS_PSD:
+        raise ValidationError(f"effect pairing range [{low!r}, {high!r}] leaves [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -739,10 +758,20 @@ def unitary_channel(system: SystemType, unitary: np.ndarray) -> Transformation:
     """
     if system.theory != QUANTUM:
         raise SystemMismatchError("unitary channels describe quantum systems only")
-    d = system.dim
-    u = _as_unitary(unitary, d, "matrix")
-    moved = (u @ hermitian_basis(d) @ u.conj().T).reshape(d * d, d * d)
-    return Transformation(system, system, _re_gram(_flat_basis(d), moved), reversible=True)
+    u = _as_unitary(unitary, system.dim, "matrix")
+    return Transformation(system, system, _unitary_matrices(u), reversible=True)
+
+
+def _unitary_matrices(u: np.ndarray) -> np.ndarray:
+    """unitary_channel's matrix for each unitary; leading axes of `u` are a stack.
+
+    Each unitary gets its own products, so a stacked matrix is bit for bit
+    what unitary_channel gives on that unitary alone.
+    """
+    d = u.shape[-1]
+    u = u[..., None, :, :]
+    moved = u @ hermitian_basis(d) @ u.conj().swapaxes(-1, -2)
+    return _re_gram(_flat_basis(d), moved.reshape(moved.shape[:-3] + (d * d, d * d)))
 
 
 def phase_unitary(system: SystemType, angles: Sequence[float]) -> Transformation:

@@ -25,15 +25,20 @@ from .core import (
     SystemMismatchError,
     Transformation,
     ValidationError,
+    _check_effects,
+    _check_states,
+    _decode,
     _encode,
+    _random_density,
+    _require_finite,
     _rng,
+    _rowpair,
+    _rowwise,
+    _unitary_matrices,
     apply,
-    effect_matrix,
     ket_state,
     pair,
     projector_effect,
-    random_state,
-    unitary_channel,
 )
 from .paths import (
     NotAPhaseError,
@@ -46,6 +51,11 @@ from .paths import (
 VERDICT_PRESENT = "present"
 VERDICT_ABSENT = "absent"
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+# The phase scans stack their channels in blocks of at most this many channel
+# matrix entries (d**4 per grid point or trial), so their peak memory does not
+# grow with the grid; the results do not depend on it (see _phase_moved).
+_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,10 +96,22 @@ def filtered_effect(
     idx = sorted(set(int(i) for i in indices))
     if not idx or not set(idx) <= set(range(experiment.n)):
         raise ValidationError(f"invalid path subset {idx} for {experiment.n} paths")
-    kets = experiment.kets[:, idx]
-    proj = kets @ kets.conj().T
     # P E P is an effect whenever E is; _encode still checks Hermiticity
-    return Effect(system, _encode(proj @ effect_matrix(effect) @ proj, system.dim), check=False)
+    return Effect(system, _filtered_coeffs(effect.coeffs, idx, experiment), check=False)
+
+
+def _filtered_coeffs(
+    coeffs: np.ndarray, idx: Sequence[int], experiment: PathExperiment
+) -> np.ndarray:
+    """Coefficients of P E P for each effect row, P the projector onto paths idx.
+
+    Row-exact (see core._rowwise), and C-contiguous so that _rowpair on the
+    rows gives pair's bits.
+    """
+    kets = experiment.kets[:, list(idx)]
+    proj = kets @ kets.conj().T
+    dim = experiment.system.dim
+    return np.ascontiguousarray(_encode(proj @ _decode(coeffs, dim) @ proj, dim))
 
 
 def masked_effect(
@@ -150,6 +172,14 @@ def filter_choice(effect: Effect, experiment: PathExperiment) -> EffectChoice:
     return EffectChoice(experiment, assignments)
 
 
+def _signed_subsets(n: int):
+    """(sign, subset) of the order-n residual sum: nonempty proper subsets by size."""
+    for size in range(1, n):
+        sign = (-1.0) ** (n - size + 1)
+        for subset in itertools.combinations(range(n), size):
+            yield sign, subset
+
+
 def sorkin_residual(
     state: StateVector,
     effect: Effect,
@@ -170,13 +200,11 @@ def sorkin_residual(
     moved = apply(transformation, state)
     lhs = pair(effect, moved)
     rhs = 0.0
-    for size in range(1, n):
-        sign = (-1.0) ** (n - size + 1)
-        for subset in itertools.combinations(range(n), size):
-            key = frozenset(subset)
-            if key not in choice.assignments:
-                raise ValidationError(f"choice is missing subset {sorted(subset)}")
-            rhs += sign * pair(choice[key], moved)
+    for sign, subset in _signed_subsets(n):
+        key = frozenset(subset)
+        if key not in choice.assignments:
+            raise ValidationError(f"choice is missing subset {sorted(subset)}")
+        rhs += sign * pair(choice[key], moved)
     return lhs, rhs, lhs - rhs
 
 
@@ -243,6 +271,35 @@ def _report(order: int, samples: list[SorkinSample], state, effect) -> SorkinRep
     return SorkinReport(order, tuple(samples), witness)
 
 
+def _phase_moved(
+    experiment: PathExperiment, angles: np.ndarray, states: np.ndarray
+) -> np.ndarray:
+    """Coefficients of the states after the phase of each row of angles.
+
+    Row r is, bit for bit, the coefficients of apply(unitary_channel(system,
+    K diag(e^{i angles[r]}) K^dag), state), K the path kets, for `states` one
+    contiguous row per angle row or one row shared by all (see _rowpair).
+    Each phase is built from the path kets, so it is not checked; the moved
+    rows get apply's state check, stacked.  The channels are built in blocks
+    of rows (see _BLOCK_ENTRIES); every step is row-exact, so the block size
+    changes no bit.
+    """
+    system = experiment.system
+    kets = experiment.kets
+    path = np.arange(experiment.n)
+    out = np.empty((len(angles), system.vector_space_dim))
+    step = max(1, _BLOCK_ENTRIES // system.vector_space_dim**2)
+    for start in range(0, len(angles), step):
+        block = slice(start, start + step)
+        theta = angles[block]
+        diag = np.zeros(theta.shape + (experiment.n,), dtype=complex)
+        diag[:, path, path] = np.exp(1j * theta)
+        u = kets @ diag @ kets.conj().T
+        out[block] = _rowwise(_unitary_matrices(u), states if states.ndim == 1 else states[block])
+        _check_states(system, out[block])
+    return out
+
+
 def second_order_witness(
     experiment: PathExperiment,
     seed: int | np.random.Generator = 0,
@@ -254,6 +311,10 @@ def second_order_witness(
     any restriction choice differs from the pattern by a constant.  The report
     therefore minimizes over that constant: max_abs_residual is
     min_c sup_T |pattern(T) - c| over the sampled phases.
+
+    The quantum phases run as one stack (see _phase_moved): the random
+    angles are one draw, and every value equals, bit for bit, what a loop of
+    pair(effect, apply(channel, state)) with one channel per phase gives.
     """
     if experiment.n != 2:
         raise ValidationError(f"second-order scan needs a 2-path experiment, got {experiment.n}")
@@ -262,11 +323,10 @@ def second_order_witness(
         half = 0.5 * (experiment.paths[0].state.coeffs + experiment.paths[1].state.coeffs)
         state = StateVector(system, half)
         effect = experiment.paths[0].effect
-        values = []
-        angle_sets: list[tuple[float, ...]] = []
-        for t in enumerate_classical_phases(experiment):
-            values.append(pair(effect, apply(t, state)))
-            angle_sets.append(())
+        values = np.array(
+            [pair(effect, apply(t, state)) for t in enumerate_classical_phases(experiment)]
+        )
+        angle_sets: list[tuple[float, ...]] = [()] * len(values)
     else:
         kets = experiment.kets
         uniform = (kets[:, 0] + kets[:, 1]) / math.sqrt(2.0)
@@ -277,18 +337,13 @@ def second_order_witness(
         grid = np.linspace(0.0, 2.0 * math.pi, phase_samples, endpoint=False)
         extra = rng.uniform(0.0, 2.0 * math.pi, max(phase_samples // 8, 1))
         deltas = np.concatenate([grid, extra])
-        values = []
-        angle_sets = []
-        # each channel is a phase by construction: diagonal in the path kets
-        for dphi in deltas:
-            u = kets @ np.diag(np.exp(1j * np.array([0.0, dphi]))) @ kets.conj().T
-            values.append(pair(effect, apply(unitary_channel(system, u), state)))
-            angle_sets.append((0.0, float(dphi)))
-    values_arr = np.asarray(values)
-    best_const = 0.5 * (values_arr.max() + values_arr.min())
+        phases = np.column_stack([np.zeros_like(deltas), deltas])
+        values = _rowpair(effect.coeffs, _phase_moved(experiment, phases, state.coeffs))
+        angle_sets = [(0.0, float(dphi)) for dphi in deltas]
+    best_const = 0.5 * (values.max() + values.min())
     samples = [
         SorkinSample(angles, float(v), float(best_const), float(v - best_const))
-        for angles, v in zip(angle_sets, values_arr)
+        for angles, v in zip(angle_sets, values)
     ]
     return _report(2, samples, state, effect)
 
@@ -302,6 +357,13 @@ def third_order_scan_quantum(
 
     Uses the projector-filtered restriction of each sampled effect, the choice
     under which quantum theory's residual vanishes identically.
+
+    The draws stay per trial and in order (state, effect, angles), so a
+    Generator passed as `seed` ends where a loop building one state, effect,
+    channel and filter_choice per trial would leave it.  The linear algebra
+    runs on the stack of trials, row-exact, so every angle, lhs, rhs,
+    residual and the witness equal that loop's bit for bit.  The effects get
+    Effect's spectrum check as one batched check.
     """
     if experiment.system.theory != QUANTUM:
         raise SystemMismatchError("the third-order scan samples quantum phases")
@@ -311,22 +373,32 @@ def third_order_scan_quantum(
         raise ValidationError("need at least one trial")
     rng = _rng(seed)
     system = experiment.system
-    kets = experiment.kets
-    samples = []
-    worst = (0.0, None, None)
-    for _ in range(trials):
-        state = random_state(system, rng, kind="pure")
-        psi = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
-        effect = projector_effect(system, psi / np.linalg.norm(psi))
-        angles = rng.uniform(0.0, 2.0 * math.pi, experiment.n)
-        u = kets @ np.diag(np.exp(1j * angles)) @ kets.conj().T
-        transformation = unitary_channel(system, u)
-        choice = filter_choice(effect, experiment)
-        lhs, rhs, residual = sorkin_residual(state, effect, experiment, transformation, choice)
-        samples.append(SorkinSample(tuple(angles), lhs, rhs, residual))
-        if abs(residual) >= worst[0]:
-            worst = (abs(residual), state, effect)
-    return _report(3, samples, worst[1], worst[2])
+    rho = np.empty((2, trials, system.dim, system.dim), dtype=complex)
+    angles = np.empty((trials, experiment.n))
+    for t in range(trials):
+        rho[0, t] = _random_density(system.dim, rng, "pure")
+        rho[1, t] = _random_density(system.dim, rng, "pure")
+        angles[t] = rng.uniform(0.0, 2.0 * math.pi, experiment.n)
+    states, effects = np.ascontiguousarray(_encode(rho, system.dim))
+    _check_effects(system, effects)
+    moved = _phase_moved(experiment, angles, states)
+    lhs = _rowpair(effects, moved)
+    rhs = np.zeros(trials)
+    for sign, subset in _signed_subsets(experiment.n):
+        rhs += sign * _rowpair(_filtered_coeffs(effects, subset, experiment), moved)
+    residual = lhs - rhs
+    samples = [
+        SorkinSample(tuple(a), lhs_t, rhs_t, res_t)
+        for a, lhs_t, rhs_t, res_t in zip(angles, lhs.tolist(), rhs.tolist(), residual.tolist())
+    ]
+    # the witness is the last trial of largest |residual|
+    worst = trials - 1 - int(np.argmax(np.abs(residual)[::-1]))
+    return _report(
+        3,
+        samples,
+        StateVector(system, states[worst], check=False),
+        Effect(system, effects[worst], check=False),
+    )
 
 
 def interference_pattern_sweep(
@@ -338,7 +410,10 @@ def interference_pattern_sweep(
     """Probability table over a grid of phase-angle vectors.
 
     Returns an array with one row per grid point: the angles followed by the
-    probability.
+    probability.  The grid runs as one stack (see _phase_moved); each
+    probability equals, bit for bit, what a loop of pair(effect,
+    apply(channel, state)) with one channel per point gives, clipped to
+    [0, 1].
     """
     grid = np.atleast_2d(np.asarray(angle_grid, dtype=float))
     if grid.size == 0:
@@ -347,13 +422,11 @@ def interference_pattern_sweep(
         raise SystemMismatchError(
             f"angle vectors of length {grid.shape[1]} do not fit {experiment.n} paths"
         )
-    system = experiment.system
-    kets = experiment.kets
+    _require_finite(grid, "phase angles")
     pattern(state, effect, experiment)  # checks the systems once
     rows = np.empty((grid.shape[0], experiment.n + 1))
-    # each channel is a phase by construction: diagonal in the path kets
-    for r, angles in enumerate(grid):
-        u = kets @ np.diag(np.exp(1j * angles)) @ kets.conj().T
-        rows[r, : experiment.n] = angles
-        rows[r, experiment.n] = pair(effect, apply(unitary_channel(system, u), state))
+    rows[:, : experiment.n] = grid
+    values = _rowpair(effect.coeffs, _phase_moved(experiment, grid, state.coeffs))
+    # a validated state and effect pair inside [0, 1] up to rounding
+    rows[:, experiment.n] = np.clip(values, 0.0, 1.0)
     return rows

@@ -15,6 +15,7 @@ import pytest
 
 from interferlab import control, core
 from interferlab import (
+    Effect,
     StateVector,
     Transformation,
     ValidationError,
@@ -29,6 +30,7 @@ from interferlab import (
     pair,
     partial_pair,
     quantum_system,
+    random_effect,
     random_state,
     random_unitary,
     state_from_density,
@@ -255,6 +257,28 @@ def test_stack_check_fires_on_a_negative_classical_entry():
     with pytest.raises(ValidationError) as err:
         core._check_states(system, stack)
     assert str(err.value) == message == "state is not positive: lowest eigenvalue -0.2"
+
+
+def test_effect_stack_check_fires_on_one_row_outside_the_unit_interval():
+    rng = np.random.default_rng(4)
+    system = quantum_system(3)
+    stack = np.array([random_effect(system, rng).coeffs for _ in range(6)])
+    core._check_effects(system, stack)
+    stack[3] = core._encode(np.diag([1.25, 0.5, 0.0]).astype(complex), 3)
+    with pytest.raises(ValidationError, match=r"leaves \[0, 1\]"):
+        Effect(system, stack[3])
+    with pytest.raises(ValidationError, match=r"effect pairing range \[") as err:
+        core._check_effects(system, stack)
+    high = float(str(err.value).split(", ")[1].split("]")[0])
+    assert abs(high - 1.25) <= TOL
+
+
+def test_effect_stack_check_fires_on_a_negative_classical_entry():
+    system = classical_system(3)
+    stack = np.array([[0.2, 0.3, 0.5], [0.6, 0.6, -0.2], [1.0, 0.0, 0.0]])
+    with pytest.raises(ValidationError) as err:
+        core._check_effects(system, stack)
+    assert str(err.value) == "effect pairing range [-0.2, 1.0] leaves [0, 1]"
 
 
 def leaky_composite(controlled):

@@ -80,6 +80,13 @@ def test_mz_sweep_three_point_csv(tmp_path):
     assert text.endswith("\n")
 
 
+def test_mz_sweep_prints_no_probability_below_zero(tmp_path):
+    # the pattern at pi is 0 up to rounding; the sweep clips it into [0, 1]
+    code, text = run_to_file(tmp_path, ["mz-sweep", "--grid-points", "3"])
+    assert code == 0
+    assert text.splitlines()[3] == f"{PI_LITERAL},0"
+
+
 def test_mz_sweep_json_matches_schema_and_echoes_config(tmp_path):
     code, doc = run_json(
         tmp_path, ["mz-sweep", "--format", "json", "--grid-points", "5"]

@@ -1,5 +1,6 @@
 """Tests for interference patterns, restriction choices, and order scans."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -7,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+import interferlab
+from interferlab import control, core, interference, paths
 from interferlab import (
     EPS_EQ,
     VERDICT_ABSENT,
@@ -36,6 +39,8 @@ from interferlab import (
     phase_unitary,
     projector_effect,
     quantum_system,
+    random_effect,
+    random_state,
     second_order_witness,
     SorkinReport,
     SorkinSample,
@@ -324,3 +329,204 @@ def test_pattern_sweep_rows_and_guards():
         interference_pattern_sweep(state, effect, experiment, [(0.0, 0.0, 0.0)])
     with pytest.raises(ValidationError):
         interference_pattern_sweep(state, effect, experiment, np.empty((0, 2)))
+
+
+# Differential tests: the stacked scans against their per-point loops.  The
+# reference functions below are the loops as they were, kept here only, as the
+# definition the stacks must reproduce bit for bit.
+
+
+def sweep_reference(state, effect, experiment, grid):
+    """interference_pattern_sweep as it was, one channel per point, then clipped."""
+    kets = experiment.kets
+    rows = np.empty((len(grid), experiment.n + 1))
+    for r, angles in enumerate(grid):
+        u = kets @ np.diag(np.exp(1j * angles)) @ kets.conj().T
+        rows[r, : experiment.n] = angles
+        rows[r, experiment.n] = pair(effect, apply(unitary_channel(experiment.system, u), state))
+    rows[:, experiment.n] = np.clip(rows[:, experiment.n], 0.0, 1.0)
+    return rows
+
+
+def second_order_reference(experiment, seed, phase_samples):
+    """The quantum second-order witness as it was, one channel per phase."""
+    system = experiment.system
+    kets = experiment.kets
+    uniform = (kets[:, 0] + kets[:, 1]) / math.sqrt(2.0)
+    state = ket_state(system, uniform)
+    effect = projector_effect(system, uniform)
+    rng = np.random.default_rng(seed)
+    grid = np.linspace(0.0, 2.0 * math.pi, phase_samples, endpoint=False)
+    extra = rng.uniform(0.0, 2.0 * math.pi, max(phase_samples // 8, 1))
+    values = []
+    for dphi in np.concatenate([grid, extra]):
+        u = kets @ np.diag(np.exp(1j * np.array([0.0, dphi]))) @ kets.conj().T
+        values.append(pair(effect, apply(unitary_channel(system, u), state)))
+    return np.asarray(values)
+
+
+def third_order_reference(experiment, trials, rng):
+    """third_order_scan_quantum as it was: a state, effect, channel and choice per trial.
+
+    Returns the samples and the (state, effect) the loop kept for the witness.
+    """
+    system = experiment.system
+    kets = experiment.kets
+    samples = []
+    worst = (0.0, None, None)
+    for _ in range(trials):
+        state = random_state(system, rng, kind="pure")
+        psi = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+        effect = projector_effect(system, psi / np.linalg.norm(psi))
+        angles = rng.uniform(0.0, 2.0 * math.pi, experiment.n)
+        u = kets @ np.diag(np.exp(1j * angles)) @ kets.conj().T
+        transformation = unitary_channel(system, u)
+        choice = filter_choice(effect, experiment)
+        lhs, rhs, residual = sorkin_residual(state, effect, experiment, transformation, choice)
+        samples.append(SorkinSample(tuple(angles), lhs, rhs, residual))
+        if abs(residual) >= worst[0]:
+            worst = (abs(residual), state, effect)
+    return tuple(samples), worst[1], worst[2]
+
+
+def rotated_experiment(dim, seed):
+    system = quantum_system(dim)
+    v = haar_unitary(dim, np.random.default_rng(seed))
+    return make_experiment(
+        (ket_state(system, v[:, k]), projector_effect(system, v[:, k])) for k in range(dim)
+    )
+
+
+def path_experiments(dim):
+    return [basis_experiment(quantum_system(dim)), rotated_experiment(dim, 50 + dim)]
+
+
+def witness_choice(monkeypatch):
+    """Record the (state, effect) each scan hands to _report for its witness."""
+    seen = []
+    report = interference._report
+
+    def recording(order, samples, state, effect):
+        seen.append((state, effect))
+        return report(order, samples, state, effect)
+
+    monkeypatch.setattr(interference, "_report", recording)
+    return seen
+
+
+@pytest.mark.parametrize("trials", [1, 7, 200])
+@pytest.mark.parametrize("seed", [7, 20260817])
+def test_third_order_scan_equals_the_per_trial_loop(monkeypatch, trials, seed):
+    seen = witness_choice(monkeypatch)
+    for experiment in path_experiments(3):
+        report = third_order_scan_quantum(experiment, trials=trials, seed=seed)
+        samples, state, effect = third_order_reference(
+            experiment, trials, np.random.default_rng(seed)
+        )
+        assert report.samples == samples
+        assert report.witness is None
+        got_state, got_effect = seen.pop()
+        assert np.array_equal(got_state.coeffs, state.coeffs)
+        assert np.array_equal(got_effect.coeffs, effect.coeffs)
+
+
+def test_third_order_scan_keeps_the_last_of_tied_worst_trials(monkeypatch):
+    seen = witness_choice(monkeypatch)
+    experiment = basis_experiment(quantum_system(3))
+    # the basis experiment's residuals are often exactly 0.0, so ties happen
+    report = third_order_scan_quantum(experiment, trials=200, seed=3)
+    _, state, effect = third_order_reference(experiment, 200, np.random.default_rng(3))
+    worst = max(abs(s.residual) for s in report.samples)
+    assert sum(abs(s.residual) == worst for s in report.samples) > 1
+    assert np.array_equal(seen[0][0].coeffs, state.coeffs)
+    assert np.array_equal(seen[0][1].coeffs, effect.coeffs)
+
+
+def test_the_scans_leave_a_passed_generator_where_the_loops_did():
+    experiment = rotated_experiment(3, 5)
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    third_order_scan_quantum(experiment, trials=13, seed=rng)
+    third_order_reference(experiment, 13, ref)
+    assert rng.random() == ref.random()
+    two_path = basis_experiment(quantum_system(2))
+    second_order_witness(two_path, seed=rng, phase_samples=40)
+    second_order_reference(two_path, ref, 40)
+    assert rng.random() == ref.random()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_pattern_sweep_equals_the_per_point_loop(monkeypatch, dim):
+    rng = np.random.default_rng(900 + dim)
+    for experiment in path_experiments(dim):
+        state = random_state(experiment.system, rng, kind="mixed")
+        effect = random_effect(experiment.system, rng)
+        grid = rng.uniform(-2.0 * math.pi, 4.0 * math.pi, (37, dim))
+        want = sweep_reference(state, effect, experiment, grid)
+        assert np.array_equal(interference_pattern_sweep(state, effect, experiment, grid), want)
+        # three rows per block: the grid spans thirteen blocks
+        with monkeypatch.context() as m:
+            m.setattr(interference, "_BLOCK_ENTRIES", 3 * dim**4)
+            got = interference_pattern_sweep(state, effect, experiment, grid)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [7, 20260817])
+@pytest.mark.parametrize("phase_samples", [1, 64, 256])
+def test_second_order_witness_equals_the_per_phase_loop(monkeypatch, seed, phase_samples):
+    seen = witness_choice(monkeypatch)
+    for experiment in path_experiments(2):
+        values = second_order_reference(experiment, seed, phase_samples)
+        for block_entries in (interference._BLOCK_ENTRIES, 5 * 2**4):
+            monkeypatch.setattr(interference, "_BLOCK_ENTRIES", block_entries)
+            report = second_order_witness(experiment, seed=seed, phase_samples=phase_samples)
+            assert np.array_equal([s.lhs for s in report.samples], values)
+            best = 0.5 * (values.max() + values.min())
+            assert [s.residual for s in report.samples] == (values - best).tolist()
+            state, effect = seen.pop()
+            kets = experiment.kets
+            uniform = (kets[:, 0] + kets[:, 1]) / math.sqrt(2.0)
+            system = experiment.system
+            assert np.array_equal(state.coeffs, ket_state(system, uniform).coeffs)
+            assert np.array_equal(effect.coeffs, projector_effect(system, uniform).coeffs)
+
+
+def test_pattern_sweep_rejects_non_finite_angles():
+    system, experiment, state, effect = uniform_pattern(2)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValidationError, match="NaN or infinity"):
+            interference_pattern_sweep(state, effect, experiment, [(0.0, bad)])
+
+
+def test_scan_costs_do_not_grow_with_the_trials(monkeypatch):
+    """One eigvalsh per stacked check and no channel per point, at any size."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    channel = counting("unitary_channel", core.unitary_channel)
+    for module in (interferlab, core, paths, control, interference):
+        if hasattr(module, "unitary_channel"):
+            monkeypatch.setattr(module, "unitary_channel", channel)
+    three_path = basis_experiment(quantum_system(3))
+    system, two_path, state, effect = uniform_pattern(2)
+
+    def cost(run):
+        counts.clear()
+        run()
+        return dict(counts)
+
+    for size in (10, 200):
+        scan = cost(lambda: third_order_scan_quantum(three_path, trials=size, seed=1))
+        grid = np.column_stack([np.zeros(size), np.linspace(0.0, math.pi, size)])
+        sweep = cost(lambda: interference_pattern_sweep(state, effect, two_path, grid))
+        if size == 10:
+            small = (scan, sweep)
+            # the stacked checks still run
+            assert scan["eigvalsh"] >= 1 and sweep["eigvalsh"] >= 1
+    assert (scan, sweep) == small

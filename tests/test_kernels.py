@@ -9,11 +9,16 @@ import pytest
 
 from interferlab import core
 from interferlab import (
+    Effect,
+    StateVector,
     channel_from_matrix,
     composite_system,
     haar_unitary,
     hermitian_basis,
+    pair,
     quantum_system,
+    random_effect,
+    random_state,
     random_unitary,
     unitary_channel,
 )
@@ -102,6 +107,29 @@ def test_unitary_channel_matches_the_einsum_form(dim):
         u = haar_unitary(dim, rng)
         got = unitary_channel(quantum_system(dim), u).matrix
         assert_close(got, ref_unitary_channel(u, dim))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_unitary_matrices_equal_unitary_channel_on_every_stacked_matrix(dim):
+    rng = np.random.default_rng(350 + dim)
+    stack = np.array([haar_unitary(dim, rng) for _ in range(6)]).reshape(2, 3, dim, dim)
+    got = core._unitary_matrices(stack)
+    assert got.shape == (2, 3, dim * dim, dim * dim)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(got[idx], unitary_channel(quantum_system(dim), stack[idx]).matrix)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_rowpair_equals_pair_on_every_row(dim):
+    rng = np.random.default_rng(360 + dim)
+    system = quantum_system(dim)
+    states = np.array([random_state(system, rng, kind="mixed").coeffs for _ in range(40)])
+    effects = np.array([random_effect(system, rng).coeffs for _ in range(40)])
+    want = [pair(Effect(system, e), StateVector(system, s)) for e, s in zip(effects, states)]
+    assert core._rowpair(effects, states).tolist() == want
+    # one effect row broadcasts against the stack
+    one = [pair(Effect(system, effects[0]), StateVector(system, s)) for s in states]
+    assert core._rowpair(effects[0], states).tolist() == one
 
 
 @pytest.mark.parametrize("dims", COMPOSITES)
