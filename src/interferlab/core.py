@@ -10,6 +10,12 @@ vectors, and stochastic matrices.  Complex amplitudes appear only inside the
 quantum constructors; every closed circuit evaluates to a real probability via
 a plain dot product.
 
+The basis is never held as a dense array on the working paths.  Each
+coefficient sits on one off-diagonal pair or on the diagonal, so encoding,
+decoding, unitary channels and tensor products are gathers over a per-dimension
+index layout (_Layout) plus small Helmert products: O(d**2) per state and
+O(d**4) per channel.
+
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share across threads.
 """
@@ -33,6 +39,13 @@ import numpy as np
 EPS_EQ = 1e-9
 EPS_PSD = 1e-8
 EPS_DECISION = 1e-6
+
+# Positivity rule: a stack of density matrices is certified positive by one
+# batched Cholesky factorization of rho + EPS_PSD * I, which exists when every
+# eigenvalue of rho exceeds -EPS_PSD (up to rounding, about D * 1e-16 for a
+# D x D matrix).  Only when it fails does one batched eigvalsh find the lowest
+# eigenvalue, which then decides and is reported, so every rejection and its
+# message are the spectrum test's.
 
 # Validation policy: data is checked once, where it enters: the StateVector,
 # Effect and Transformation constructors on caller arrays, ket_state,
@@ -120,49 +133,100 @@ def composite_system(a: SystemType, b: SystemType) -> SystemType:
     return SystemType(a.theory, a.dim * b.dim, a.factors + b.factors)
 
 
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Where each coefficient of hermitian_basis(dim) lives in a d x d matrix.
+
+    Pair p is (lo[p], hi[p]) with lo < hi, hi the outer loop: basis element
+    1 + p is symmetric on the pair, 1 + P + p antisymmetric (P pairs).  Row r
+    of the Helmert matrix `helmert` is the diagonal of basis element
+    diag_slots[r]; row 0, 1/sqrt(d) everywhere, is the identity's.  For a
+    Hermitian X the coefficients are sqrt(2) Re X[lo, hi], -sqrt(2) Im X[lo, hi]
+    and helmert @ diag(X).
+
+    The remaining fields are flat gather indices and weights: _encode forms
+    every coefficient as a sum of two weighted entries of one float source
+    (enc_index row 0 and row 1), and _decode scales one gather of the
+    coefficients into the float view of vec(X), then writes the diagonal.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    helmert: np.ndarray
+    helmert_t: np.ndarray
+    diag_slots: np.ndarray
+    enc_index: np.ndarray
+    enc_weight: np.ndarray
+    dec_index: np.ndarray
+    dec_weight: np.ndarray
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(dim: int) -> _Layout:
+    n = dim * dim
+    hi, lo = np.tril_indices(dim, -1)
+    p = len(lo)
+    s = 1.0 / np.sqrt(2.0)
+    helmert = np.zeros((dim, dim))
+    helmert[0] = 1.0 / np.sqrt(dim)
+    for r in range(1, dim):
+        helmert[r, :r] = 1.0 / np.sqrt(r * (r + 1))
+        helmert[r, r] = -r / np.sqrt(r * (r + 1))
+    diag_slots = np.concatenate([[0], np.arange(1 + 2 * p, n)]).astype(np.intp)
+    sym, anti = 1 + np.arange(p), 1 + p + np.arange(p)
+    up, down, diag = lo * dim + hi, hi * dim + lo, np.arange(dim) * (dim + 1)
+    # _encode's source is the float view of [vec(X), cumsum(diag X)]: complex
+    # entry i has its real part at 2i and its imaginary part at 2i + 1.
+    # Outputs [0, n) are Re Tr(B_k X), outputs [n, 2n) Im Tr(B_k X).
+    acc = n + np.arange(dim)
+    pairs = np.zeros((2 * n, 2), dtype=np.intp)
+    weights = np.zeros((2 * n, 2))
+    for part in (0, 1):
+        rows = part * n
+        pairs[rows] = 2 * acc[-1] + part
+        weights[rows] = helmert[0, 0], 0.0
+        pairs[rows + sym] = np.column_stack([2 * up + part, 2 * down + part])
+        weights[rows + sym] = s
+        if part == 0:  # (Im X[hi, lo] - Im X[lo, hi]) / sqrt 2
+            pairs[rows + anti] = np.column_stack([2 * down + 1, 2 * up + 1])
+        else:  # (Re X[lo, hi] - Re X[hi, lo]) / sqrt 2
+            pairs[rows + anti] = np.column_stack([2 * up, 2 * down])
+        weights[rows + anti] = s, -s
+        # helmert row r: the sum of the first r diagonal entries, less r times entry r
+        r = np.arange(1, dim)
+        pairs[rows + diag_slots[1:]] = np.column_stack(
+            [2 * acc[r - 1] + part, 2 * diag[r] + part])
+        weights[rows + diag_slots[1:]] = np.column_stack([helmert[r, 0], helmert[r, r]])
+    # _decode: Re X[lo, hi] = Re X[hi, lo] = c_sym / sqrt 2 and
+    # Im X[hi, lo] = -Im X[lo, hi] = c_anti / sqrt 2; the diagonal's real parts
+    # are written afterwards, and its imaginary parts are 0 * c_0
+    dec_index = np.zeros(2 * n, dtype=np.intp)
+    dec_weight = np.zeros(2 * n)
+    dec_index[2 * up] = dec_index[2 * down] = sym
+    dec_index[2 * up + 1] = dec_index[2 * down + 1] = anti
+    dec_weight[2 * up] = dec_weight[2 * down] = dec_weight[2 * down + 1] = s
+    dec_weight[2 * up + 1] = -s
+    return _Layout(
+        lo, hi, _readonly(helmert), _readonly(np.ascontiguousarray(helmert.T)), diag_slots,
+        np.ascontiguousarray(pairs.T), np.ascontiguousarray(weights.T), dec_index, dec_weight,
+    )
+
+
 @functools.lru_cache(maxsize=None)
 def hermitian_basis(dim: int) -> np.ndarray:
     """Orthonormal Hermitian basis of the d x d operators, Tr(B_i B_j) = delta_ij.
 
     Ordering: identity/sqrt(d), then the symmetric, antisymmetric, and diagonal
-    generalized Gell-Mann matrices.  B_0 proportional to the identity is relied
-    on throughout (unit effect, maximally mixed state).
+    generalized Gell-Mann matrices (Bertlmann and Krammer, *Bloch vectors for
+    qudits*).  B_0 proportional to the identity is relied on throughout (unit
+    effect, maximally mixed state).
 
-    The kernels read the stack through its flat (d**2, d**2) reshape view B,
-    whose row k is the row-major vec(B_k).  Each B_k is Hermitian, so
-    conj(B_k) = B_k^T and Tr(B_k X) = B[k] . vec(X^T): the one view serves
-    both encode (B @ vec(X^T)) and decode (c @ B), with no conjugated copy.
+    The basis is sparse: one pair of entries per off-diagonal element, plus a
+    Helmert block on the diagonal.  The kernels read it through that index
+    layout and never build this dense stack; it is the decode of each unit
+    coefficient vector, kept for reference and for the Choi matrix.
     """
-    mats = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
-    for k in range(1, dim):
-        for j in range(k):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
-            mats.append(m)
-    for k in range(1, dim):
-        for j in range(k):
-            m = np.zeros((dim, dim), dtype=complex)
-            m[j, k] = -1j / np.sqrt(2.0)
-            m[k, j] = 1j / np.sqrt(2.0)
-            mats.append(m)
-    for k in range(1, dim):
-        m = np.zeros((dim, dim), dtype=complex)
-        m[:k, :k] = np.eye(k)
-        m[k, k] = -k
-        mats.append(m / np.sqrt(k * (k + 1)))
-    return _readonly(np.array(mats))
-
-
-def _flat_basis(dim: int) -> np.ndarray:
-    return hermitian_basis(dim).reshape(dim * dim, dim * dim)
-
-
-def _re_gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(a @ conj(b).T) as one real matmul over the interleaved float views.
-
-    Leading axes of `b` are a stack; each matrix gets its own product.
-    """
-    return a.view(float) @ b.view(float).swapaxes(-1, -2)
+    return _readonly(_decode(np.eye(dim * dim), dim))
 
 
 def _rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -172,6 +236,8 @@ def _rowwise(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     for bit what the product of that row alone gives; a gemm would round
     differently and move the noise-level residuals the checks report.
     """
+    if rows.ndim == 1:
+        return matrix @ rows
     return np.matmul(matrix, rows[..., None])[..., 0]
 
 
@@ -188,38 +254,50 @@ def _rowpair(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
 def _encode(mat: np.ndarray, dim: int) -> np.ndarray:
     """Coefficients of a Hermitian matrix in the orthonormal basis.
 
-    Leading axes of `mat` are a stack, encoded row by row (see _rowwise).
+    Each coefficient is Re Tr(B_k X), a sum of two products over the flat
+    matrix and the running sums of its diagonal (see _Layout); the imaginary
+    parts Im Tr(B_k X) come from the same gathers and must vanish.  Every
+    step is elementwise or runs along one row, so a stack of matrices
+    (leading axes) is encoded row-exactly.
     """
-    vecs = mat.swapaxes(-1, -2).reshape(mat.shape[:-2] + (dim * dim,))
-    coeffs = _rowwise(_flat_basis(dim), vecs)
-    if np.abs(coeffs.imag).max() > EPS_PSD:
+    lay, n = _layout(dim), dim * dim
+    x = np.asarray(mat, dtype=complex)
+    flat = x.reshape(x.shape[:-2] + (n,))
+    running = np.add.accumulate(flat[..., :: dim + 1], axis=-1)
+    src = np.concatenate([flat, running], axis=-1).view(float)
+    terms = src.take(lay.enc_index, axis=-1)
+    terms *= lay.enc_weight
+    parts = terms[..., 0, :] + terms[..., 1, :]
+    # the bare ufunc reduction: ndarray.max adds a Python layer per call
+    if np.maximum.reduce(np.abs(parts[..., n:]), axis=None) > EPS_PSD:
         raise ValidationError("matrix is not Hermitian within tolerance")
-    return coeffs.real
+    return parts[..., :n]
 
 
 def _decode(coeffs: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian matrix with the given basis coefficients.
 
-    Leading axes of `coeffs` are a stack, decoded row by row (see _rowwise).
+    Off-diagonal entries are scaled coefficients, one gather; the diagonal is
+    the Helmert product, row by row (see _rowwise).  Leading axes of
+    `coeffs` are a stack.
     """
-    flat = (coeffs[..., None, :] @ _flat_basis(dim))[..., 0, :]
-    return flat.reshape(coeffs.shape[:-1] + (dim, dim))
+    lay, stack = _layout(dim), coeffs.shape[:-1]
+    flat = coeffs.take(lay.dec_index, axis=-1)
+    flat *= lay.dec_weight
+    flat[..., :: 2 * (dim + 1)] = _rowwise(lay.helmert_t, coeffs.take(lay.diag_slots, axis=-1))
+    return flat.view(complex).reshape(stack + (dim, dim))
 
 
 @functools.lru_cache(maxsize=None)
 def _product_basis_change(dim_a: int, dim_b: int) -> np.ndarray:
     """Orthogonal map from product-basis coefficients to canonical ones.
 
-    The product basis {A_i (x) B_j} and the canonical basis of dimension
-    dim_a*dim_b are both orthonormal and Hermitian, so the change of basis is
-    the real orthogonal matrix Tr(C_k P_l) = Re(C @ conj(P).T): row k of the
-    flat canonical basis C is the row-major vec(C_k) (see hermitian_basis),
-    row (i, j) of P is vec(A_i (x) B_j), and P_l is Hermitian.
+    Column (i, j) holds the canonical coefficients of A_i (x) B_j, for the
+    product basis {A_i (x) B_j} of two orthonormal Hermitian bases.
     """
-    a, b = hermitian_basis(dim_a), hermitian_basis(dim_b)
-    dim = dim_a * dim_b
-    prod = a[:, None, :, None, :, None] * b[None, :, None, :, None, :]
-    return _readonly(_re_gram(_flat_basis(dim), prod.reshape(dim * dim, dim * dim)))
+    a, b = quantum_system(dim_a), quantum_system(dim_b)
+    cols = _tensor_coeffs(a, b, np.eye(a.vector_space_dim)[:, None], np.eye(b.vector_space_dim))
+    return _readonly(np.ascontiguousarray(cols.reshape(cols.shape[-1], -1).T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,20 +327,24 @@ class StateVector:
 def _check_states(system: SystemType, coeffs: np.ndarray) -> None:
     """Raise ValidationError unless every row of the stack is a normalized state.
 
-    Quantum rows are decoded by one real gemm over the interleaved float view
-    of the basis and checked by one batched eigvalsh; only their spectrum is
-    used, so the decode need not round like _decode.  The error reports the
-    worst row.
+    Quantum rows are decoded and certified positive by one batched Cholesky
+    factorization of rho + EPS_PSD * I (see the positivity rule at the top);
+    only when that fails does one batched eigvalsh find the lowest
+    eigenvalue.  The error reports the worst row.
     """
-    # Python reductions: on StateVector's one-row stacks numpy's cost more
-    norms = (coeffs @ unit_effect(system).coeffs).tolist()
-    norm = max(norms, key=lambda x: abs(x - 1.0))
-    if abs(norm - 1.0) > EPS_EQ:
-        raise ValidationError(f"state is not normalized: unit pairing {norm!r}")
+    norms = coeffs @ unit_effect(system).coeffs
+    worst = float(norms[np.abs(norms - 1.0).argmax()])
+    if abs(worst - 1.0) > EPS_EQ:
+        raise ValidationError(f"state is not normalized: unit pairing {worst!r}")
     if system.theory == QUANTUM:
         d = system.dim
-        mats = (coeffs @ _flat_basis(d).view(float)).view(complex).reshape(-1, d, d)
-        low = min(np.linalg.eigvalsh(mats)[:, 0].tolist())
+        mats = _decode(coeffs, d)
+        mats.reshape(-1, d * d)[:, :: d + 1] += EPS_PSD
+        try:
+            np.linalg.cholesky(mats)
+            return
+        except np.linalg.LinAlgError:
+            low = float(np.linalg.eigvalsh(_decode(coeffs, d))[:, 0].min())
     else:
         low = float(coeffs.min())
     if low < -EPS_PSD:
@@ -427,14 +509,17 @@ def _tensor_coeffs(
 ) -> np.ndarray:
     """Coefficients of a (x) b on the composite.
 
-    The leading axes of `a` and `b` broadcast as a stack: one row-wise
-    Kronecker product, then one product-basis matmul (see _rowwise).
+    The leading axes of `a` and `b` broadcast as a stack.  Quantum rows are
+    decoded, multiplied as a row-wise Kronecker product and encoded again,
+    O(D**2) per row for the composite dimension D; every step is row-exact.
     """
-    prod = a[..., :, None] * b[..., None, :]
-    prod = prod.reshape(*prod.shape[:-2], -1)
-    if system_a.theory == QUANTUM:
-        prod = _rowwise(_product_basis_change(system_a.dim, system_b.dim), prod)
-    return prod
+    if system_a.theory != QUANTUM:
+        prod = a[..., :, None] * b[..., None, :]
+        return prod.reshape(*prod.shape[:-2], -1)
+    da, db = system_a.dim, system_b.dim
+    ma, mb = _decode(a, da), _decode(b, db)
+    prod = ma[..., :, None, :, None] * mb[..., None, :, None, :]
+    return _encode(prod.reshape(prod.shape[:-4] + (da * db, da * db)), da * db)
 
 
 def tensor_states(a: StateVector, b: StateVector) -> StateVector:
@@ -753,8 +838,7 @@ def _as_unitary(mat: np.ndarray, dim: int, label: str) -> np.ndarray:
 def unitary_channel(system: SystemType, unitary: np.ndarray) -> Transformation:
     """Conjugation channel of a unitary; the quantum reversible constructor.
 
-    M[j, k] = Tr(B_j U B_k U^dag) = Re(B @ conj(X).T), X the flat stack of the
-    Hermitian U B_k U^dag.
+    M[j, k] = Tr(B_j U B_k U^dag): column k is the encoding of U B_k U^dag.
     """
     if system.theory != QUANTUM:
         raise SystemMismatchError("unitary channels describe quantum systems only")
@@ -762,16 +846,52 @@ def unitary_channel(system: SystemType, unitary: np.ndarray) -> Transformation:
     return Transformation(system, system, _unitary_matrices(u), reversible=True)
 
 
+# _unitary_matrices builds its pair-by-pair block in row slices of at most this
+# many complex entries per temporary (16 MB)
+_PAIR_BLOCK_ENTRIES = 1 << 20
+_ROOT2 = np.sqrt(2.0)
+
+
 def _unitary_matrices(u: np.ndarray) -> np.ndarray:
     """unitary_channel's matrix for each unitary; leading axes of `u` are a stack.
 
-    Each unitary gets its own products, so a stacked matrix is bit for bit
-    what unitary_channel gives on that unitary alone.
+    With pairs (m, n) for rows and (j, l) for columns (see _Layout), let
+    T1 = U[m, j] conj U[n, l] and T2 = U[m, l] conj U[n, j].  The symmetric
+    and antisymmetric blocks are Re(T1 + T2), -Im(T1 + T2), Im(T1 - T2) and
+    Re(T1 - T2), read off T1 + conj T2 and i (T1 - conj T2); the blocks
+    touching the diagonal are Helmert products of U[m, a] conj U[n, a],
+    U[b, j] conj U[b, l] and |U[b, a]|**2.  That is O(d**4) with no basis
+    array.  Every product is elementwise or one matmul per matrix, so a
+    stacked matrix is bit for bit what unitary_channel gives on that unitary
+    alone.
     """
     d = u.shape[-1]
-    u = u[..., None, :, :]
-    moved = u @ hermitian_basis(d) @ u.conj().swapaxes(-1, -2)
-    return _re_gram(_flat_basis(d), moved.reshape(moved.shape[:-3] + (d * d, d * d)))
+    lay = _layout(d)
+    p = len(lay.lo)
+    stack = u.shape[:-2]
+    out = np.empty(stack + (d * d, d * d))
+    # rows and columns of the pair block, split as (sym or anti, pair)
+    pair_block = out[..., 1 : 1 + 2 * p, 1 : 1 + 2 * p].reshape(stack + (2, p, 2, p))
+    u_lo, u_hi = u.take(lay.lo, axis=-2), u.take(lay.hi, axis=-2).conj()
+    step = max(1, _PAIR_BLOCK_ENTRIES // max(1, p * u[..., 0, 0].size))
+    for start in range(0, p, step):
+        a, b = u_lo[..., start : start + step, :], u_hi[..., start : start + step, :]
+        t1 = a.take(lay.lo, axis=-1) * b.take(lay.hi, axis=-1)
+        t2 = (a.take(lay.hi, axis=-1) * b.take(lay.lo, axis=-1)).conj()
+        # a complex entry's (real, imaginary) parts land in the (sym, anti) columns
+        pair_block[..., 0, start : start + step, :, :] = (t1 + t2).view(float).reshape(
+            t1.shape + (2,)).swapaxes(-1, -2)
+        pair_block[..., 1, start : start + step, :, :] = ((t1 - t2) * 1j).view(float).reshape(
+            t1.shape + (2,)).swapaxes(-1, -2)
+    # the diagonal columns, U diag(h_r) U^dag read on every row, and the
+    # diagonal rows, U B_k U^dag read on the diagonal for the pair columns
+    moved = (u_lo * u_hi) @ lay.helmert_t * _ROOT2
+    dd = lay.helmert @ (u * u.conj()).real @ lay.helmert_t
+    out[..., lay.diag_slots] = np.concatenate(
+        [dd[..., :1, :], moved.real, -moved.imag, dd[..., 1:, :]], axis=-2)
+    seen = lay.helmert @ (u.take(lay.lo, axis=-1) * u.take(lay.hi, axis=-1).conj()) * _ROOT2
+    out[..., lay.diag_slots, 1 : 1 + 2 * p] = np.concatenate([seen.real, seen.imag], axis=-1)
+    return out
 
 
 def phase_unitary(system: SystemType, angles: Sequence[float]) -> Transformation:
@@ -825,9 +945,12 @@ def channel_from_matrix(
 def _choi_matrix(t: Transformation) -> np.ndarray:
     """Block operator whose positivity certifies complete positivity."""
     din, dout = t.in_system.dim, t.out_system.dim
-    # row k of T^T @ B_out is vec T(B_k); summing B_k[b, a] T(B_k) over k gives
-    # T(E_ab), so w[(b, a), (m, n)] = T(E_ab)[m, n]
-    w = _flat_basis(din).T @ (t.matrix.T @ _flat_basis(dout))
+    # row k of the flat basis B is the row-major vec(B_k), and row k of
+    # T^T @ B_out is vec T(B_k); summing B_k[b, a] T(B_k) over k gives T(E_ab),
+    # so w[(b, a), (m, n)] = T(E_ab)[m, n]
+    b_in = hermitian_basis(din).reshape(din * din, din * din)
+    b_out = hermitian_basis(dout).reshape(dout * dout, dout * dout)
+    w = b_in.T @ (t.matrix.T @ b_out)
     w = w.reshape(din, din, dout, dout).transpose(2, 1, 3, 0)
     return w.reshape(dout * din, dout * din)
 

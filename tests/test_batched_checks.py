@@ -234,6 +234,18 @@ def test_stack_check_fires_on_one_unnormalized_row(system):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("system", [quantum_system(2), classical_system(2)])
+def test_stack_check_reports_the_first_worst_normalization(system):
+    base = maximally_mixed(system).coeffs
+    stack = np.array([base, base * (1.0 - 3e-9), base, base * (1.0 + 3e-9), base * 1.5])
+    for rows in (stack[:4], stack[[0, 3, 1]], stack):
+        norms = (rows @ core.unit_effect(system).coeffs).tolist()
+        worst = max(norms, key=lambda x: abs(x - 1.0))  # the first of the largest
+        with pytest.raises(ValidationError) as err:
+            core._check_states(system, rows)
+        assert str(err.value) == f"state is not normalized: unit pairing {worst!r}"
+
+
 def test_stack_check_fires_on_one_row_with_a_negative_eigenvalue():
     rng = np.random.default_rng(2)
     system = quantum_system(3)
@@ -248,6 +260,57 @@ def test_stack_check_fires_on_one_row_with_a_negative_eigenvalue():
     low = float(str(err.value)[len(prefix):])
     assert abs(low - float(message[len(prefix):])) <= TOL
     assert abs(low + 0.25) <= TOL
+
+
+def density_with_lowest_eigenvalue(dim, low, rng):
+    """A unit-trace Hermitian matrix in a random basis whose lowest eigenvalue is low."""
+    spectrum = np.full(dim, (1.0 - low) / (dim - 1))
+    spectrum[0] = low
+    u = haar_unitary(dim, rng)
+    return (u * spectrum) @ u.conj().T
+
+
+def counting_linalg(monkeypatch):
+    calls = {"cholesky": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6, 24])
+def test_positivity_certificate_rejects_below_the_tolerance_with_the_spectrum_message(
+    monkeypatch, dim
+):
+    rng = np.random.default_rng(30 + dim)
+    coeffs = core._encode(density_with_lowest_eigenvalue(dim, -2.0 * core.EPS_PSD, rng), dim)
+    low = float(np.linalg.eigvalsh(core._decode(coeffs, dim))[0])
+    assert abs(low + 2.0 * core.EPS_PSD) <= 1e-15
+    calls = counting_linalg(monkeypatch)
+    with pytest.raises(ValidationError) as err:
+        StateVector(quantum_system(dim), coeffs)
+    assert str(err.value) == f"state is not positive: lowest eigenvalue {low!r}"
+    # the factorization failed, so the spectrum decided
+    assert calls == {"cholesky": 1, "eigvalsh": 1}
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6, 24])
+def test_positivity_certificate_accepts_within_the_tolerance_without_a_spectrum(
+    monkeypatch, dim
+):
+    rng = np.random.default_rng(40 + dim)
+    stack = np.array([
+        core._encode(density_with_lowest_eigenvalue(dim, low, rng), dim)
+        for low in (-0.5 * core.EPS_PSD, 0.0, 0.25 / dim)
+    ])
+    calls = counting_linalg(monkeypatch)
+    core._check_states(quantum_system(dim), stack)
+    assert calls == {"cholesky": 1, "eigvalsh": 0}
 
 
 def test_stack_check_fires_on_a_negative_classical_entry():

@@ -142,10 +142,12 @@ def test_cli_output_matches_its_golden_file(name):
     code, text = run_case(CASES[name])
     assert code == recorded["exit"]
     want = (GOLDEN / f"{name}.out").read_bytes().decode("utf-8")
-    if platform_id() == manifest["platform"]:
-        assert text == want
-    else:
-        assert _same_up_to_float_digits(text, want)
+    exact = platform_id() == manifest["platform"]
+    if not (text == want if exact else _same_up_to_float_digits(text, want)):
+        line = next((i for i, (a, b) in enumerate(zip(text.splitlines(), want.splitlines()))
+                     if a != b), min(len(text.splitlines()), len(want.splitlines())))
+        pytest.fail(f"{name}: output differs from tests/golden/{name}.out at line {line + 1} "
+                    f"({'bytes' if exact else 'beyond 1e-12'})", pytrace=False)
 
 
 def test_float_comparison_is_exact_on_everything_but_float_digits():

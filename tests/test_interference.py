@@ -433,11 +433,17 @@ def test_third_order_scan_equals_the_per_trial_loop(monkeypatch, trials, seed):
 def test_third_order_scan_keeps_the_last_of_tied_worst_trials(monkeypatch):
     seen = witness_choice(monkeypatch)
     experiment = basis_experiment(quantum_system(3))
-    # the basis experiment's residuals are often exactly 0.0, so ties happen
-    report = third_order_scan_quantum(experiment, trials=200, seed=3)
-    _, state, effect = third_order_reference(experiment, 200, np.random.default_rng(3))
-    worst = max(abs(s.residual) for s in report.samples)
-    assert sum(abs(s.residual) == worst for s in report.samples) > 1
+    # the basis experiment's residuals are often exactly 0.0 or a few ulps, so
+    # ties happen; which seeds tie depends on rounding, so take the first one
+    for seed in range(40):
+        seen.clear()
+        report = third_order_scan_quantum(experiment, trials=200, seed=seed)
+        worst = max(abs(s.residual) for s in report.samples)
+        if sum(abs(s.residual) == worst for s in report.samples) > 1:
+            break
+    else:
+        pytest.fail("no seed in range(40) gives a tied worst trial")
+    _, state, effect = third_order_reference(experiment, 200, np.random.default_rng(seed))
     assert np.array_equal(seen[0][0].coeffs, state.coeffs)
     assert np.array_equal(seen[0][1].coeffs, effect.coeffs)
 
@@ -498,7 +504,7 @@ def test_pattern_sweep_rejects_non_finite_angles():
 
 
 def test_scan_costs_do_not_grow_with_the_trials(monkeypatch):
-    """One eigvalsh per stacked check and no channel per point, at any size."""
+    """One factorization per stacked check and no channel per point, at any size."""
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -508,7 +514,8 @@ def test_scan_costs_do_not_grow_with_the_trials(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    for name in ("cholesky", "eigvalsh"):  # the state and the effect checks
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
     channel = counting("unitary_channel", core.unitary_channel)
     for module in (interferlab, core, paths, control, interference):
         if hasattr(module, "unitary_channel"):
@@ -528,5 +535,6 @@ def test_scan_costs_do_not_grow_with_the_trials(monkeypatch):
         if size == 10:
             small = (scan, sweep)
             # the stacked checks still run
-            assert scan["eigvalsh"] >= 1 and sweep["eigvalsh"] >= 1
+            assert scan["cholesky"] >= 1 and sweep["cholesky"] >= 1
+            assert scan["eigvalsh"] >= 1
     assert (scan, sweep) == small

@@ -1,7 +1,9 @@
-"""Differential tests: the matmul basis kernels against their einsum forms.
+"""Differential tests: the structured basis kernels against dense references.
 
-The reference functions below are the original multi-operand einsum kernels,
-kept here only, as the definition the flat-basis matmuls must reproduce.
+The kernels read the Gell-Mann basis through an index layout and never build
+it.  The reference functions below read hermitian_basis(d) as a dense stack,
+kept here only, as the definition the structured kernels must reproduce to
+1e-12.  Stacked kernels must also equal their one-row results bit for bit.
 """
 
 import numpy as np
@@ -24,26 +26,37 @@ from interferlab import (
 )
 
 TOL = 1e-12
-DIMS = [1, 2, 3, 4, 5, 6]
-COMPOSITES = [(2, 2), (2, 3), (3, 2), (3, 3)]
+DIMS = [1, 2, 3, 4, 5, 6, 7, 8]
+COMPOSITES = [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 6), (2, 12)]
+
+
+def flat_basis(dim):
+    """Row k is the row-major vec(B_k)."""
+    return hermitian_basis(dim).reshape(dim * dim, dim * dim)
 
 
 def ref_encode(mat, dim):
-    return np.einsum("kij,ji->k", hermitian_basis(dim), mat).real
+    # Tr(B_k X) = vec(B_k) . vec(X^T)
+    return (flat_basis(dim) @ np.asarray(mat).T.reshape(-1)).real
+
+
+def ref_decode(coeffs, dim):
+    return (coeffs @ flat_basis(dim)).reshape(dim, dim)
 
 
 def ref_unitary_channel(u, dim):
-    basis = hermitian_basis(dim)
-    moved = np.einsum("ab,kbc,dc->kad", u, basis, u.conj())
-    return np.einsum("jmn,knm->jk", basis, moved).real
+    # column k is the encoding of U B_k U^dag
+    moved = u @ hermitian_basis(dim) @ u.conj().T
+    return (flat_basis(dim) @ moved.transpose(0, 2, 1).reshape(dim * dim, -1).T).real
 
 
 def ref_product_basis_change(dim_a, dim_b):
     dim = dim_a * dim_b
     prod = np.einsum(
         "imn,jpq->ijmpnq", hermitian_basis(dim_a), hermitian_basis(dim_b)
-    ).reshape(dim_a * dim_a * dim_b * dim_b, dim, dim)
-    return np.einsum("kmn,lnm->kl", hermitian_basis(dim), prod).real
+    ).reshape(dim_a * dim_a * dim_b * dim_b, dim * dim)
+    # Tr(C_k P_l) = vec(C_k) . vec(P_l^T), and P_l is Hermitian
+    return (flat_basis(dim) @ prod.conj().T).real
 
 
 def ref_choi_matrix(matrix, din, dout):
@@ -51,6 +64,28 @@ def ref_choi_matrix(matrix, din, dout):
     moved = np.einsum("jk,kab->jab", matrix.astype(complex), c_in)
     te = np.einsum("jab,jmn->abmn", moved, hermitian_basis(dout))
     return te.transpose(2, 0, 3, 1).reshape(dout * din, dout * din)
+
+
+def gell_mann(dim):
+    """The basis as Bertlmann and Krammer define it, one matrix at a time."""
+    mats = [np.eye(dim, dtype=complex) / np.sqrt(dim)]
+    for k in range(1, dim):
+        for j in range(k):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[j, k] = m[k, j] = 1.0 / np.sqrt(2.0)
+            mats.append(m)
+    for k in range(1, dim):
+        for j in range(k):
+            m = np.zeros((dim, dim), dtype=complex)
+            m[j, k] = -1j / np.sqrt(2.0)
+            m[k, j] = 1j / np.sqrt(2.0)
+            mats.append(m)
+    for k in range(1, dim):
+        m = np.zeros((dim, dim), dtype=complex)
+        m[:k, :k] = np.eye(k)
+        m[k, k] = -k
+        mats.append(m / np.sqrt(k * (k + 1)))
+    return np.array(mats)
 
 
 def random_hermitian(dim, rng):
@@ -71,8 +106,7 @@ def test_encode_and_decode_match_the_einsum_forms(dim):
         coeffs = core._encode(herm, dim)
         assert_close(coeffs, ref_encode(herm, dim))
         assert_close(core._decode(coeffs, dim), herm)
-        want = np.tensordot(coeffs, hermitian_basis(dim), axes=([0], [0]))
-        assert_close(core._decode(coeffs, dim), want)
+        assert_close(core._decode(coeffs, dim), ref_decode(coeffs, dim))
 
 
 @pytest.mark.parametrize("dim", DIMS)
@@ -178,3 +212,46 @@ def test_unitary_check_is_shared_and_keeps_its_wording():
         unitary_channel(system, np.eye(3))
     with pytest.raises(core.ValidationError, match=r"branch 1 is not unitary \(deviation"):
         core._as_unitary(2.0 * np.eye(2), 2, "branch 1")
+
+
+def test_hermitian_basis_is_the_gell_mann_definition():
+    for dim in DIMS:
+        assert_close(hermitian_basis(dim), gell_mann(dim))
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_stacked_encode_and_decode_equal_their_one_row_results(dim):
+    rng = np.random.default_rng(700 + dim)
+    mats = np.array([random_hermitian(dim, rng) for _ in range(6)]).reshape(2, 3, dim, dim)
+    coeffs = core._encode(mats, dim)
+    decoded = core._decode(coeffs, dim)
+    assert coeffs.shape == (2, 3, dim * dim) and decoded.shape == mats.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(coeffs[idx], core._encode(mats[idx], dim))
+        assert np.array_equal(decoded[idx], core._decode(coeffs[idx], dim))
+        assert_close(coeffs[idx], ref_encode(mats[idx], dim))
+
+
+@pytest.mark.parametrize("dims", COMPOSITES)
+def test_tensor_coeffs_match_the_product_basis_and_each_stacked_row(dims):
+    da, db = dims
+    sa, sb = quantum_system(da), quantum_system(db)
+    rng = np.random.default_rng(800 + 10 * da + db)
+    a = np.array([random_state(sa, rng, kind="mixed").coeffs for _ in range(3)])
+    b = np.array([random_effect(sb, rng).coeffs for _ in range(4)])
+    got = core._tensor_coeffs(sa, sb, a[:, None, :], b)
+    change = ref_product_basis_change(da, db)
+    assert got.shape == (3, 4, da * da * db * db)
+    for i, j in np.ndindex(3, 4):
+        assert np.array_equal(got[i, j], core._tensor_coeffs(sa, sb, a[i], b[j]))
+        assert_close(got[i, j], change @ np.kron(a[i], b[j]))
+
+
+@pytest.mark.parametrize("dims", COMPOSITES)
+def test_composite_unitary_stacks_equal_unitary_channel(dims):
+    system = composite_system(quantum_system(dims[0]), quantum_system(dims[1]))
+    rng = np.random.default_rng(900 + 10 * dims[0] + dims[1])
+    stack = np.array([haar_unitary(system.dim, rng) for _ in range(2)])
+    got = core._unitary_matrices(stack)
+    for i in range(2):
+        assert np.array_equal(got[i], unitary_channel(system, stack[i]).matrix)
