@@ -258,9 +258,8 @@ def _json_document(payload: dict) -> str:
 
 
 def _csv_document(header: list[str], rows: list[list[float]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(format(v, ".17g") for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(row_format % tuple(row) for row in rows)
 
 
 def _run_mz_sweep(cfg: dict) -> tuple[str, int]:

@@ -32,10 +32,10 @@ from .core import (
     _check_states,
     _encode,
     _pair_factor,
-    _random_density,
     _readonly,
     _require_finite,
     _rng,
+    _rowpair,
     _rowwise,
     _tensor_coeffs,
     basis_state,
@@ -178,20 +178,39 @@ def _sample_stacks(
     """Coefficient stacks of seeded random states, one stack per system.
 
     Each trial draws one state per system, in order; system j's state in
-    trial t is pure when t + j is even and mixed otherwise.  The draws are
-    states by construction, so each stack is one unchecked row-exact encode,
-    made C-contiguous for the row-exact matmuls downstream.
+    trial t is pure when t + j is even and mixed otherwise, drawn as
+    core._random_density draws it.  Every draw is standard normal, so one
+    bulk draw sliced in that order gives the same numbers and leaves the
+    Generator where the per-state draws did.  The densities are built per
+    system and kind as stacks, bit for bit as one at a time, and each stack
+    is one unchecked row-exact encode, made C-contiguous for the row-exact
+    matmuls downstream.
     """
-    kinds = ("pure", "mixed")
-    draws = [
-        _random_density(system.dim, rng, kinds[(t + j) % 2])
-        for t in range(trials)
-        for j, system in enumerate(systems)
-    ]
-    return [
-        np.ascontiguousarray(_encode(np.array(draws[j :: len(systems)]), system.dim))
-        for j, system in enumerate(systems)
-    ]
+    dims = np.array([system.dim for system in systems])
+    pure = (np.arange(trials)[:, None] + np.arange(len(systems))) % 2 == 0
+    # draw (t, j) takes a real then an imaginary part: d numbers each when
+    # pure, d * d when mixed
+    sizes = np.where(pure, dims, dims * dims)
+    starts = np.concatenate([[0], np.cumsum(2 * sizes.ravel())])[:-1].reshape(sizes.shape)
+    normals = rng.standard_normal(int(2 * sizes.sum()))
+    stacks = []
+    for j, d in enumerate(dims.tolist()):
+        rho = np.empty((trials, d, d), dtype=complex)
+        for kind, shape in ((True, (d,)), (False, (d, d))):
+            rows = np.flatnonzero(pure[:, j] == kind)
+            offsets = starts[rows, j][:, None] + np.arange(int(np.prod(shape)))
+            z = (normals[offsets] + 1j * normals[offsets + offsets.shape[1]]).reshape(
+                (len(rows),) + shape)
+            if kind:
+                # np.linalg.norm's sum of squares: dots over the strided parts
+                norms = np.sqrt(_rowpair(z.real, z.real) + _rowpair(z.imag, z.imag))
+                psi = z / norms[:, None]
+                rho[rows] = psi[:, :, None] * psi.conj()[:, None, :]
+            else:
+                g = z @ z.conj().swapaxes(-1, -2)
+                rho[rows] = g / np.trace(g, axis1=-2, axis2=-1).real[:, None, None]
+        stacks.append(np.ascontiguousarray(_encode(rho, d)))
+    return stacks
 
 
 def verify_superposition_preservation(

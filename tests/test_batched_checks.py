@@ -201,6 +201,17 @@ def test_sample_stacks_equal_the_random_state_loop(dims):
             assert rows.flags.c_contiguous
 
 
+@pytest.mark.parametrize("dims", [(2,), (3, 4), (2, 9), (8,)])
+def test_sample_stacks_leave_the_generator_where_the_loop_did(dims):
+    systems = [quantum_system(d) for d in dims]
+    for trials, seed in ((2, 0), (7, 5), (200, 20260817)):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = control._sample_stacks(systems, trials, rng)
+        want = ref_sample_stacks(systems, trials, ref)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert rng.random() == ref.random()
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
 def test_random_states_equal_the_validated_constructors(d):
     system = quantum_system(d)
