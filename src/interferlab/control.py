@@ -32,10 +32,10 @@ from .core import (
     _check_states,
     _encode,
     _pair_factor,
+    _pure_densities,
     _readonly,
     _require_finite,
     _rng,
-    _rowpair,
     _rowwise,
     _tensor_coeffs,
     basis_state,
@@ -196,16 +196,12 @@ def _sample_stacks(
     stacks = []
     for j, d in enumerate(dims.tolist()):
         rho = np.empty((trials, d, d), dtype=complex)
-        for kind, shape in ((True, (d,)), (False, (d, d))):
-            rows = np.flatnonzero(pure[:, j] == kind)
-            offsets = starts[rows, j][:, None] + np.arange(int(np.prod(shape)))
-            z = (normals[offsets] + 1j * normals[offsets + offsets.shape[1]]).reshape(
-                (len(rows),) + shape)
-            if kind:
-                # np.linalg.norm's sum of squares: dots over the strided parts
-                norms = np.sqrt(_rowpair(z.real, z.real) + _rowpair(z.imag, z.imag))
-                psi = z / norms[:, None]
-                rho[rows] = psi[:, :, None] * psi.conj()[:, None, :]
+        for is_pure, shape in ((True, (d,)), (False, (d, d))):
+            rows = np.flatnonzero(pure[:, j] == is_pure)
+            at = starts[rows, j][:, None] + np.arange(d ** len(shape))
+            z = (normals[at] + 1j * normals[at + at.shape[1]]).reshape((len(rows),) + shape)
+            if is_pure:
+                rho[rows] = _pure_densities(z)
             else:
                 g = z @ z.conj().swapaxes(-1, -2)
                 rho[rows] = g / np.trace(g, axis1=-2, axis2=-1).real[:, None, None]

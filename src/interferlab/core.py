@@ -1002,6 +1002,16 @@ def _random_density(dim: int, rng: np.random.Generator, kind: str) -> np.ndarray
     return rho / np.trace(rho).real
 
 
+def _pure_densities(z: np.ndarray) -> np.ndarray:
+    """|psi><psi| with psi = z / |z| for each row z of a stack, as _random_density.
+
+    The norm dots over the strided real and imaginary parts, as
+    np.linalg.norm does, so each density is bit for bit the single draw's.
+    """
+    psi = z / np.sqrt(_rowpair(z.real, z.real) + _rowpair(z.imag, z.imag))[..., None]
+    return psi[..., :, None] * psi.conj()[..., None, :]
+
+
 def random_state(
     system: SystemType, seed: int | np.random.Generator, kind: str = "pure"
 ) -> StateVector:

@@ -29,7 +29,7 @@ from .core import (
     _check_states,
     _decode,
     _encode,
-    _random_density,
+    _pure_densities,
     _require_finite,
     _rng,
     _rowpair,
@@ -373,12 +373,16 @@ def third_order_scan_quantum(
         raise ValidationError("need at least one trial")
     rng = _rng(seed)
     system = experiment.system
-    rho = np.empty((2, trials, system.dim, system.dim), dtype=complex)
+    # per trial: the real and imaginary parts of the state's and the effect's
+    # amplitudes, one standard_normal call, then the angles; random() and
+    # uniform(0, 1) return the same doubles, and 2 pi * u is uniform's product
+    normals = np.empty((trials, 2, 2, system.dim))
     angles = np.empty((trials, experiment.n))
     for t in range(trials):
-        rho[0, t] = _random_density(system.dim, rng, "pure")
-        rho[1, t] = _random_density(system.dim, rng, "pure")
-        angles[t] = rng.uniform(0.0, 2.0 * math.pi, experiment.n)
+        rng.standard_normal(out=normals[t])
+        rng.random(out=angles[t])
+    angles *= 2.0 * math.pi
+    rho = _pure_densities(normals[:, :, 0] + 1j * normals[:, :, 1]).swapaxes(0, 1)
     states, effects = np.ascontiguousarray(_encode(rho, system.dim))
     _check_effects(system, effects)
     moved = _phase_moved(experiment, angles, states)

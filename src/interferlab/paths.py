@@ -281,12 +281,14 @@ def _subset_effects(
     """
     kets = experiment.kets[:, list(indices)]
     k = len(indices)
-    z = np.empty((trials, k, k), dtype=complex)
+    # per trial: the real then the imaginary Gaussian matrix, one call, then
+    # the spectrum; random() returns the doubles uniform(0, 1) does
+    normals = np.empty((trials, 2, k, k))
     vals = np.empty((trials, k))
     for t in range(trials):
-        z[t] = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        vals[t] = rng.uniform(0.0, 1.0, k)
-    v = _haar(z)
+        rng.standard_normal(out=normals[t])
+        rng.random(out=vals[t])
+    v = _haar(normals[:, 0] + 1j * normals[:, 1])
     blocks = (v * vals[:, None, :]) @ v.conj().swapaxes(-1, -2)
     return _encode(kets @ blocks @ kets.conj().T, experiment.system.dim)
 
