@@ -994,19 +994,17 @@ def random_reversible(system: SystemType, seed: int | np.random.Generator) -> Tr
 def _random_density(dim: int, rng: np.random.Generator, kind: str) -> np.ndarray:
     """Density matrix of one Haar-pure or Hilbert-Schmidt-mixed draw."""
     if kind == "pure":
-        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        psi = psi / np.linalg.norm(psi)
-        return np.outer(psi, psi.conj())
+        return _pure_densities(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
 
 
 def _pure_densities(z: np.ndarray) -> np.ndarray:
-    """|psi><psi| with psi = z / |z| for each row z of a stack, as _random_density.
+    """|psi><psi| with psi = z / |z| for each row z of a stack.
 
     The norm dots over the strided real and imaginary parts, as
-    np.linalg.norm does, so each density is bit for bit the single draw's.
+    np.linalg.norm does, so a stacked density is bit for bit one row's.
     """
     psi = z / np.sqrt(_rowpair(z.real, z.real) + _rowpair(z.imag, z.imag))[..., None]
     return psi[..., :, None] * psi.conj()[..., None, :]
