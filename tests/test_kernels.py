@@ -6,6 +6,10 @@ kept here only, as the definition the structured kernels must reproduce to
 1e-12.  Stacked kernels must also equal their one-row results bit for bit.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -255,3 +259,15 @@ def test_composite_unitary_stacks_equal_unitary_channel(dims):
     got = core._unitary_matrices(stack)
     for i in range(2):
         assert np.array_equal(got[i], unitary_channel(system, stack[i]).matrix)
+
+
+def test_import_builds_no_layout_and_no_basis():
+    probe = (
+        "import interferlab.cli; from interferlab import core; "
+        "print(core._layout.cache_info().currsize, core.hermitian_basis.cache_info().currsize)"
+    )
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, timeout=60, check=True).stdout
+    assert out.split() == ["0", "0"]
