@@ -277,9 +277,8 @@ def _run_mz_sweep(cfg: dict) -> tuple[str, int]:
     state = ket_state(system, uniform)
     effect = projector_effect(system, uniform)
     deltas = np.linspace(cfg["angle_min"], cfg["angle_max"], cfg["grid_points"])
-    grid = [(0.0, float(d)) for d in deltas]
-    table = interference_pattern_sweep(state, effect, experiment, grid)
-    rows = [[float(row[1]), float(row[2])] for row in table]
+    grid = np.column_stack([np.zeros_like(deltas), deltas])
+    rows = interference_pattern_sweep(state, effect, experiment, grid)[:, 1:].tolist()
     if cfg["format"] == "csv":
         return _csv_document(["delta_phi", "probability"], rows), EXIT_OK
     payload = _metadata("mz-sweep", cfg)
