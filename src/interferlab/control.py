@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core import (
     Transformation,
     ValidationError,
     _as_unitary,
+    _check_effects,
     _check_states,
     _encode,
     _pair_factor,
@@ -36,13 +37,13 @@ from .core import (
     _readonly,
     _require_finite,
     _rng,
+    _rowpair,
     _rowwise,
     _tensor_coeffs,
     basis_state,
     composite_system,
     density_matrix,
     ket_state,
-    projector_effect,
     quantum_system,
     unitary_channel,
 )
@@ -78,12 +79,28 @@ class ControlledTransformation:
 
     @cached_property
     def control_states(self) -> tuple[StateVector, ...]:
-        return tuple(ket_state(self.control_system, k) for k in self.control_kets.T)
+        return tuple(StateVector(self.control_system, c, check=False) for c in self._projectors)
 
     @cached_property
     def control_effects(self) -> tuple[Effect, ...]:
         """Projectors onto the control kets: effect i fires exactly on branch i."""
-        return tuple(projector_effect(self.control_system, k) for k in self.control_kets.T)
+        return tuple(Effect(self.control_system, c, check=False) for c in self._projectors)
+
+    @cached_property
+    def _projectors(self) -> np.ndarray:
+        """Coefficients of |k_i><k_i|, one row per control ket.
+
+        The control states and effects share this stack.  It is encoded
+        row-exactly, so row i is bit for bit ket_state's and
+        projector_effect's, and checked once as a state stack and once as an
+        effect stack.  A state's unit pairing is |k_i|**2, so the state check
+        also bounds the ket norms that ket_state tests.
+        """
+        kets = np.ascontiguousarray(self.control_kets.T)
+        coeffs = _readonly(_encode(kets[:, :, None] * kets.conj()[:, None, :], self.n_branches))
+        _check_states(self.control_system, coeffs)
+        _check_effects(self.control_system, coeffs)
+        return coeffs
 
     @cached_property
     def branch_transforms(self) -> tuple[Transformation, ...]:
@@ -114,17 +131,28 @@ def build_controlled(
     basis state i, and filtering the control on (i| after the composite yields
     branch i weighted by the control overlap.
     """
-    if target_system.theory != QUANTUM:
-        raise SystemMismatchError("controlled transformations are built on the quantum backend")
     n = len(branch_unitaries)
-    if n < 2:
-        raise ValidationError("need at least two branches to control on")
+    _require_controllable(target_system, n)
     d_t = target_system.dim
     unitaries = tuple(
         _as_unitary(u, d_t, f"branch {i}") for i, u in enumerate(branch_unitaries)
     )
     kets = np.eye(n) if control_kets is None else _as_unitary(control_kets, n, "control kets")
     built = ControlledTransformation(target_system, unitaries, kets)
+    return _verified(built, verify_samples, seed)
+
+
+def _require_controllable(target_system: SystemType, n_branches: int) -> None:
+    if target_system.theory != QUANTUM:
+        raise SystemMismatchError("controlled transformations are built on the quantum backend")
+    if n_branches < 2:
+        raise ValidationError("need at least two branches to control on")
+
+
+def _verified(
+    built: ControlledTransformation, verify_samples: int, seed: int | np.random.Generator
+) -> ControlledTransformation:
+    """The map, once its contract holds on random samples; its arrays are checked already."""
     report = verify_control_contract(built, trials=verify_samples, seed=seed)
     if report["max_branch_deviation"] > EPS_EQ or report["max_filter_deviation"] > EPS_EQ:
         raise ValidationError(f"controlled contract failed at construction: {report}")
@@ -150,8 +178,8 @@ def verify_control_contract(
     composite = controlled.composite
     (sigmas,) = _sample_stacks((target,), trials, rng)
     # axis 0 runs over the control basis states, axis 1 over the samples
-    controls = np.array([s.coeffs for s in controlled.control_states])[:, None, :]
-    branched = np.stack([_rowwise(t.matrix, sigmas) for t in controlled.branch_transforms])
+    controls = controlled._projectors[:, None, :]
+    branched = _rowwise(_branch_matrices(controlled)[:, None], sigmas)
     dim = composite.matrix.shape[1]
     prepared = _tensor_coeffs(control, target, controls, sigmas).reshape(-1, dim)
     want = _tensor_coeffs(control, target, controls, branched).reshape(-1, dim)
@@ -172,6 +200,16 @@ def _require_samples(trials: int) -> None:
         raise ValidationError(f"need at least one verification sample, got {trials}")
 
 
+def _branch_matrices(controlled: ControlledTransformation) -> np.ndarray:
+    """The branch channels' matrices as one stack, axis 0 over the branches.
+
+    Stacked on each use, not stored.  _rowwise(stack[:, None], rows) applies
+    every branch to every row in one matmul that is still one gemv per row,
+    so each result is bit for bit the branch's own _rowwise.
+    """
+    return np.stack([t.matrix for t in controlled.branch_transforms])
+
+
 def _sample_stacks(
     systems: Sequence[SystemType], trials: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
@@ -181,25 +219,22 @@ def _sample_stacks(
     trial t is pure when t + j is even and mixed otherwise, drawn as
     core._random_density draws it.  Every draw is standard normal, so one
     bulk draw sliced in that order gives the same numbers and leaves the
-    Generator where the per-state draws did.  The densities are built per
-    system and kind as stacks, bit for bit as one at a time, and each stack
-    is one unchecked row-exact encode, made C-contiguous for the row-exact
-    matmuls downstream.
+    Generator where the per-state draws did.  Where each draw sits in the
+    bulk draw depends only on the dimensions and the trial count, so that
+    index plan is built once per (dims, trials) and cached read-only
+    (_draw_plan); a call is one standard_normal and the plan's gathers.  The
+    densities are built per system and kind as stacks, bit for bit as one at
+    a time, and each stack is one unchecked row-exact encode, made
+    C-contiguous for the row-exact matmuls downstream.
     """
-    dims = np.array([system.dim for system in systems])
-    pure = (np.arange(trials)[:, None] + np.arange(len(systems))) % 2 == 0
-    # draw (t, j) takes a real then an imaginary part: d numbers each when
-    # pure, d * d when mixed
-    sizes = np.where(pure, dims, dims * dims)
-    starts = np.concatenate([[0], np.cumsum(2 * sizes.ravel())])[:-1].reshape(sizes.shape)
-    normals = rng.standard_normal(int(2 * sizes.sum()))
+    dims = tuple(system.dim for system in systems)
+    total, plan = _draw_plan(dims, trials)
+    normals = rng.standard_normal(total)
     stacks = []
-    for j, d in enumerate(dims.tolist()):
+    for d, kinds in zip(dims, plan):
         rho = np.empty((trials, d, d), dtype=complex)
-        for is_pure, shape in ((True, (d,)), (False, (d, d))):
-            rows = np.flatnonzero(pure[:, j] == is_pure)
-            at = starts[rows, j][:, None] + np.arange(d ** len(shape))
-            z = (normals[at] + 1j * normals[at + at.shape[1]]).reshape((len(rows),) + shape)
+        for is_pure, (rows, re, im) in zip((True, False), kinds):
+            z = normals[re] + 1j * normals[im]
             if is_pure:
                 rho[rows] = _pure_densities(z)
             else:
@@ -207,6 +242,33 @@ def _sample_stacks(
                 rho[rows] = g / np.trace(g, axis1=-2, axis2=-1).real[:, None, None]
         stacks.append(np.ascontiguousarray(_encode(rho, d)))
     return stacks
+
+
+@lru_cache(maxsize=128)
+def _draw_plan(dims: tuple[int, ...], trials: int) -> tuple[int, tuple]:
+    """_sample_stacks' index plan: the bulk draw's length and, per system, a
+    (trial slice, real-part indices, imaginary-part indices) triple for its
+    pure draws and one for its mixed draws.  The index arrays are read-only
+    and shaped like the draws: (draws, d) pure and (draws, d, d) mixed.
+    The kinds alternate, so each kind's trials are every other one.
+    """
+    dim = np.array(dims)
+    pure = (np.arange(trials)[:, None] + np.arange(len(dims))) % 2 == 0
+    # draw (t, j) takes a real then an imaginary part: d numbers each when
+    # pure, d * d when mixed
+    sizes = np.where(pure, dim, dim * dim)
+    starts = np.concatenate([[0], np.cumsum(2 * sizes.ravel())])[:-1].reshape(sizes.shape)
+    plan = []
+    for j, d in enumerate(dims):
+        kinds = []
+        for is_pure in (True, False):
+            rows = slice((j + (not is_pure)) % 2, None, 2)
+            shape = (d,) if is_pure else (d, d)
+            size = d ** len(shape)
+            at = (starts[rows, j][:, None] + np.arange(size)).reshape((-1,) + shape)
+            kinds.append((rows, _readonly(at), _readonly(at + size)))
+        plan.append(tuple(kinds))
+    return int(2 * sizes.sum()), tuple(plan)
 
 
 def verify_superposition_preservation(
@@ -229,13 +291,13 @@ def verify_superposition_preservation(
     omegas, sigmas = _sample_stacks((control, target), trials, rng)
     prepared = _tensor_coeffs(control, target, omegas, sigmas)
     moved = _rowwise(controlled.composite.matrix, prepared)
-    branched = np.stack([_rowwise(t.matrix, sigmas) for t in controlled.branch_transforms])
+    branched = _rowwise(_branch_matrices(controlled)[:, None], sigmas)
     _check_states(joint, np.concatenate([prepared, moved]))
     _check_states(target, branched.reshape(-1, sigmas.shape[1]))
-    effects = np.array([e.coeffs for e in controlled.control_effects])
+    effects = controlled._projectors
     got = _pair_factor(joint, moved, effects, 0)
     # one dot product per weight, as pair() takes it
-    weights = np.stack([_rowwise(e[None], omegas) for e in effects])
+    weights = _rowpair(effects[:, None], omegas)[..., None]
     # rows are trials and columns branches: the loop order the first maximum wins in
     devs = np.max(np.abs(got - weights * branched), axis=-1).T
     _, worst_branch = np.unravel_index(np.argmax(devs), devs.shape)
@@ -246,10 +308,12 @@ def verify_superposition_preservation(
     }
 
 
-def _eigenphase_clusters(u: np.ndarray) -> list[tuple[float, np.ndarray]]:
+def _eigenphase_clusters(u: np.ndarray) -> list[np.ndarray]:
     """Eigenspaces of a unitary, clustered by eigenphase on the circle.
 
-    Returns (angle, orthonormal basis columns) sorted by angle in [0, 2 pi).
+    Returns orthonormal basis columns per cluster, sorted by eigenphase in
+    [0, 2 pi).  The clusters of one size share one stacked QR call, which is
+    bit for bit the QRs one at a time.
     """
     vals, vecs = np.linalg.eig(u)
     angles = np.angle(vals) % (2.0 * math.pi)
@@ -264,11 +328,12 @@ def _eigenphase_clusters(u: np.ndarray) -> list[tuple[float, np.ndarray]]:
     # the circle wraps: a cluster at 2 pi belongs with one at 0
     if len(groups) > 1 and (2.0 * math.pi - angles[groups[-1][0]]) + angles[0] < EPS_PSD:
         groups[0] = groups.pop() + groups[0]
-    clusters = []
-    for g in groups:
-        q, _ = np.linalg.qr(vecs[:, g])
-        clusters.append((float(np.angle(np.exp(1j * angles[g]).mean()) % (2 * math.pi)), q))
-    return clusters
+    bases = {}
+    for size in {len(g) for g in groups}:
+        same = [i for i, g in enumerate(groups) if len(g) == size]
+        q, _ = np.linalg.qr(np.stack([vecs[:, groups[i]] for i in same]))
+        bases.update(zip(same, q))
+    return [bases[i] for i in range(len(groups))]
 
 
 def _intersect_subspaces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -293,11 +358,27 @@ def common_fixed_state(
 ) -> StateVector | None:
     """A pure target state every branch fixes, or None when none exists.
 
-    Simultaneous eigenvectors are found by refining the eigenspaces of the
-    first branch against each later one; candidates are ordered by their
-    eigenphase cluster indices and the representative is the first
-    computational basis vector's projection, so the result is deterministic.
-    The {identity, diag(1, -1)} pair yields basis state 0.
+    Simultaneous eigenvectors are found by refining the whole space against
+    each branch's eigenphase clusters in turn.  The refinement runs depth
+    first in cluster-index order and stops at the first path whose
+    intersection stays nonempty through every branch: the path with the
+    lowest cluster indices, the one a full level-by-level refinement would
+    pick after sorting, reached through the same intersections.  The
+    representative is the first computational basis vector's projection,
+    so the result is deterministic.  The {identity, diag(1, -1)} pair
+    yields basis state 0.
+
+    Most (space, eigenspace) pairs meet in nothing, and a pair is pruned
+    before its SVD when the spaces A (k columns) and B (m columns), both
+    orthonormal, have k + m <= d and |A^dag B|_F**2 < 1/2.  The squared
+    Frobenius norm bounds the largest squared principal cosine, so every
+    cosine is below 1/sqrt(2), and the singular values of [A, -B] are
+    sqrt(1 -+ cos) for each cosine and 1 for the rest: the smallest is at
+    least sqrt(1 - 1/sqrt(2)) > 0.54, and rounding moves it by far less.
+    With k + m <= d the SVD has no columns beyond its singular values, and
+    _intersect_subspaces keeps only singular values below EPS_PSD, so it
+    would return nothing for the pair.  Every surviving pair takes that SVD
+    unchanged, so pruning changes no bit of the result.
     """
     if not branch_unitaries:
         raise ValidationError("need at least one branch")
@@ -306,20 +387,17 @@ def common_fixed_state(
     if system.dim != d:
         raise SystemMismatchError(f"branches of size {d} do not fit system dim {system.dim}")
     unitaries = [_as_unitary(u, d, f"branch {i}") for i, u in enumerate(branch_unitaries)]
-    candidates: list[tuple[tuple[int, ...], np.ndarray]] = [((), np.eye(d, dtype=complex))]
-    for u in unitaries:
-        clusters = _eigenphase_clusters(u)
-        refined = []
-        for key, space in candidates:
-            for ci, (_, eigenspace) in enumerate(clusters):
-                meet = _intersect_subspaces(space, eigenspace)
-                if meet.shape[1] > 0:
-                    refined.append((key + (ci,), meet))
-        if not refined:
-            return None
-        candidates = refined
-    candidates.sort(key=lambda kv: kv[0])
-    space = candidates[0][1]
+    return _common_fixed_state(unitaries, system)
+
+
+def _common_fixed_state(
+    unitaries: Sequence[np.ndarray], system: SystemType
+) -> StateVector | None:
+    """common_fixed_state on branches already checked unitary on the system."""
+    d = system.dim
+    space = _first_meet(np.eye(d, dtype=complex), [_eigenphase_clusters(u) for u in unitaries])
+    if space is None:
+        return None
     # canonical representative: first basis vector with weight in the subspace
     for j in range(d):
         v = space @ (space.conj().T @ np.eye(d, dtype=complex)[:, j])
@@ -329,6 +407,26 @@ def common_fixed_state(
             v = v * np.exp(-1j * np.angle(v[lead]))
             return ket_state(system, v)
     raise InfeasibleError("empty candidate subspace survived refinement")
+
+
+def _first_meet(space: np.ndarray, levels: list[list[np.ndarray]]) -> np.ndarray | None:
+    """The first nonempty meet of the space with one cluster per level, in
+    cluster-index order, depth first; None when every path empties."""
+    if not levels:
+        return space
+    d = space.shape[0]
+    for eigenspace in levels[0]:
+        # the prune of common_fixed_state's docstring: no SVD can meet here
+        if space.shape[1] + eigenspace.shape[1] <= d:
+            overlap = space.conj().T @ eigenspace
+            if np.vdot(overlap, overlap).real < 0.5:
+                continue
+        meet = _intersect_subspaces(space, eigenspace)
+        if meet.shape[1] > 0:
+            found = _first_meet(meet, levels[1:])
+            if found is not None:
+                return found
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,22 +472,20 @@ def extract_kickback(
     validated, by one batched check per system.
     """
     _require_samples(verify_samples)
+    # the branch channels check each branch unitary, so the search below need not
+    branches = _branch_matrices(controlled)
     if fixed_state is None:
-        fixed_state = common_fixed_state(
-            controlled.branch_unitaries, controlled.target_system
-        )
+        fixed_state = _common_fixed_state(controlled.branch_unitaries, controlled.target_system)
         if fixed_state is None:
             raise InfeasibleError("branches share no fixed state to kick back from")
     if fixed_state.system != controlled.target_system:
         raise SystemMismatchError("fixed state does not live on the target system")
-    deviations = [
-        float(np.max(np.abs(t.matrix @ fixed_state.coeffs - fixed_state.coeffs)))
-        for t in controlled.branch_transforms
-    ]
+    moved = _rowwise(branches, fixed_state.coeffs)
+    deviations = np.max(np.abs(moved - fixed_state.coeffs), axis=-1)
     worst = int(np.argmax(deviations))
     if deviations[worst] > EPS_EQ:
         raise InfeasibleError(
-            f"branch {worst} moves the target state (deviation {deviations[worst]!r})"
+            f"branch {worst} moves the target state (deviation {float(deviations[worst])!r})"
         )
     vals, vecs = np.linalg.eigh(density_matrix(fixed_state))
     if vals[-1] < 1.0 - EPS_PSD:
@@ -421,10 +517,8 @@ def extract_kickback(
     _check_states(control, kicked)
     _check_states(controlled.composite.in_system, np.concatenate([prepared, lhs, rhs]))
     kb_dev = float(np.max(np.abs(lhs - rhs)))
-    phase_dev = 0.0
-    for effect in controlled.control_effects:
-        pulled = transform.matrix.T @ effect.coeffs
-        phase_dev = max(phase_dev, float(np.max(np.abs(pulled - effect.coeffs))))
+    effects = controlled._projectors
+    phase_dev = float(np.max(np.abs(_rowwise(transform.matrix.T, effects) - effects)))
     if kb_dev > EPS_EQ:
         raise ValidationError(f"kick-back equation failed verification (deviation {kb_dev!r})")
     if phase_dev > EPS_EQ:
@@ -556,7 +650,9 @@ def multi_path_permutation_experiment(
         _as_unitary(u, d, f"permutation operation {i}")
         for i, u in enumerate(permutation_ops)
     ]
-    controlled = build_controlled(ops, system, seed=seed)
+    _require_controllable(system, len(ops))
+    built = ControlledTransformation(system, ops, np.eye(len(ops)))
+    controlled = _verified(built, verify_samples=20, seed=seed)
     result = extract_kickback(controlled, particle_state, seed=seed)
     return result.angles[1:]
 

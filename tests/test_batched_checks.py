@@ -29,6 +29,7 @@ from interferlab import (
     maximally_mixed,
     pair,
     partial_pair,
+    projector_effect,
     quantum_system,
     random_effect,
     random_state,
@@ -40,6 +41,7 @@ from interferlab import (
 )
 
 TOL = 1e-12
+Z = np.diag([1.0, -1.0])
 SHAPES = [(2, 2), (3, 2), (2, 3), (4, 3)]
 
 
@@ -210,6 +212,78 @@ def test_sample_stacks_leave_the_generator_where_the_loop_did(dims):
         want = ref_sample_stacks(systems, trials, ref)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert rng.random() == ref.random()
+
+
+def test_interleaved_draw_plans_equal_the_loop_and_its_generator_state():
+    keys = [((2,), 5), ((3, 4), 7), ((2,), 5), ((2,), 9), ((4, 2), 1), ((3, 4), 7), ((2,), 5)]
+    rng, ref = np.random.default_rng(61), np.random.default_rng(61)
+    for dims, trials in keys:
+        systems = [quantum_system(d) for d in dims]
+        got = control._sample_stacks(systems, trials, rng)
+        want = ref_sample_stacks(systems, trials, ref)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    assert rng.random() == ref.random()
+
+
+def test_the_cached_draw_plan_is_read_only():
+    total, plan = control._draw_plan((3, 2), 5)
+    assert control._draw_plan((3, 2), 5)[1] is plan
+    arrays = [a for kinds in plan for kind in kinds for a in kind if isinstance(a, np.ndarray)]
+    assert len(arrays) == 2 * 2 * 2
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+    # per trial: a qutrit and a qubit, one pure and one mixed, real and imaginary parts
+    assert total == 2 * (3 * (3 + 4) + 2 * (9 + 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_control_projectors_equal_the_one_ket_constructors(n):
+    rng = np.random.default_rng(70 + n)
+    system = quantum_system(n)
+    for _ in range(5):
+        kets = haar_unitary(n, rng)
+        controlled = control.ControlledTransformation(quantum_system(2), [np.eye(2)] * n, kets)
+        assert not controlled._projectors.flags.writeable
+        for i, ket in enumerate(kets.T):
+            state, effect = ket_state(system, ket), projector_effect(system, ket)
+            assert np.array_equal(controlled._projectors[i], state.coeffs)
+            assert np.array_equal(controlled._projectors[i], effect.coeffs)
+            assert np.array_equal(controlled.control_states[i].coeffs, state.coeffs)
+            assert np.array_equal(controlled.control_effects[i].coeffs, effect.coeffs)
+
+
+def test_control_projectors_are_checked_once_as_states_and_as_effects(monkeypatch):
+    calls = []
+    for name in ("_check_states", "_check_effects"):
+        original = getattr(control, name)
+
+        def counted(system, coeffs, _name=name, _original=original):
+            calls.append((_name, system.dim, coeffs.shape))
+            return _original(system, coeffs)
+
+        monkeypatch.setattr(control, name, counted)
+    controlled = control.ControlledTransformation(quantum_system(2), [np.eye(2)] * 3, np.eye(3))
+    assert len(controlled.control_states) == len(controlled.control_effects) == 3
+    assert calls == [("_check_states", 3, (3, 9)), ("_check_effects", 3, (3, 9))]
+    long_ket = control.ControlledTransformation(quantum_system(2), [Z] * 2, 1.01 * np.eye(2))
+    with pytest.raises(ValidationError, match="state is not normalized"):
+        long_ket.control_states
+
+
+@pytest.mark.parametrize("n,d", SHAPES)
+def test_stacked_branch_action_equals_the_per_branch_products(n, d):
+    controlled = built_and_broken(n, d)[0]
+    (sigmas,) = control._sample_stacks((controlled.target_system,), 20, np.random.default_rng(d))
+    stack = control._branch_matrices(controlled)
+    acted = core._rowwise(stack[:, None], sigmas)
+    fixed = random_state(controlled.target_system, 5).coeffs
+    moved = core._rowwise(stack, fixed)
+    assert acted.shape == (n,) + sigmas.shape
+    for i, t in enumerate(controlled.branch_transforms):
+        assert np.array_equal(acted[i], core._rowwise(t.matrix, sigmas))
+        assert np.array_equal(moved[i], t.matrix @ fixed)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from interferlab import control
 from interferlab import (
     ControlledTransformation,
     InfeasibleError,
@@ -227,6 +230,169 @@ def test_common_fixed_state_rejects_dim_mismatch():
         common_fixed_state([np.eye(2), Z], quantum_system(3))
     with pytest.raises(ValidationError):
         common_fixed_state([])
+
+
+def one_qr_per_cluster(u):
+    """The eigenphase clusters of a unitary, each basis from its own QR call."""
+    vals, vecs = np.linalg.eig(u)
+    angles = np.angle(vals) % (2.0 * math.pi)
+    order = np.argsort(angles)
+    angles, vecs = angles[order], vecs[:, order]
+    groups = [[0]]
+    for i in range(1, len(angles)):
+        if angles[i] - angles[groups[-1][-1]] < 1e-8:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    if len(groups) > 1 and (2.0 * math.pi - angles[groups[-1][0]]) + angles[0] < 1e-8:
+        groups[0] = groups.pop() + groups[0]
+    return [np.linalg.qr(vecs[:, g])[0] for g in groups]
+
+
+def exhaustive_fixed_state(unitaries, system):
+    """common_fixed_state level by level, with no prune: every pair takes the SVD."""
+    d = system.dim
+    candidates = [((), np.eye(d, dtype=complex))]
+    for u in unitaries:
+        clusters = one_qr_per_cluster(u)
+        refined = []
+        for key, space in candidates:
+            for ci, eigenspace in enumerate(clusters):
+                meet = control._intersect_subspaces(space, eigenspace)
+                if meet.shape[1] > 0:
+                    refined.append((key + (ci,), meet))
+        if not refined:
+            return None
+        candidates = refined
+    candidates.sort(key=lambda kv: kv[0])
+    space = candidates[0][1]
+    for j in range(d):
+        v = space @ (space.conj().T @ np.eye(d, dtype=complex)[:, j])
+        if np.linalg.norm(v) > 1e-6:
+            v = v / np.linalg.norm(v)
+            lead = np.argmax(np.abs(v))
+            return ket_state(system, v * np.exp(-1j * np.angle(v[lead])))
+    raise AssertionError("empty candidate subspace survived refinement")
+
+
+# eigenphase pools per family: repeated phases make degenerate clusters, and
+# phases within EPS_PSD of 0 and of 2 pi merge across the wrap
+PHASE_POOLS = {
+    "diagonal": None,
+    "commuting": (0.0, 1.0, 2.5),
+    "wrap-around": (0.0, 1e-10, 2.0 * math.pi - 1e-10, 2.0 * math.pi - 3e-9, 3.0),
+    "non-commuting last": (0.0, 1.0),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(sorted(PHASE_POOLS)),
+    n=st.integers(1, 4),
+    dim=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pruned_fixed_state_search_equals_the_exhaustive_refinement(family, n, dim, seed):
+    rng = np.random.default_rng(seed)
+    pool = PHASE_POOLS[family]
+    if pool is None:
+        frame = np.eye(dim)
+        phases = rng.uniform(0.0, 2.0 * math.pi, (n, dim))
+    else:
+        frame = haar_unitary(dim, rng)
+        phases = rng.choice(pool, (n, dim))
+    branches = [(frame * np.exp(1j * row)) @ frame.conj().T for row in phases]
+    if family == "non-commuting last":
+        branches.append(haar_unitary(dim, rng))
+    system = quantum_system(dim)
+    got = common_fixed_state(branches, system)
+    want = exhaustive_fixed_state(branches, system)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_fixed_state_search_prunes_the_empty_intersections(monkeypatch):
+    calls = []
+    original = control._intersect_subspaces
+
+    def counted(a, b):
+        meet = original(a, b)
+        calls.append(meet.shape[1])
+        return meet
+
+    monkeypatch.setattr(control, "_intersect_subspaces", counted)
+    rng = np.random.default_rng(8)
+    branches = [np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 6))) for _ in range(2)]
+    state = common_fixed_state(branches)
+    # the first cluster against the identity, then the one cluster of the
+    # second branch that meets it; the other five are pruned without an SVD
+    assert calls == [1, 1]
+    want = exhaustive_fixed_state(branches, quantum_system(6))
+    # level by level with no prune: 6 + 36 SVDs, 30 of them empty
+    assert calls[2:].count(1) == 12 and len(calls) == 2 + 42
+    assert np.array_equal(state.coeffs, want.coeffs)
+
+
+def unitarity_gap(u):
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
+
+
+def test_public_entry_points_keep_their_exact_check_messages():
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    gap = unitarity_gap(skew)
+    system, sym, _ = two_particle_states()
+    skew4 = np.kron(skew, np.eye(2))
+    qubit, bit = quantum_system(2), classical_system(2)
+    cases = [
+        (lambda: common_fixed_state([np.eye(2), skew]),
+         ValidationError, f"branch 1 is not unitary (deviation {gap!r})"),
+        (lambda: common_fixed_state([np.eye(2), np.eye(3)]),
+         SystemMismatchError, "branch 1 has shape (3, 3), expected (2, 2)"),
+        (lambda: common_fixed_state([np.eye(2)], quantum_system(3)),
+         SystemMismatchError, "branches of size 2 do not fit system dim 3"),
+        (lambda: build_controlled([skew, np.eye(2)], qubit),
+         ValidationError, f"branch 0 is not unitary (deviation {gap!r})"),
+        (lambda: build_controlled([np.eye(2), Z], qubit, control_kets=skew),
+         ValidationError, f"control kets is not unitary (deviation {gap!r})"),
+        (lambda: build_controlled([np.eye(2), Z], bit),
+         SystemMismatchError, "controlled transformations are built on the quantum backend"),
+        (lambda: build_controlled([np.eye(2)], qubit),
+         ValidationError, "need at least two branches to control on"),
+        (lambda: multi_path_permutation_experiment([skew4], sym),
+         ValidationError,
+         f"permutation operation 0 is not unitary (deviation {unitarity_gap(skew4)!r})"),
+        (lambda: multi_path_permutation_experiment([np.eye(4), np.eye(3)], sym),
+         SystemMismatchError, "permutation operation 1 has shape (3, 3), expected (4, 4)"),
+        (lambda: multi_path_permutation_experiment([], sym),
+         ValidationError, "need at least two branches to control on"),
+        (lambda: multi_path_permutation_experiment([np.eye(2)], basis_state(bit, 0)),
+         SystemMismatchError, "controlled transformations are built on the quantum backend"),
+    ]
+    for call, kind, message in cases:
+        with pytest.raises(kind) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_the_kickback_path_checks_each_unitary_once(monkeypatch):
+    checked = []
+    original = control._as_unitary
+
+    def counted(mat, dim, label):
+        checked.append(label)
+        return original(mat, dim, label)
+
+    monkeypatch.setattr(control, "_as_unitary", counted)
+    controlled = build_controlled([np.eye(2), Z], quantum_system(2))
+    assert checked == ["branch 0", "branch 1"]
+    checked.clear()
+    extract_kickback(controlled)
+    assert checked == []
+    _, sym, _ = two_particle_states()
+    multi_path_permutation_experiment([swap_exchange_unitary(2), np.eye(4)], sym)
+    assert checked == ["permutation operation 0", "permutation operation 1"]
 
 
 def test_kickback_of_controlled_sign_on_designated_state():
