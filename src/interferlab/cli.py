@@ -338,7 +338,7 @@ def _run_kickback(cfg: dict) -> tuple[str, int]:
         raise CliError(f"cannot read unitaries file: {err}") from err
     except json.JSONDecodeError as err:
         raise CliError(f"unitaries file is not valid JSON: {err}") from err
-    if not isinstance(data, dict) or "unitaries" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("unitaries"), list):
         raise CliError('unitaries file must hold {"unitaries": [matrix, ...]}')
     try:
         mats = [complex_matrix_from_dict(m) for m in data["unitaries"]]
@@ -346,9 +346,8 @@ def _run_kickback(cfg: dict) -> tuple[str, int]:
         raise CliError(f"bad unitary descriptor: {err}") from err
     if len(mats) < 2:
         raise CliError(f"need at least two branch unitaries, got {len(mats)}")
-    dims = {m.shape for m in mats}
-    if len(dims) != 1 or any(s[0] != s[1] for s in dims):
-        raise CliError(f"branch unitaries must share one square shape, got {sorted(dims)}")
+    if mats[0].ndim != 2:
+        raise CliError(f"branch 0 has shape {mats[0].shape}, expected a square matrix")
     d_target = mats[0].shape[0]
     _pin(cfg, "dim", d_target, "the unitaries file")
     _pin(cfg, "paths", len(mats), "the unitaries file")

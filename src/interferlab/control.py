@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .core import (
     _pure_densities,
     _readonly,
     _require_finite,
-    _rng,
     _rowpair,
     _rowwise,
     _tensor_coeffs,
@@ -173,26 +172,36 @@ def verify_control_contract(
     bit for bit the one a sample-by-sample check would compute.
     """
     _require_samples(trials)
-    rng = _rng(seed)
-    control, target = controlled.control_system, controlled.target_system
-    composite = controlled.composite
-    (sigmas,) = _sample_stacks((target,), trials, rng)
+    rng = np.random.default_rng(seed)
+    (sigmas,) = _sample_stacks((controlled.target_system,), trials, rng)
     # axis 0 runs over the control basis states, axis 1 over the samples
     controls = controlled._projectors[:, None, :]
     branched = _rowwise(_branch_matrices(controlled)[:, None], sigmas)
-    dim = composite.matrix.shape[1]
-    prepared = _tensor_coeffs(control, target, controls, sigmas).reshape(-1, dim)
-    want = _tensor_coeffs(control, target, controls, branched).reshape(-1, dim)
-    out = _rowwise(composite.matrix, prepared)
-    _check_states(target, branched.reshape(-1, sigmas.shape[1]))
-    _check_states(composite.in_system, np.concatenate([prepared, out, want]))
-    branch_dev = float(np.max(np.abs(out - want)))
+    _check_states(controlled.target_system, branched.reshape(-1, sigmas.shape[1]))
+    branch_dev = _product_deviation(controlled, (controls, sigmas), (controls, branched))
     filt = verify_superposition_preservation(controlled, trials=trials, seed=rng)
     return {
         "max_branch_deviation": branch_dev,
         "max_filter_deviation": filt["max_deviation"],
         "trials": trials,
     }
+
+
+def _product_deviation(
+    controlled: ControlledTransformation,
+    prepared: tuple[np.ndarray, np.ndarray],
+    wanted: tuple[np.ndarray, np.ndarray],
+) -> float:
+    """max |composite(w (x) s) - w' (x) s'| over the broadcast (control, target)
+    stack pairs, once the three composite stacks pass one state check."""
+    control, target = controlled.control_system, controlled.target_system
+    composite = controlled.composite
+    dim = composite.matrix.shape[1]
+    before = _tensor_coeffs(control, target, *prepared).reshape(-1, dim)
+    want = _tensor_coeffs(control, target, *wanted).reshape(-1, dim)
+    after = _rowwise(composite.matrix, before)
+    _check_states(composite.in_system, np.concatenate([before, after, want]))
+    return float(np.max(np.abs(after - want)))
 
 
 def _require_samples(trials: int) -> None:
@@ -219,56 +228,35 @@ def _sample_stacks(
     trial t is pure when t + j is even and mixed otherwise, drawn as
     core._random_density draws it.  Every draw is standard normal, so one
     bulk draw sliced in that order gives the same numbers and leaves the
-    Generator where the per-state draws did.  Where each draw sits in the
-    bulk draw depends only on the dimensions and the trial count, so that
-    index plan is built once per (dims, trials) and cached read-only
-    (_draw_plan); a call is one standard_normal and the plan's gathers.  The
-    densities are built per system and kind as stacks, bit for bit as one at
-    a time, and each stack is one unchecked row-exact encode, made
-    C-contiguous for the row-exact matmuls downstream.
+    Generator where the per-state draws did.  Trials 2r and 2r + 1 draw the
+    same sizes in the same order and fill row r of the bulk draw, so each
+    (system, trial parity) is a column slice.  The densities are built as
+    stacks, bit for bit as one at a time, and each stack is one unchecked
+    row-exact encode, made C-contiguous for the row-exact matmuls downstream.
     """
-    dims = tuple(system.dim for system in systems)
-    total, plan = _draw_plan(dims, trials)
-    normals = rng.standard_normal(total)
-    stacks = []
-    for d, kinds in zip(dims, plan):
-        rho = np.empty((trials, d, d), dtype=complex)
-        for is_pure, (rows, re, im) in zip((True, False), kinds):
-            z = normals[re] + 1j * normals[im]
-            if is_pure:
-                rho[rows] = _pure_densities(z)
+    dims = [system.dim for system in systems]
+    # a draw takes a real then an imaginary part: d numbers each when pure, d * d when mixed
+    first = 2 * sum(d if j % 2 == 0 else d * d for j, d in enumerate(dims))
+    block = 2 * sum(d + d * d for d in dims)
+    rows = np.empty((-(-trials // 2), block))
+    rng.standard_normal(out=rows.reshape(-1)[: trials // 2 * block + trials % 2 * first])
+    rhos = [np.empty((trials, d, d), dtype=complex) for d in dims]
+    at = 0
+    for h in (0, 1):
+        count = len(range(h, trials, 2))
+        for j, (rho, d) in enumerate(zip(rhos, dims)):
+            # the kind follows the parity, not the size: at d = 1 both take 2 numbers
+            shape = (d,) if (h + j) % 2 == 0 else (d, d)
+            size = d ** len(shape)
+            part = rows[:count, at : at + 2 * size].reshape(count, 2, *shape)
+            at += 2 * size
+            z = part[:, 0] + 1j * part[:, 1]
+            if len(shape) == 1:
+                rho[h::2] = _pure_densities(z)
             else:
                 g = z @ z.conj().swapaxes(-1, -2)
-                rho[rows] = g / np.trace(g, axis1=-2, axis2=-1).real[:, None, None]
-        stacks.append(np.ascontiguousarray(_encode(rho, d)))
-    return stacks
-
-
-@lru_cache(maxsize=128)
-def _draw_plan(dims: tuple[int, ...], trials: int) -> tuple[int, tuple]:
-    """_sample_stacks' index plan: the bulk draw's length and, per system, a
-    (trial slice, real-part indices, imaginary-part indices) triple for its
-    pure draws and one for its mixed draws.  The index arrays are read-only
-    and shaped like the draws: (draws, d) pure and (draws, d, d) mixed.
-    The kinds alternate, so each kind's trials are every other one.
-    """
-    dim = np.array(dims)
-    pure = (np.arange(trials)[:, None] + np.arange(len(dims))) % 2 == 0
-    # draw (t, j) takes a real then an imaginary part: d numbers each when
-    # pure, d * d when mixed
-    sizes = np.where(pure, dim, dim * dim)
-    starts = np.concatenate([[0], np.cumsum(2 * sizes.ravel())])[:-1].reshape(sizes.shape)
-    plan = []
-    for j, d in enumerate(dims):
-        kinds = []
-        for is_pure in (True, False):
-            rows = slice((j + (not is_pure)) % 2, None, 2)
-            shape = (d,) if is_pure else (d, d)
-            size = d ** len(shape)
-            at = (starts[rows, j][:, None] + np.arange(size)).reshape((-1,) + shape)
-            kinds.append((rows, _readonly(at), _readonly(at + size)))
-        plan.append(tuple(kinds))
-    return int(2 * sizes.sum()), tuple(plan)
+                rho[h::2] = g / np.trace(g, axis1=-2, axis2=-1).real[:, None, None]
+    return [np.ascontiguousarray(_encode(rho, d)) for rho, d in zip(rhos, dims)]
 
 
 def verify_superposition_preservation(
@@ -285,7 +273,7 @@ def verify_superposition_preservation(
     samples are checked as one stack, like verify_control_contract's.
     """
     _require_samples(trials)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     control, target = controlled.control_system, controlled.target_system
     joint = controlled.composite.in_system
     omegas, sigmas = _sample_stacks((control, target), trials, rng)
@@ -508,15 +496,12 @@ def extract_kickback(
     kets = controlled.control_kets
     q_matrix = (kets * np.exp(1j * angles)) @ kets.conj().T
     transform = unitary_channel(controlled.control_system, q_matrix)
-    control, target = controlled.control_system, controlled.target_system
-    (sigmas,) = _sample_stacks((control,), verify_samples, _rng(seed))
-    prepared = _tensor_coeffs(control, target, sigmas, fixed_state.coeffs)
-    lhs = _rowwise(controlled.composite.matrix, prepared)
+    control = controlled.control_system
+    (sigmas,) = _sample_stacks((control,), verify_samples, np.random.default_rng(seed))
     kicked = _rowwise(transform.matrix, sigmas)
-    rhs = _tensor_coeffs(control, target, kicked, fixed_state.coeffs)
     _check_states(control, kicked)
-    _check_states(controlled.composite.in_system, np.concatenate([prepared, lhs, rhs]))
-    kb_dev = float(np.max(np.abs(lhs - rhs)))
+    kb_dev = _product_deviation(
+        controlled, (sigmas, fixed_state.coeffs), (kicked, fixed_state.coeffs))
     effects = controlled._projectors
     phase_dev = float(np.max(np.abs(_rowwise(transform.matrix.T, effects) - effects)))
     if kb_dev > EPS_EQ:
@@ -545,9 +530,11 @@ def realize_phase_as_kickback(
     """
     angles = phase_relative_angles(phase, control_experiment)
     target = quantum_system(2)
+    # diag(1, e^{i w}) is unitary for every finite angle; the kets are caller data
     branches = [np.diag([1.0, np.exp(1j * a)]) for a in angles]
-    built = build_controlled(branches, target, control_kets=control_experiment.kets, seed=seed)
-    return replace(built, designated_target=basis_state(target, 1))
+    kets = _as_unitary(control_experiment.kets, len(angles), "control kets")
+    built = ControlledTransformation(target, branches, kets, basis_state(target, 1))
+    return _verified(built, verify_samples=20, seed=seed)
 
 
 def control_target_swap_check(controlled: ControlledTransformation) -> dict:

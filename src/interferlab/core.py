@@ -14,7 +14,9 @@ The basis is never held as a dense array on the working paths.  Each
 coefficient sits on one off-diagonal pair or on the diagonal, so encoding,
 decoding, unitary channels and tensor products are gathers over a per-dimension
 index layout (_Layout) plus small Helmert products: O(d**2) per state and
-O(d**4) per channel.
+O(d**4) per channel.  All three tensor products (of states, of effects and of
+transformations) go through the one kernel _tensor_coeffs; no basis change
+between the product basis and the composite basis is stored.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share across threads.
@@ -71,10 +73,6 @@ class ValidationError(ValueError):
 
 class InfeasibleError(ValueError):
     """The requested object does not exist for the given input."""
-
-
-def _rng(seed: int | np.random.Generator) -> np.random.Generator:
-    return np.random.default_rng(seed)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -286,18 +284,6 @@ def _decode(coeffs: np.ndarray, dim: int) -> np.ndarray:
     flat *= lay.dec_weight
     flat[..., :: 2 * (dim + 1)] = _rowwise(lay.helmert_t, coeffs.take(lay.diag_slots, axis=-1))
     return flat.view(complex).reshape(stack + (dim, dim))
-
-
-@functools.lru_cache(maxsize=None)
-def _product_basis_change(dim_a: int, dim_b: int) -> np.ndarray:
-    """Orthogonal map from product-basis coefficients to canonical ones.
-
-    Column (i, j) holds the canonical coefficients of A_i (x) B_j, for the
-    product basis {A_i (x) B_j} of two orthonormal Hermitian bases.
-    """
-    a, b = quantum_system(dim_a), quantum_system(dim_b)
-    cols = _tensor_coeffs(a, b, np.eye(a.vector_space_dim)[:, None], np.eye(b.vector_space_dim))
-    return _readonly(np.ascontiguousarray(cols.reshape(cols.shape[-1], -1).T))
 
 
 @dataclass(frozen=True, eq=False)
@@ -512,6 +498,8 @@ def _tensor_coeffs(
     The leading axes of `a` and `b` broadcast as a stack.  Quantum rows are
     decoded, multiplied as a row-wise Kronecker product and encoded again,
     O(D**2) per row for the composite dimension D; every step is row-exact.
+    This is the one kernel behind tensor_states, tensor_effects and
+    tensor_transformations.
     """
     if system_a.theory != QUANTUM:
         prod = a[..., :, None] * b[..., None, :]
@@ -533,13 +521,17 @@ def tensor_effects(a: Effect, b: Effect) -> Effect:
 
 
 def tensor_transformations(a: Transformation, b: Transformation) -> Transformation:
+    """Parallel composite of two channels: A_i (x) B_j goes to T_a(A_i) (x) T_b(B_j).
+
+    Rows of `basis` and `moved` hold those two products' coefficients; the
+    product basis is orthonormal, so the composite matrix is moved^T basis.
+    """
     in_system = composite_system(a.in_system, b.in_system)
     out_system = composite_system(a.out_system, b.out_system)
-    prod = np.kron(a.matrix, b.matrix)
-    if in_system.theory == QUANTUM:
-        r_in = _product_basis_change(a.in_system.dim, b.in_system.dim)
-        r_out = _product_basis_change(a.out_system.dim, b.out_system.dim)
-        prod = r_out @ prod @ r_in.T
+    n_a, n_b = a.in_system.vector_space_dim, b.in_system.vector_space_dim
+    basis = _tensor_coeffs(a.in_system, b.in_system, np.eye(n_a)[:, None], np.eye(n_b))
+    moved = _tensor_coeffs(a.out_system, b.out_system, a.matrix.T[:, None], b.matrix.T)
+    prod = moved.reshape(n_a * n_b, -1).T @ basis.reshape(n_a * n_b, -1)
     return Transformation(
         in_system, out_system, prod, reversible=a.reversible and b.reversible
     )
@@ -973,7 +965,7 @@ def _haar(z: np.ndarray) -> np.ndarray:
 
 def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with the phase convention fixed."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return _haar(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 
 
@@ -987,7 +979,7 @@ def random_reversible(system: SystemType, seed: int | np.random.Generator) -> Tr
     """Seeded reversible transformation for either backend."""
     if system.theory == QUANTUM:
         return random_unitary(system, seed)
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return permutation_transformation(system, rng.permutation(system.dim))
 
 
@@ -1015,7 +1007,7 @@ def random_state(
 ) -> StateVector:
     """Seeded random state: Haar pure or Hilbert-Schmidt mixed (quantum);
     point mass or flat-Dirichlet vector (classical)."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if kind not in ("pure", "mixed"):
         raise ValidationError(f"unknown state kind {kind!r}")
     if system.theory == QUANTUM:
@@ -1028,7 +1020,7 @@ def random_state(
 
 def random_effect(system: SystemType, seed: int | np.random.Generator) -> Effect:
     """Seeded random effect with spectrum drawn uniformly from [0, 1]."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     if system.theory == QUANTUM:
         v = haar_unitary(system.dim, rng)
         vals = rng.uniform(0.0, 1.0, system.dim)

@@ -31,7 +31,6 @@ from .core import (
     _encode,
     _pure_densities,
     _require_finite,
-    _rng,
     _rowpair,
     _rowwise,
     _unitary_matrices,
@@ -332,7 +331,7 @@ def second_order_witness(
         uniform = (kets[:, 0] + kets[:, 1]) / math.sqrt(2.0)
         state = ket_state(system, uniform)
         effect = projector_effect(system, uniform)
-        rng = _rng(seed)
+        rng = np.random.default_rng(seed)
         # structured grid guarantees the extremes; random angles add coverage
         grid = np.linspace(0.0, 2.0 * math.pi, phase_samples, endpoint=False)
         extra = rng.uniform(0.0, 2.0 * math.pi, max(phase_samples // 8, 1))
@@ -371,7 +370,7 @@ def third_order_scan_quantum(
         raise ValidationError(f"third-order scan needs a 3-path experiment, got {experiment.n}")
     if trials < 1:
         raise ValidationError("need at least one trial")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     system = experiment.system
     # per trial: the real and imaginary parts of the state's and the effect's
     # amplitudes, one standard_normal call, then the angles; random() and

@@ -32,7 +32,6 @@ from .core import (
     _encode,
     _haar,
     _readonly,
-    _rng,
     basis_effect,
     basis_state,
     density_matrix,
@@ -309,7 +308,7 @@ def search_detecting_effect(
         raise SystemMismatchError("effect search applies to quantum experiments")
     if not is_phase(transformation, experiment):
         raise NotAPhaseError("transformation does not fix the which-path effects")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     size_cap = min(max_support, experiment.n)
     for size in range(1, size_cap + 1):
         for indices in itertools.combinations(range(experiment.n), size):

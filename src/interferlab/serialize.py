@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 
 import numpy as np
 
@@ -37,18 +38,38 @@ def complex_matrix_to_dict(mat: np.ndarray) -> dict:
     }
 
 
+def _field(data: object, key: str, what: str) -> object:
+    if not isinstance(data, dict) or key not in data:
+        raise ValidationError(f"malformed {what} descriptor: no key {key!r} in {data!r}")
+    return data[key]
+
+
+# as in config files, a bool is no number and a float no integer
+_JSON_KINDS = {
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+_JSON_KINDS["non-negative integer"] = lambda v: _JSON_KINDS["integer"](v) and v >= 0
+_JSON_KINDS["[real, imag] pair"] = lambda v: (
+    isinstance(v, list) and len(v) == 2 and all(map(_JSON_KINDS["number"], v)))
+
+
+def _json_list(values: object, kind: str, what: str) -> list:
+    """values, once it is a JSON list whose every item is of the kind."""
+    bad = [v for v in values if not _JSON_KINDS[kind](v)] if isinstance(values, list) else [values]
+    if bad:
+        raise ValidationError(f"{what}: expected JSON {kind}s, got {bad[0]!r}")
+    return values
+
+
 def complex_matrix_from_dict(data: dict) -> np.ndarray:
-    try:
-        shape = tuple(int(s) for s in data["shape"])
-        entries = data["entries"]
-    except (KeyError, TypeError) as err:
-        raise ValidationError(f"malformed complex matrix descriptor: {err}") from err
-    if len(entries) != int(np.prod(shape)):
+    shape = _json_list(_field(data, "shape", "matrix"), "non-negative integer", "matrix shape")
+    pairs = _json_list(_field(data, "entries", "matrix"), "[real, imag] pair", "matrix entries")
+    if len(pairs) != math.prod(shape):
         raise ValidationError(
-            f"descriptor holds {len(entries)} entries for shape {shape}"
+            f"descriptor holds {len(pairs)} entries for shape {tuple(shape)}"
         )
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(shape)
+    return np.array([complex(re, im) for re, im in pairs]).reshape(shape)
 
 
 def system_to_dict(system: SystemType) -> dict:
@@ -56,12 +77,10 @@ def system_to_dict(system: SystemType) -> dict:
 
 
 def system_from_dict(data: dict) -> SystemType:
-    try:
-        return SystemType(
-            str(data["theory"]), int(data["dim"]), tuple(data.get("factors", ()))
-        )
-    except (KeyError, TypeError) as err:
-        raise ValidationError(f"malformed system descriptor: {err}") from err
+    theory = str(_field(data, "theory", "system"))
+    (dim,) = _json_list([_field(data, "dim", "system")], "integer", "system dim")
+    factors = _json_list(data.get("factors", []), "integer", "system factors")
+    return SystemType(theory, dim, tuple(factors))
 
 
 def state_to_dict(state: StateVector) -> dict:
@@ -76,17 +95,19 @@ def state_to_dict(state: StateVector) -> dict:
 
 
 def state_from_dict(data: dict) -> StateVector:
-    system = system_from_dict(data["system"])
+    system = system_from_dict(_field(data, "system", "state"))
     form = data.get("form")
     if form == "density":
-        return state_from_density(system, complex_matrix_from_dict(data["matrix"]))
+        return state_from_density(
+            system, complex_matrix_from_dict(_field(data, "matrix", "state")))
     if form == "amplitude":
-        amps = np.array([complex(re, im) for re, im in data["amplitudes"]])
-        return ket_state(system, amps)
+        pairs = _json_list(_field(data, "amplitudes", "state"), "[real, imag] pair", "amplitudes")
+        return ket_state(system, np.array([complex(re, im) for re, im in pairs]))
     if form == "probabilities":
         if system.theory != CLASSICAL:
             raise ValidationError("probability vectors describe classical states")
-        return StateVector(system, np.asarray(data["values"], dtype=float))
+        values = _json_list(_field(data, "values", "state"), "number", "state values")
+        return StateVector(system, values)
     raise ValidationError(f"unknown state form {form!r}")
 
 
@@ -102,14 +123,16 @@ def effect_to_dict(effect: Effect) -> dict:
 
 
 def effect_from_dict(data: dict) -> Effect:
-    system = system_from_dict(data["system"])
+    system = system_from_dict(_field(data, "system", "effect"))
     form = data.get("form")
     if form == "operator":
-        return effect_from_matrix(system, complex_matrix_from_dict(data["matrix"]))
+        return effect_from_matrix(
+            system, complex_matrix_from_dict(_field(data, "matrix", "effect")))
     if form == "values":
         if system.theory != CLASSICAL:
             raise ValidationError("plain value vectors describe classical effects")
-        return Effect(system, np.asarray(data["values"], dtype=float))
+        values = _json_list(_field(data, "values", "effect"), "number", "effect values")
+        return Effect(system, values)
     raise ValidationError(f"unknown effect form {form!r}")
 
 

@@ -321,6 +321,47 @@ def test_kickback_file_guards(tmp_path):
     assert main(["kickback", "--unitaries", spec]) == 2
 
 
+def malformed(doc, path, value):
+    """doc with the entry at the key path replaced, or deleted when value is None."""
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    if value is None:
+        del doc[last]
+    else:
+        doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("fixed_state", "system"), None),
+        (("fixed_state", "amplitudes"), None),
+        (("unitaries", 0, "entries", 0), [1]),
+        (("unitaries",), 5),
+        (("fixed_state", "system", "dim"), "x"),
+        (("unitaries", 1, "entries", 0), ["a", 0]),
+        (("fixed_state",), "amplitude"),
+        (("unitaries", 0, "shape"), [-2, -2]),
+        (("unitaries", 0, "shape"), [4]),
+        (("fixed_state", "system", "dim"), 2.9),
+        (("unitaries", 1, "shape"), [2.9, 2]),
+        (("fixed_state", "system", "dim"), True),
+    ],
+)
+def test_malformed_descriptor_files_exit_2_without_a_traceback(tmp_path, capsys, path, value):
+    spec = unitaries_file(tmp_path, [np.eye(2), np.diag([1.0, -1.0])], fixed_amplitudes=[0, 1])
+    with open(spec, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    malformed(doc, path, value)
+    with open(spec, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["kickback", "--unitaries", spec, "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("interferlab: error:")
+    assert "Traceback" not in err
+
+
 def test_reruns_are_byte_identical(tmp_path):
     out = tmp_path / "repeat.json"
     args = ["sorkin", "--order", "2", "--seed", "5", "--out", str(out)]

@@ -26,6 +26,7 @@ from interferlab import (
     random_effect,
     random_state,
     random_unitary,
+    tensor_transformations,
     unitary_channel,
 )
 
@@ -178,12 +179,49 @@ def test_composite_unitary_channel_matches_the_einsum_form(dims):
     assert_close(unitary_channel(system, u).matrix, ref_unitary_channel(u, system.dim))
 
 
+def depolarized(t, p):
+    """The channel t followed by depolarizing with weight p: CPTP, not unitary."""
+    shrink = np.full(t.out_system.vector_space_dim, 1.0 - p)
+    shrink[0] = 1.0
+    return channel_from_matrix(t.in_system, t.out_system, shrink[:, None] * t.matrix)
+
+
+def ref_tensor_transformations(a, b):
+    r_in = ref_product_basis_change(a.in_system.dim, b.in_system.dim)
+    r_out = ref_product_basis_change(a.out_system.dim, b.out_system.dim)
+    return r_out @ np.kron(a.matrix, b.matrix) @ r_in.T
+
+
 @pytest.mark.parametrize("dims", [(a, b) for a in (1, 2) for b in DIMS] + COMPOSITES)
 def test_product_basis_change_matches_the_einsum_form(dims):
-    got = core._product_basis_change.__wrapped__(*dims)
-    want = ref_product_basis_change(*dims)
-    assert_close(got, want)
-    assert_close(got @ got.T, np.eye(got.shape[0]))
+    # tensor_transformations applies the product-basis change in the einsum form
+    da, db = dims
+    sa, sb = quantum_system(da), quantum_system(db)
+    rng = np.random.default_rng(450 + 10 * da + db)
+    ua, ub = haar_unitary(da, rng), haar_unitary(db, rng)
+    a, b = unitary_channel(sa, ua), unitary_channel(sb, ub)
+    got = tensor_transformations(a, b)
+    assert got.in_system == got.out_system == composite_system(sa, sb)
+    assert_close(got.matrix, ref_tensor_transformations(a, b))
+    assert_close(got.matrix, unitary_channel(got.in_system, np.kron(ua, ub)).matrix)
+    noisy_a, noisy_b = depolarized(a, 0.3), depolarized(b, 0.6)
+    assert_close(tensor_transformations(noisy_a, noisy_b).matrix,
+                 ref_tensor_transformations(noisy_a, noisy_b))
+
+
+def test_tensor_transformations_of_an_isometry_between_different_dimensions():
+    # V rho V^dag embeds a qubit into a qutrit: column k is the encoding of V B_k V^dag
+    rng = np.random.default_rng(470)
+    v = haar_unitary(3, rng)[:, :2]
+    moved = v @ hermitian_basis(2) @ v.conj().T
+    embed = channel_from_matrix(
+        quantum_system(2), quantum_system(3), np.array([core._encode(m, 3) for m in moved]).T)
+    other = depolarized(random_unitary(quantum_system(2), rng), 0.5)
+    for a, b in ((embed, other), (other, embed), (embed, embed)):
+        got = tensor_transformations(a, b)
+        assert got.matrix.shape == (a.out_system.dim ** 2 * b.out_system.dim ** 2,
+                                    a.in_system.dim ** 2 * b.in_system.dim ** 2)
+        assert_close(got.matrix, ref_tensor_transformations(a, b))
 
 
 @pytest.mark.parametrize("dim", DIMS)

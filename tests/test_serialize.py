@@ -63,6 +63,23 @@ def test_system_descriptor_requires_fields():
         system_from_dict({"dim": 2})
 
 
+@pytest.mark.parametrize(
+    "build,doc",
+    [
+        (system_from_dict, {"theory": "quantum", "dim": 2.9}),
+        (system_from_dict, {"theory": "quantum", "dim": True}),
+        (system_from_dict, {"theory": "quantum", "dim": 4, "factors": [2.0, 2]}),
+        (complex_matrix_from_dict, {"shape": [2.9, 2], "entries": [[1, 0]] * 4}),
+        (complex_matrix_from_dict, {"shape": [-2, -2], "entries": [[1, 0]] * 4}),
+        (complex_matrix_from_dict, {"shape": [1, 1], "entries": [[True, 0]]}),
+        (state_from_dict, "amplitude"),
+    ],
+)
+def test_descriptors_take_json_integers_and_numbers_only(build, doc):
+    with pytest.raises(ValidationError):
+        build(doc)
+
+
 @pytest.mark.parametrize("kind", ["pure", "mixed"])
 def test_quantum_state_round_trips_in_density_form(kind):
     rng = np.random.default_rng(5)
