@@ -99,9 +99,9 @@ class SystemType:
         if self.dim < 1:
             raise ValidationError(f"system dimension must be >= 1, got {self.dim}")
         factors = self.factors or (self.dim,)
-        if int(np.prod(factors)) != self.dim:
+        if min(factors) < 1 or int(np.prod(factors)) != self.dim:
             raise ValidationError(
-                f"composite descriptor {factors} does not multiply to dim {self.dim}"
+                f"composite descriptor {factors} does not split dim {self.dim} into factors >= 1"
             )
         object.__setattr__(self, "factors", tuple(int(f) for f in factors))
 

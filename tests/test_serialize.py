@@ -69,6 +69,7 @@ def test_system_descriptor_requires_fields():
         (system_from_dict, {"theory": "quantum", "dim": 2.9}),
         (system_from_dict, {"theory": "quantum", "dim": True}),
         (system_from_dict, {"theory": "quantum", "dim": 4, "factors": [2.0, 2]}),
+        (system_from_dict, {"theory": "quantum", "dim": 4, "factors": [-2, -2]}),
         (complex_matrix_from_dict, {"shape": [2.9, 2], "entries": [[1, 0]] * 4}),
         (complex_matrix_from_dict, {"shape": [-2, -2], "entries": [[1, 0]] * 4}),
         (complex_matrix_from_dict, {"shape": [1, 1], "entries": [[True, 0]]}),
