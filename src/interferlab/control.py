@@ -232,7 +232,7 @@ def _sample_stacks(
     same sizes in the same order and fill row r of the bulk draw, so each
     (system, trial parity) is a column slice.  The densities are built as
     stacks, bit for bit as one at a time, and each stack is one unchecked
-    row-exact encode, made C-contiguous for the row-exact matmuls downstream.
+    row-exact encode, C-contiguous for the row-exact matmuls downstream.
     """
     dims = [system.dim for system in systems]
     # a draw takes a real then an imaginary part: d numbers each when pure, d * d when mixed
@@ -256,7 +256,7 @@ def _sample_stacks(
             else:
                 g = z @ z.conj().swapaxes(-1, -2)
                 rho[h::2] = g / np.trace(g, axis1=-2, axis2=-1).real[:, None, None]
-    return [np.ascontiguousarray(_encode(rho, d)) for rho, d in zip(rhos, dims)]
+    return [_encode(rho, d) for rho, d in zip(rhos, dims)]
 
 
 def verify_superposition_preservation(
@@ -570,7 +570,7 @@ def control_target_swap_check(controlled: ControlledTransformation) -> dict:
     conjugated = Transformation(
         swap.in_system,
         swap.out_system,
-        swap.matrix @ controlled.composite.matrix @ swap.matrix,
+        _readonly(swap.matrix @ controlled.composite.matrix @ swap.matrix),
         reversible=True,
     )
     deviation = float(np.max(np.abs(conjugated.matrix - rebuilt.composite.matrix)))

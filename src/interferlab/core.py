@@ -18,6 +18,17 @@ O(d**4) per channel.  All three tensor products (of states, of effects and of
 transformations) go through the one kernel _tensor_coeffs; no basis change
 between the product basis and the composite basis is stored.
 
+Memory rule: at most one live copy of each channel matrix, and kernel
+temporaries bounded by one block budget.  Transformation keeps a matrix the
+package built and locked (read-only, owning its memory) as it is, and copies
+any other array.  The stacked kernels (_check_states, _check_effects,
+_tensor_coeffs, _unitary_matrices, _require_finite and
+interference._phase_moved) work one block of rows at a time, so that no
+temporary they make holds more than _BLOCK_ENTRIES float64 entries (a complex
+entry counts two) unless one row of the stack alone is larger.  Each block is
+row-exact, so the block size changes no bit of any result or message, and a
+stack that fits in one block takes a single pass.
+
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share across threads.
 """
@@ -42,10 +53,10 @@ EPS_EQ = 1e-9
 EPS_PSD = 1e-8
 EPS_DECISION = 1e-6
 
-# Positivity rule: a stack of density matrices is certified positive by one
-# batched Cholesky factorization of rho + EPS_PSD * I, which exists when every
+# Positivity rule: a stack of density matrices is certified positive by
+# batched Cholesky factorizations of rho + EPS_PSD * I, which exist when every
 # eigenvalue of rho exceeds -EPS_PSD (up to rounding, about D * 1e-16 for a
-# D x D matrix).  Only when it fails does one batched eigvalsh find the lowest
+# D x D matrix).  Only when one fails do batched eigvalsh calls find the lowest
 # eigenvalue, which then decides and is reported, so every rejection and its
 # message are the spectrum test's.
 
@@ -75,13 +86,44 @@ class InfeasibleError(ValueError):
     """The requested object does not exist for the given input."""
 
 
+# The block budget of the memory rule above: 2**16 float64 entries, 512 KiB
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _blocks(rows: int, row_entries: int) -> list[slice]:
+    """Consecutive slices of `rows` rows, each holding at most _BLOCK_ENTRIES
+    entries at `row_entries` per row, and at least one row."""
+    step = max(1, _BLOCK_ENTRIES // max(1, row_entries))
+    return [slice(start, start + step) for start in range(0, rows, step)]
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
 
 
+def _locked(a: object) -> bool:
+    """True for a read-only float64 ndarray that owns its memory.
+
+    The package locks each matrix it builds before anything else sees it, so
+    no writable array reaches such a matrix and it need not be copied.  A
+    view, or any array still writable, may change under its holder.
+    """
+    return (
+        type(a) is np.ndarray
+        and a.dtype == np.float64
+        and a.flags.owndata
+        and not a.flags.writeable
+    )
+
+
 def _require_finite(a: np.ndarray | float, what: str) -> None:
-    if not np.isfinite(a).all():
+    a = np.asarray(a)
+    if a.size <= _BLOCK_ENTRIES:
+        finite = bool(np.isfinite(a).all())
+    else:  # one block of leading-axis rows at a time, never a bool array of a's size
+        finite = all(np.isfinite(a[b]).all() for b in _blocks(len(a), a[0].size))
+    if not finite:
         raise ValidationError(f"{what} holds NaN or infinity")
 
 
@@ -256,7 +298,8 @@ def _encode(mat: np.ndarray, dim: int) -> np.ndarray:
     matrix and the running sums of its diagonal (see _Layout); the imaginary
     parts Im Tr(B_k X) come from the same gathers and must vanish.  Every
     step is elementwise or runs along one row, so a stack of matrices
-    (leading axes) is encoded row-exactly.
+    (leading axes) is encoded row-exactly.  The result is a fresh
+    C-contiguous array, not a view that keeps the wider gather alive.
     """
     lay, n = _layout(dim), dim * dim
     x = np.asarray(mat, dtype=complex)
@@ -265,11 +308,11 @@ def _encode(mat: np.ndarray, dim: int) -> np.ndarray:
     src = np.concatenate([flat, running], axis=-1).view(float)
     terms = src.take(lay.enc_index, axis=-1)
     terms *= lay.enc_weight
-    parts = terms[..., 0, :] + terms[..., 1, :]
+    imag = terms[..., 0, n:] + terms[..., 1, n:]
     # the bare ufunc reduction: ndarray.max adds a Python layer per call
-    if np.maximum.reduce(np.abs(parts[..., n:]), axis=None) > EPS_PSD:
+    if np.maximum.reduce(np.abs(imag, out=imag), axis=None) > EPS_PSD:
         raise ValidationError("matrix is not Hermitian within tolerance")
-    return parts[..., :n]
+    return terms[..., 0, :n] + terms[..., 1, :n]
 
 
 def _decode(coeffs: np.ndarray, dim: int) -> np.ndarray:
@@ -313,10 +356,11 @@ class StateVector:
 def _check_states(system: SystemType, coeffs: np.ndarray) -> None:
     """Raise ValidationError unless every row of the stack is a normalized state.
 
-    Quantum rows are decoded and certified positive by one batched Cholesky
-    factorization of rho + EPS_PSD * I (see the positivity rule at the top);
-    only when that fails does one batched eigvalsh find the lowest
-    eigenvalue.  The error reports the worst row.
+    Quantum rows are decoded and certified positive by a batched Cholesky
+    factorization of rho + EPS_PSD * I (see the positivity rule at the top),
+    one block of rows at a time; only when a block fails does a batched
+    eigvalsh, again by blocks, find the lowest eigenvalue over the whole
+    stack.  The error reports the worst row.
     """
     norms = coeffs @ unit_effect(system).coeffs
     worst = float(norms[np.abs(norms - 1.0).argmax()])
@@ -324,13 +368,10 @@ def _check_states(system: SystemType, coeffs: np.ndarray) -> None:
         raise ValidationError(f"state is not normalized: unit pairing {worst!r}")
     if system.theory == QUANTUM:
         d = system.dim
-        mats = _decode(coeffs, d)
-        mats.reshape(-1, d * d)[:, :: d + 1] += EPS_PSD
-        try:
-            np.linalg.cholesky(mats)
+        blocks = _blocks(len(coeffs), 2 * d * d)
+        if all(_certified(coeffs[b], d) for b in blocks):
             return
-        except np.linalg.LinAlgError:
-            low = float(np.linalg.eigvalsh(_decode(coeffs, d))[:, 0].min())
+        low = min(float(np.linalg.eigvalsh(_decode(coeffs[b], d))[:, 0].min()) for b in blocks)
     else:
         low = float(coeffs.min())
     if low < -EPS_PSD:
@@ -361,16 +402,31 @@ class Effect:
         _check_effects(self.system, self.coeffs[None])
 
 
+def _certified(coeffs: np.ndarray, d: int) -> bool:
+    """Whether rho + EPS_PSD * I has a Cholesky factor for every decoded row."""
+    mats = _decode(coeffs, d)
+    mats.reshape(-1, d * d)[:, :: d + 1] += EPS_PSD
+    try:
+        np.linalg.cholesky(mats)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _check_effects(system: SystemType, coeffs: np.ndarray) -> None:
     """Raise ValidationError unless every row of the stack is an effect.
 
     Pairing bounds are extremized on pure states, so the spectrum of the
-    decoded operator is the exact check: one batched eigvalsh over the stack.
-    The error reports the lowest and highest values over all rows.
+    decoded operator is the exact check: a batched eigvalsh, one block of rows
+    at a time.  The error reports the lowest and highest values over all rows.
     """
     if system.theory == QUANTUM:
-        eigs = np.linalg.eigvalsh(_decode(coeffs, system.dim))
-        low, high = float(eigs[:, 0].min()), float(eigs[:, -1].max())
+        d = system.dim
+        spectra = [
+            np.linalg.eigvalsh(_decode(coeffs[b], d)) for b in _blocks(len(coeffs), 2 * d * d)
+        ]
+        low = min(float(eigs[:, 0].min()) for eigs in spectra)
+        high = max(float(eigs[:, -1].max()) for eigs in spectra)
     else:
         low, high = float(coeffs.min()), float(coeffs.max())
     if low < -EPS_PSD or high > 1.0 + EPS_PSD:
@@ -379,7 +435,12 @@ def _check_effects(system: SystemType, coeffs: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Transformation:
-    """A channel: real matrix acting on coefficient vectors."""
+    """A channel: real matrix acting on coefficient vectors.
+
+    A locked matrix (see _locked), as the package's constructors pass, is
+    kept as it is; any other array is copied, so the caller's array can
+    change afterwards without touching the channel.
+    """
 
     in_system: SystemType
     out_system: SystemType
@@ -389,8 +450,10 @@ class Transformation:
     def __post_init__(self) -> None:
         if self.in_system.theory != self.out_system.theory:
             raise SystemMismatchError("transformation cannot change theory backend")
-        arr = _readonly(np.array(self.matrix, dtype=float))
-        object.__setattr__(self, "matrix", arr)
+        arr = self.matrix
+        if not _locked(arr):
+            arr = _readonly(np.array(arr, dtype=float))
+            object.__setattr__(self, "matrix", arr)
         shape = (self.out_system.vector_space_dim, self.in_system.vector_space_dim)
         if arr.shape != shape:
             raise SystemMismatchError(
@@ -409,7 +472,7 @@ class Transformation:
     def inverse(self) -> "Transformation":
         if not self.reversible:
             raise InfeasibleError("transformation is not marked reversible")
-        inv = np.linalg.inv(self.matrix)
+        inv = _readonly(np.linalg.inv(self.matrix))
         return Transformation(self.out_system, self.in_system, inv, reversible=True)
 
 
@@ -475,14 +538,14 @@ def compose_seq(second: Transformation, first: Transformation) -> Transformation
     return Transformation(
         first.in_system,
         second.out_system,
-        second.matrix @ first.matrix,
+        _readonly(second.matrix @ first.matrix),
         reversible=first.reversible and second.reversible,
     )
 
 
 def identity_transformation(system: SystemType) -> Transformation:
     return Transformation(
-        system, system, np.eye(system.vector_space_dim), reversible=True
+        system, system, _readonly(np.eye(system.vector_space_dim)), reversible=True
     )
 
 
@@ -498,16 +561,33 @@ def _tensor_coeffs(
     The leading axes of `a` and `b` broadcast as a stack.  Quantum rows are
     decoded, multiplied as a row-wise Kronecker product and encoded again,
     O(D**2) per row for the composite dimension D; every step is row-exact.
-    This is the one kernel behind tensor_states, tensor_effects and
-    tensor_transformations.
+    The products are formed and encoded one block of stack rows at a time,
+    4 D**2 entries per row for _encode's gather.  This is the one kernel
+    behind tensor_states, tensor_effects and tensor_transformations.
     """
     if system_a.theory != QUANTUM:
         prod = a[..., :, None] * b[..., None, :]
         return prod.reshape(*prod.shape[:-2], -1)
     da, db = system_a.dim, system_b.dim
+    dim = da * db
     ma, mb = _decode(a, da), _decode(b, db)
-    prod = ma[..., :, None, :, None] * mb[..., None, :, None, :]
-    return _encode(prod.reshape(prod.shape[:-4] + (da * db, da * db)), da * db)
+    stack = np.broadcast_shapes(ma.shape[:-2], mb.shape[:-2])
+    blocks = _blocks(int(np.prod(stack)), 4 * dim * dim)
+    if len(blocks) <= 1:
+        prod = ma[..., :, None, :, None] * mb[..., None, :, None, :]
+        return _encode(prod.reshape(stack + (dim, dim)), dim)
+    # each stack row's position among the rows of ma and of mb
+    rows_a, rows_b = (
+        np.broadcast_to(np.arange(m[..., 0, 0].size).reshape(m.shape[:-2]), stack).reshape(-1)
+        for m in (ma, mb)
+    )
+    ma, mb = ma.reshape(-1, da, da), mb.reshape(-1, db, db)
+    out = np.empty(stack + (dim * dim,))
+    flat = out.reshape(-1, dim * dim)
+    for b in blocks:
+        prod = ma[rows_a[b], :, None, :, None] * mb[rows_b[b], None, :, None, :]
+        flat[b] = _encode(prod.reshape(-1, dim, dim), dim)
+    return out
 
 
 def tensor_states(a: StateVector, b: StateVector) -> StateVector:
@@ -531,7 +611,7 @@ def tensor_transformations(a: Transformation, b: Transformation) -> Transformati
     n_a, n_b = a.in_system.vector_space_dim, b.in_system.vector_space_dim
     basis = _tensor_coeffs(a.in_system, b.in_system, np.eye(n_a)[:, None], np.eye(n_b))
     moved = _tensor_coeffs(a.out_system, b.out_system, a.matrix.T[:, None], b.matrix.T)
-    prod = moved.reshape(n_a * n_b, -1).T @ basis.reshape(n_a * n_b, -1)
+    prod = _readonly(moved.reshape(n_a * n_b, -1).T @ basis.reshape(n_a * n_b, -1))
     return Transformation(
         in_system, out_system, prod, reversible=a.reversible and b.reversible
     )
@@ -835,12 +915,9 @@ def unitary_channel(system: SystemType, unitary: np.ndarray) -> Transformation:
     if system.theory != QUANTUM:
         raise SystemMismatchError("unitary channels describe quantum systems only")
     u = _as_unitary(unitary, system.dim, "matrix")
-    return Transformation(system, system, _unitary_matrices(u), reversible=True)
+    return Transformation(system, system, _readonly(_unitary_matrices(u)), reversible=True)
 
 
-# _unitary_matrices builds its pair-by-pair block in row slices of at most this
-# many complex entries per temporary (16 MB)
-_PAIR_BLOCK_ENTRIES = 1 << 20
 _ROOT2 = np.sqrt(2.0)
 
 
@@ -855,26 +932,46 @@ def _unitary_matrices(u: np.ndarray) -> np.ndarray:
     U[b, j] conj U[b, l] and |U[b, a]|**2.  That is O(d**4) with no basis
     array.  Every product is elementwise or one matmul per matrix, so a
     stacked matrix is bit for bit what unitary_channel gives on that unitary
-    alone.
+    alone.  The matrices are built a block of unitaries at a time, the
+    largest temporaries being the pair block's 2 P**2 entries (P pairs) and
+    the diagonal columns' d**3; one large unitary builds its pair block a
+    block of pair rows at a time.
     """
+    d = u.shape[-1]
+    p = d * (d - 1) // 2
+    out = np.empty(u.shape[:-2] + (d * d, d * d))
+    blocks = _blocks(out[..., 0, 0].size, max(2 * p * p, d**3))
+    if len(blocks) <= 1:
+        _fill_unitary_matrices(u, out)
+        return out
+    flat_u, flat_out = u.reshape(-1, d, d), out.reshape(-1, d * d, d * d)
+    for b in blocks:
+        _fill_unitary_matrices(flat_u[b], flat_out[b])
+    return out
+
+
+def _fill_unitary_matrices(u: np.ndarray, out: np.ndarray) -> None:
+    """Write _unitary_matrices(u) into `out`, the pair block in row slices."""
     d = u.shape[-1]
     lay = _layout(d)
     p = len(lay.lo)
     stack = u.shape[:-2]
-    out = np.empty(stack + (d * d, d * d))
     # rows and columns of the pair block, split as (sym or anti, pair)
     pair_block = out[..., 1 : 1 + 2 * p, 1 : 1 + 2 * p].reshape(stack + (2, p, 2, p))
     u_lo, u_hi = u.take(lay.lo, axis=-2), u.take(lay.hi, axis=-2).conj()
-    step = max(1, _PAIR_BLOCK_ENTRIES // max(1, p * u[..., 0, 0].size))
-    for start in range(0, p, step):
-        a, b = u_lo[..., start : start + step, :], u_hi[..., start : start + step, :]
+    for rows in _blocks(p, 2 * p * u[..., 0, 0].size):
+        a, b = u_lo[..., rows, :], u_hi[..., rows, :]
+        # an in-place complex product can round differently from a fresh one,
+        # so only the exact conjugate, difference and product by i run in place
         t1 = a.take(lay.lo, axis=-1) * b.take(lay.hi, axis=-1)
-        t2 = (a.take(lay.hi, axis=-1) * b.take(lay.lo, axis=-1)).conj()
+        t2 = a.take(lay.hi, axis=-1) * b.take(lay.lo, axis=-1)
+        np.conjugate(t2, out=t2)
         # a complex entry's (real, imaginary) parts land in the (sym, anti) columns
-        pair_block[..., 0, start : start + step, :, :] = (t1 + t2).view(float).reshape(
+        pair_block[..., 0, rows, :, :] = (t1 + t2).view(float).reshape(
             t1.shape + (2,)).swapaxes(-1, -2)
-        pair_block[..., 1, start : start + step, :, :] = ((t1 - t2) * 1j).view(float).reshape(
-            t1.shape + (2,)).swapaxes(-1, -2)
+        t1 -= t2
+        t1 *= 1j
+        pair_block[..., 1, rows, :, :] = t1.view(float).reshape(t1.shape + (2,)).swapaxes(-1, -2)
     # the diagonal columns, U diag(h_r) U^dag read on every row, and the
     # diagonal rows, U B_k U^dag read on the diagonal for the pair columns
     moved = (u_lo * u_hi) @ lay.helmert_t * _ROOT2
@@ -883,7 +980,6 @@ def _unitary_matrices(u: np.ndarray) -> np.ndarray:
         [dd[..., :1, :], moved.real, -moved.imag, dd[..., 1:, :]], axis=-2)
     seen = lay.helmert @ (u.take(lay.lo, axis=-1) * u.take(lay.hi, axis=-1).conj()) * _ROOT2
     out[..., lay.diag_slots, 1 : 1 + 2 * p] = np.concatenate([seen.real, seen.imag], axis=-1)
-    return out
 
 
 def phase_unitary(system: SystemType, angles: Sequence[float]) -> Transformation:
@@ -907,7 +1003,7 @@ def permutation_transformation(system: SystemType, perm: Sequence[int]) -> Trans
     matrix = np.zeros((system.dim, system.dim))
     for src, dst in enumerate(perm):
         matrix[dst, src] = 1.0
-    return Transformation(system, system, matrix, reversible=True)
+    return Transformation(system, system, _readonly(matrix), reversible=True)
 
 
 def channel_from_matrix(
@@ -929,7 +1025,7 @@ def channel_from_matrix(
         if low < -EPS_PSD:
             raise ValidationError(f"stochastic matrix has negative entry {low!r}")
     if reversible:
-        inv = np.linalg.inv(t.matrix)
+        inv = _readonly(np.linalg.inv(t.matrix))
         channel_from_matrix(out_system, in_system, inv, reversible=False)
     return t
 

@@ -25,6 +25,7 @@ from .core import (
     SystemMismatchError,
     Transformation,
     ValidationError,
+    _blocks,
     _check_effects,
     _check_states,
     _decode,
@@ -50,12 +51,6 @@ from .paths import (
 VERDICT_PRESENT = "present"
 VERDICT_ABSENT = "absent"
 VERDICT_INCONCLUSIVE = "inconclusive"
-
-# The phase scans stack their channels in blocks of at most this many channel
-# matrix entries (d**4 per grid point or trial), so their peak memory does not
-# grow with the grid; the results do not depend on it (see _phase_moved).
-_BLOCK_ENTRIES = 1 << 18
-
 
 @dataclass(frozen=True, eq=False)
 class InterferencePattern:
@@ -110,7 +105,7 @@ def _filtered_coeffs(
     kets = experiment.kets[:, list(idx)]
     proj = kets @ kets.conj().T
     dim = experiment.system.dim
-    return np.ascontiguousarray(_encode(proj @ _decode(coeffs, dim) @ proj, dim))
+    return _encode(proj @ _decode(coeffs, dim) @ proj, dim)
 
 
 def masked_effect(
@@ -280,16 +275,14 @@ def _phase_moved(
     contiguous row per angle row or one row shared by all (see _rowpair).
     Each phase is built from the path kets, so it is not checked; the moved
     rows get apply's state check, stacked.  The channels are built in blocks
-    of rows (see _BLOCK_ENTRIES); every step is row-exact, so the block size
-    changes no bit.
+    of rows under core's block budget, d**4 entries per row; every step is
+    row-exact, so the block size changes no bit.
     """
     system = experiment.system
     kets = experiment.kets
     path = np.arange(experiment.n)
     out = np.empty((len(angles), system.vector_space_dim))
-    step = max(1, _BLOCK_ENTRIES // system.vector_space_dim**2)
-    for start in range(0, len(angles), step):
-        block = slice(start, start + step)
+    for block in _blocks(len(angles), system.vector_space_dim**2):
         theta = angles[block]
         diag = np.zeros(theta.shape + (experiment.n,), dtype=complex)
         diag[:, path, path] = np.exp(1j * theta)
@@ -382,7 +375,7 @@ def third_order_scan_quantum(
         rng.random(out=angles[t])
     angles *= 2.0 * math.pi
     rho = _pure_densities(normals[:, :, 0] + 1j * normals[:, :, 1]).swapaxes(0, 1)
-    states, effects = np.ascontiguousarray(_encode(rho, system.dim))
+    states, effects = _encode(rho, system.dim)
     _check_effects(system, effects)
     moved = _phase_moved(experiment, angles, states)
     lhs = _rowpair(effects, moved)

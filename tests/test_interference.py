@@ -471,7 +471,7 @@ def test_pattern_sweep_equals_the_per_point_loop(monkeypatch, dim):
         assert np.array_equal(interference_pattern_sweep(state, effect, experiment, grid), want)
         # three rows per block: the grid spans thirteen blocks
         with monkeypatch.context() as m:
-            m.setattr(interference, "_BLOCK_ENTRIES", 3 * dim**4)
+            m.setattr(core, "_BLOCK_ENTRIES", 3 * dim**4)
             got = interference_pattern_sweep(state, effect, experiment, grid)
         assert np.array_equal(got, want)
 
@@ -482,8 +482,8 @@ def test_second_order_witness_equals_the_per_phase_loop(monkeypatch, seed, phase
     seen = witness_choice(monkeypatch)
     for experiment in path_experiments(2):
         values = second_order_reference(experiment, seed, phase_samples)
-        for block_entries in (interference._BLOCK_ENTRIES, 5 * 2**4):
-            monkeypatch.setattr(interference, "_BLOCK_ENTRIES", block_entries)
+        for block_entries in (core._BLOCK_ENTRIES, 5 * 2**4):
+            monkeypatch.setattr(core, "_BLOCK_ENTRIES", block_entries)
             report = second_order_witness(experiment, seed=seed, phase_samples=phase_samples)
             assert np.array_equal([s.lhs for s in report.samples], values)
             best = 0.5 * (values.max() + values.min())
