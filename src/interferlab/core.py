@@ -90,10 +90,12 @@ class InfeasibleError(ValueError):
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _blocks(rows: int, row_entries: int) -> list[slice]:
-    """Consecutive slices of `rows` rows, each holding at most _BLOCK_ENTRIES
-    entries at `row_entries` per row, and at least one row."""
-    step = max(1, _BLOCK_ENTRIES // max(1, row_entries))
+def _blocks(rows: int, row_entries: int) -> Sequence[slice]:
+    """Consecutive slices of `rows` rows, each of at least one row and of at
+    most _BLOCK_ENTRIES entries at `row_entries` per row; none when rows is 0."""
+    if rows * row_entries <= _BLOCK_ENTRIES:
+        return (slice(0, rows),) if rows else ()
+    step = max(1, _BLOCK_ENTRIES // row_entries)
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
@@ -369,7 +371,10 @@ def _check_states(system: SystemType, coeffs: np.ndarray) -> None:
     if system.theory == QUANTUM:
         d = system.dim
         blocks = _blocks(len(coeffs), 2 * d * d)
-        if all(_certified(coeffs[b], d) for b in blocks):
+        for b in blocks:
+            if not _certified(coeffs[b], d):
+                break
+        else:
             return
         low = min(float(np.linalg.eigvalsh(_decode(coeffs[b], d))[:, 0].min()) for b in blocks)
     else:
@@ -571,8 +576,9 @@ def _tensor_coeffs(
     da, db = system_a.dim, system_b.dim
     dim = da * db
     ma, mb = _decode(a, da), _decode(b, db)
-    stack = np.broadcast_shapes(ma.shape[:-2], mb.shape[:-2])
-    blocks = _blocks(int(np.prod(stack)), 4 * dim * dim)
+    broadcast = np.broadcast(ma[..., 0, 0], mb[..., 0, 0])
+    stack = broadcast.shape
+    blocks = _blocks(broadcast.size, 4 * dim * dim)
     if len(blocks) <= 1:
         prod = ma[..., :, None, :, None] * mb[..., None, :, None, :]
         return _encode(prod.reshape(stack + (dim, dim)), dim)
