@@ -590,9 +590,9 @@ def _tensor_coeffs(
     ma, mb = ma.reshape(-1, da, da), mb.reshape(-1, db, db)
     out = np.empty(stack + (dim * dim,))
     flat = out.reshape(-1, dim * dim)
-    for b in blocks:
-        prod = ma[rows_a[b], :, None, :, None] * mb[rows_b[b], None, :, None, :]
-        flat[b] = _encode(prod.reshape(-1, dim, dim), dim)
+    for block in blocks:
+        prod = ma[rows_a[block], :, None, :, None] * mb[rows_b[block], None, :, None, :]
+        flat[block] = _encode(prod.reshape(-1, dim, dim), dim)
     return out
 
 

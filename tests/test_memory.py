@@ -37,7 +37,8 @@ def spans_blocks(monkeypatch, rows, row_entries, blocks=3):
 
 def state_stack(dim, rows, seed):
     rng = np.random.default_rng(seed)
-    return np.stack([random_state(quantum_system(dim), rng, kind="mixed").coeffs for _ in range(rows)])
+    system = quantum_system(dim)
+    return np.stack([random_state(system, rng, kind="mixed").coeffs for _ in range(rows)])
 
 
 def encoded(diag):
@@ -112,7 +113,8 @@ def test_tensor_coeffs_rows_equal_one_row_calls(monkeypatch, dims):
     sa, sb = quantum_system(da), quantum_system(db)
     a = state_stack(da, 4, 4)[:, None]
     b = state_stack(db, 5, 5)
-    want = np.array([[core._tensor_coeffs(sa, sb, a[i, 0], b[j]) for j in range(5)] for i in range(4)])
+    want = np.array(
+        [[core._tensor_coeffs(sa, sb, a[i, 0], b[j]) for j in range(5)] for i in range(4)])
     spans_blocks(monkeypatch, 20, 4 * (da * db) ** 2)
     got = core._tensor_coeffs(sa, sb, a, b)
     assert got.shape == want.shape
@@ -146,7 +148,8 @@ def test_phase_moved_rows_equal_one_row_calls(monkeypatch, shared):
     states = state_stack(d, 1 if shared else rows, 7)
     states = states[0] if shared else states
     want = np.concatenate([
-        interference._phase_moved(experiment, angles[r : r + 1], states if shared else states[r : r + 1])
+        interference._phase_moved(
+            experiment, angles[r : r + 1], states if shared else states[r : r + 1])
         for r in range(rows)
     ])
     spans_blocks(monkeypatch, rows, (d * d) ** 2)
