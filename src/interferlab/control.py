@@ -29,6 +29,7 @@ from .core import (
     Transformation,
     ValidationError,
     _as_unitary,
+    _channel,
     _check_effects,
     _check_states,
     _encode,
@@ -567,11 +568,11 @@ def control_target_swap_check(controlled: ControlledTransformation) -> dict:
         composite_system(controlled.control_system, controlled.target_system),
         swap_exchange_unitary(d_c),
     )
-    conjugated = Transformation(
+    conjugated = _channel(
         swap.in_system,
         swap.out_system,
-        _readonly(swap.matrix @ controlled.composite.matrix @ swap.matrix),
-        reversible=True,
+        swap.matrix @ controlled.composite.matrix @ swap.matrix,
+        True,
     )
     deviation = float(np.max(np.abs(conjugated.matrix - rebuilt.composite.matrix)))
     return {

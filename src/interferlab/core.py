@@ -19,15 +19,15 @@ transformations) go through the one kernel _tensor_coeffs; no basis change
 between the product basis and the composite basis is stored.
 
 Memory rule: at most one live copy of each channel matrix, and kernel
-temporaries bounded by one block budget.  Transformation keeps a matrix the
-package built and locked (read-only, owning its memory) as it is, and copies
-any other array.  The stacked kernels (_check_states, _check_effects,
-_tensor_coeffs, _unitary_matrices, _require_finite and
-interference._phase_moved) work one block of rows at a time, so that no
-temporary they make holds more than _BLOCK_ENTRIES float64 entries (a complex
-entry counts two) unless one row of the stack alone is larger.  Each block is
-row-exact, so the block size changes no bit of any result or message, and a
-stack that fits in one block takes a single pass.
+temporaries bounded by one block budget.  Transformation copies the array it
+is given; the package's constructors hand the fresh matrix they built to
+_channel, which keeps it without a copy.  The stacked kernels
+(_check_states, _check_effects, _tensor_coeffs, _unitary_matrices,
+_require_finite and interference._phase_moved) work one block of rows at a
+time, so that no temporary they make holds more than _BLOCK_ENTRIES float64
+entries (a complex entry counts two) unless one row of the stack alone is
+larger.  Each block is row-exact, so the block size changes no bit of any
+result or message.
 
 All values are immutable after construction and all operations are pure
 functions, so they are safe to share across threads.
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 
@@ -90,12 +91,10 @@ class InfeasibleError(ValueError):
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _blocks(rows: int, row_entries: int) -> Sequence[slice]:
-    """Consecutive slices of `rows` rows, each of at least one row and of at
-    most _BLOCK_ENTRIES entries at `row_entries` per row; none when rows is 0."""
-    if rows * row_entries <= _BLOCK_ENTRIES:
-        return (slice(0, rows),) if rows else ()
-    step = max(1, _BLOCK_ENTRIES // row_entries)
+def _blocks(rows: int, row_entries: int) -> list[slice]:
+    """Consecutive slices of `rows` rows, each holding at most _BLOCK_ENTRIES
+    entries at `row_entries` per row, and at least one row; none when rows is 0."""
+    step = max(1, _BLOCK_ENTRIES // max(1, row_entries))
     return [slice(start, start + step) for start in range(0, rows, step)]
 
 
@@ -104,28 +103,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _locked(a: object) -> bool:
-    """True for a read-only float64 ndarray that owns its memory.
-
-    The package locks each matrix it builds before anything else sees it, so
-    no writable array reaches such a matrix and it need not be copied.  A
-    view, or any array still writable, may change under its holder.
-    """
-    return (
-        type(a) is np.ndarray
-        and a.dtype == np.float64
-        and a.flags.owndata
-        and not a.flags.writeable
-    )
-
-
 def _require_finite(a: np.ndarray | float, what: str) -> None:
-    a = np.asarray(a)
-    if a.size <= _BLOCK_ENTRIES:
-        finite = bool(np.isfinite(a).all())
-    else:  # one block of leading-axis rows at a time, never a bool array of a's size
-        finite = all(np.isfinite(a[b]).all() for b in _blocks(len(a), a[0].size))
-    if not finite:
+    # one block of leading-axis rows at a time, never a bool array of a's size
+    a = np.atleast_1d(a)
+    if not all(np.isfinite(a[b]).all() for b in _blocks(len(a), math.prod(a.shape[1:]))):
         raise ValidationError(f"{what} holds NaN or infinity")
 
 
@@ -371,10 +352,7 @@ def _check_states(system: SystemType, coeffs: np.ndarray) -> None:
     if system.theory == QUANTUM:
         d = system.dim
         blocks = _blocks(len(coeffs), 2 * d * d)
-        for b in blocks:
-            if not _certified(coeffs[b], d):
-                break
-        else:
+        if all(_certified(coeffs[b], d) for b in blocks):
             return
         low = min(float(np.linalg.eigvalsh(_decode(coeffs[b], d))[:, 0].min()) for b in blocks)
     else:
@@ -442,9 +420,9 @@ def _check_effects(system: SystemType, coeffs: np.ndarray) -> None:
 class Transformation:
     """A channel: real matrix acting on coefficient vectors.
 
-    A locked matrix (see _locked), as the package's constructors pass, is
-    kept as it is; any other array is copied, so the caller's array can
-    change afterwards without touching the channel.
+    The matrix is copied, so the caller's array can change afterwards without
+    touching the channel.  The package's constructors build through _channel
+    instead, which keeps the fresh matrix they made without a copy.
     """
 
     in_system: SystemType
@@ -453,12 +431,14 @@ class Transformation:
     reversible: bool = False
 
     def __post_init__(self) -> None:
+        self._admit(copy=True)
+
+    def _admit(self, copy: bool) -> None:
+        """Lock the matrix, a float copy of it when `copy`, and check it."""
         if self.in_system.theory != self.out_system.theory:
             raise SystemMismatchError("transformation cannot change theory backend")
-        arr = self.matrix
-        if not _locked(arr):
-            arr = _readonly(np.array(arr, dtype=float))
-            object.__setattr__(self, "matrix", arr)
+        arr = _readonly(np.array(self.matrix, dtype=float) if copy else self.matrix)
+        object.__setattr__(self, "matrix", arr)
         shape = (self.out_system.vector_space_dim, self.in_system.vector_space_dim)
         if arr.shape != shape:
             raise SystemMismatchError(
@@ -477,8 +457,26 @@ class Transformation:
     def inverse(self) -> "Transformation":
         if not self.reversible:
             raise InfeasibleError("transformation is not marked reversible")
-        inv = _readonly(np.linalg.inv(self.matrix))
-        return Transformation(self.out_system, self.in_system, inv, reversible=True)
+        return _channel(self.out_system, self.in_system, np.linalg.inv(self.matrix), True)
+
+
+def _channel(
+    in_system: SystemType, out_system: SystemType, matrix: np.ndarray, reversible: bool
+) -> Transformation:
+    """Transformation(in_system, out_system, matrix, reversible) without its copy.
+
+    For a fresh float64 matrix that nothing else holds, as the package's
+    constructors build: it is locked and checked as Transformation does, and
+    kept as the channel's one copy.
+    """
+    t = object.__new__(Transformation)
+    for name, value in zip(
+        ("in_system", "out_system", "matrix", "reversible"),
+        (in_system, out_system, matrix, reversible),
+    ):
+        object.__setattr__(t, name, value)
+    t._admit(copy=False)
+    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,18 +538,16 @@ def compose_seq(second: Transformation, first: Transformation) -> Transformation
             f"cannot compose: first outputs {first.out_system}, "
             f"second expects {second.in_system}"
         )
-    return Transformation(
+    return _channel(
         first.in_system,
         second.out_system,
-        _readonly(second.matrix @ first.matrix),
-        reversible=first.reversible and second.reversible,
+        second.matrix @ first.matrix,
+        first.reversible and second.reversible,
     )
 
 
 def identity_transformation(system: SystemType) -> Transformation:
-    return Transformation(
-        system, system, _readonly(np.eye(system.vector_space_dim)), reversible=True
-    )
+    return _channel(system, system, np.eye(system.vector_space_dim), True)
 
 
 # ---------------------------------------------------------------------------
@@ -579,7 +575,7 @@ def _tensor_coeffs(
     broadcast = np.broadcast(ma[..., 0, 0], mb[..., 0, 0])
     stack = broadcast.shape
     blocks = _blocks(broadcast.size, 4 * dim * dim)
-    if len(blocks) <= 1:
+    if len(blocks) <= 1:  # the whole stack at once, without gathering its rows
         prod = ma[..., :, None, :, None] * mb[..., None, :, None, :]
         return _encode(prod.reshape(stack + (dim, dim)), dim)
     # each stack row's position among the rows of ma and of mb
@@ -617,10 +613,8 @@ def tensor_transformations(a: Transformation, b: Transformation) -> Transformati
     n_a, n_b = a.in_system.vector_space_dim, b.in_system.vector_space_dim
     basis = _tensor_coeffs(a.in_system, b.in_system, np.eye(n_a)[:, None], np.eye(n_b))
     moved = _tensor_coeffs(a.out_system, b.out_system, a.matrix.T[:, None], b.matrix.T)
-    prod = _readonly(moved.reshape(n_a * n_b, -1).T @ basis.reshape(n_a * n_b, -1))
-    return Transformation(
-        in_system, out_system, prod, reversible=a.reversible and b.reversible
-    )
+    prod = moved.reshape(n_a * n_b, -1).T @ basis.reshape(n_a * n_b, -1)
+    return _channel(in_system, out_system, prod, a.reversible and b.reversible)
 
 
 def _kept_system(system: SystemType, keep: tuple[int, ...]) -> SystemType:
@@ -921,7 +915,7 @@ def unitary_channel(system: SystemType, unitary: np.ndarray) -> Transformation:
     if system.theory != QUANTUM:
         raise SystemMismatchError("unitary channels describe quantum systems only")
     u = _as_unitary(unitary, system.dim, "matrix")
-    return Transformation(system, system, _readonly(_unitary_matrices(u)), reversible=True)
+    return _channel(system, system, _unitary_matrices(u), True)
 
 
 _ROOT2 = np.sqrt(2.0)
@@ -946,12 +940,8 @@ def _unitary_matrices(u: np.ndarray) -> np.ndarray:
     d = u.shape[-1]
     p = d * (d - 1) // 2
     out = np.empty(u.shape[:-2] + (d * d, d * d))
-    blocks = _blocks(out[..., 0, 0].size, max(2 * p * p, d**3))
-    if len(blocks) <= 1:
-        _fill_unitary_matrices(u, out)
-        return out
     flat_u, flat_out = u.reshape(-1, d, d), out.reshape(-1, d * d, d * d)
-    for b in blocks:
+    for b in _blocks(len(flat_u), max(2 * p * p, d**3)):
         _fill_unitary_matrices(flat_u[b], flat_out[b])
     return out
 
@@ -1009,7 +999,7 @@ def permutation_transformation(system: SystemType, perm: Sequence[int]) -> Trans
     matrix = np.zeros((system.dim, system.dim))
     for src, dst in enumerate(perm):
         matrix[dst, src] = 1.0
-    return Transformation(system, system, _readonly(matrix), reversible=True)
+    return _channel(system, system, matrix, True)
 
 
 def channel_from_matrix(
@@ -1020,7 +1010,15 @@ def channel_from_matrix(
 ) -> Transformation:
     """Validated generic channel: CPTP for quantum, stochastic for classical."""
     t = Transformation(in_system, out_system, matrix, reversible=reversible)
-    if in_system.theory == QUANTUM:
+    _require_channel(t)
+    if reversible:
+        _require_channel(_channel(out_system, in_system, np.linalg.inv(t.matrix), False))
+    return t
+
+
+def _require_channel(t: Transformation) -> None:
+    """Raise ValidationError unless t is CPTP (quantum) or stochastic (classical)."""
+    if t.in_system.theory == QUANTUM:
         low = float(np.linalg.eigvalsh(_choi_matrix(t))[0])
         if low < -EPS_PSD:
             raise ValidationError(
@@ -1030,10 +1028,6 @@ def channel_from_matrix(
         low = float(t.matrix.min())
         if low < -EPS_PSD:
             raise ValidationError(f"stochastic matrix has negative entry {low!r}")
-    if reversible:
-        inv = _readonly(np.linalg.inv(t.matrix))
-        channel_from_matrix(out_system, in_system, inv, reversible=False)
-    return t
 
 
 def _choi_matrix(t: Transformation) -> np.ndarray:

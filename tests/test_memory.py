@@ -245,6 +245,29 @@ def test_transformation_copies_a_read_only_view_of_a_writable_array():
     assert not np.shares_memory(t.matrix, base)
 
 
+def test_transformation_copies_a_callers_locked_array():
+    system = quantum_system(2)
+    matrix = np.eye(4)
+    matrix.setflags(write=False)
+    t = Transformation(system, system, matrix)
+    # the caller owns the array, so the caller can unlock it again
+    matrix.setflags(write=True)
+    matrix[1, 1] = 2.0
+    assert t.matrix[1, 1] == 1.0
+    assert not np.shares_memory(t.matrix, matrix)
+
+
+def test_the_constructors_private_path_keeps_every_check():
+    system = quantum_system(2)
+    matrix = np.eye(4)
+    matrix[1, 1] = np.nan
+    message = error_message(lambda: core._channel(system, system, matrix, False))
+    assert message == "transformation matrix holds NaN or infinity"
+    matrix = 2.0 * np.eye(4)
+    message = error_message(lambda: core._channel(system, system, matrix, False))
+    assert message.startswith("transformation does not preserve the unit effect")
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.int64])
 def test_transformation_converts_a_read_only_array_of_another_type(dtype):
     system = quantum_system(2)
