@@ -106,8 +106,9 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 def _require_finite(a: np.ndarray | float, what: str) -> None:
     # one block of leading-axis rows at a time, never a bool array of a's size
     a = np.atleast_1d(a)
-    if not all(np.isfinite(a[b]).all() for b in _blocks(len(a), math.prod(a.shape[1:]))):
-        raise ValidationError(f"{what} holds NaN or infinity")
+    for b in _blocks(len(a), math.prod(a.shape[1:])):
+        if not np.isfinite(a[b]).all():
+            raise ValidationError(f"{what} holds NaN or infinity")
 
 
 @dataclass(frozen=True)
@@ -352,7 +353,14 @@ def _check_states(system: SystemType, coeffs: np.ndarray) -> None:
     if system.theory == QUANTUM:
         d = system.dim
         blocks = _blocks(len(coeffs), 2 * d * d)
-        if all(_certified(coeffs[b], d) for b in blocks):
+        for b in blocks:
+            mats = _decode(coeffs[b], d)
+            mats.reshape(-1, d * d)[:, :: d + 1] += EPS_PSD
+            try:
+                np.linalg.cholesky(mats)
+            except np.linalg.LinAlgError:
+                break
+        else:
             return
         low = min(float(np.linalg.eigvalsh(_decode(coeffs[b], d))[:, 0].min()) for b in blocks)
     else:
@@ -385,17 +393,6 @@ class Effect:
         _check_effects(self.system, self.coeffs[None])
 
 
-def _certified(coeffs: np.ndarray, d: int) -> bool:
-    """Whether rho + EPS_PSD * I has a Cholesky factor for every decoded row."""
-    mats = _decode(coeffs, d)
-    mats.reshape(-1, d * d)[:, :: d + 1] += EPS_PSD
-    try:
-        np.linalg.cholesky(mats)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _check_effects(system: SystemType, coeffs: np.ndarray) -> None:
     """Raise ValidationError unless every row of the stack is an effect.
 
@@ -405,11 +402,10 @@ def _check_effects(system: SystemType, coeffs: np.ndarray) -> None:
     """
     if system.theory == QUANTUM:
         d = system.dim
-        spectra = [
-            np.linalg.eigvalsh(_decode(coeffs[b], d)) for b in _blocks(len(coeffs), 2 * d * d)
-        ]
-        low = min(float(eigs[:, 0].min()) for eigs in spectra)
-        high = max(float(eigs[:, -1].max()) for eigs in spectra)
+        low, high = np.inf, -np.inf
+        for b in _blocks(len(coeffs), 2 * d * d):
+            eigs = np.linalg.eigvalsh(_decode(coeffs[b], d))
+            low, high = min(low, float(eigs[:, 0].min())), max(high, float(eigs[:, -1].max()))
     else:
         low, high = float(coeffs.min()), float(coeffs.max())
     if low < -EPS_PSD or high > 1.0 + EPS_PSD:
@@ -932,42 +928,28 @@ def _unitary_matrices(u: np.ndarray) -> np.ndarray:
     U[b, j] conj U[b, l] and |U[b, a]|**2.  That is O(d**4) with no basis
     array.  Every product is elementwise or one matmul per matrix, so a
     stacked matrix is bit for bit what unitary_channel gives on that unitary
-    alone.  The matrices are built a block of unitaries at a time, the
-    largest temporaries being the pair block's 2 P**2 entries (P pairs) and
-    the diagonal columns' d**3; one large unitary builds its pair block a
-    block of pair rows at a time.
+    alone.  The pair block is built one block of pair rows at a time, 2 P
+    entries per row and unitary (P pairs); a stack of unitaries is its
+    caller's block (interference._phase_moved builds a block of angles at a
+    time), so its other temporaries stay under d**4 entries per unitary.
     """
-    d = u.shape[-1]
-    p = d * (d - 1) // 2
-    out = np.empty(u.shape[:-2] + (d * d, d * d))
-    flat_u, flat_out = u.reshape(-1, d, d), out.reshape(-1, d * d, d * d)
-    for b in _blocks(len(flat_u), max(2 * p * p, d**3)):
-        _fill_unitary_matrices(flat_u[b], flat_out[b])
-    return out
-
-
-def _fill_unitary_matrices(u: np.ndarray, out: np.ndarray) -> None:
-    """Write _unitary_matrices(u) into `out`, the pair block in row slices."""
     d = u.shape[-1]
     lay = _layout(d)
     p = len(lay.lo)
     stack = u.shape[:-2]
+    out = np.empty(stack + (d * d, d * d))
     # rows and columns of the pair block, split as (sym or anti, pair)
     pair_block = out[..., 1 : 1 + 2 * p, 1 : 1 + 2 * p].reshape(stack + (2, p, 2, p))
     u_lo, u_hi = u.take(lay.lo, axis=-2), u.take(lay.hi, axis=-2).conj()
     for rows in _blocks(p, 2 * p * u[..., 0, 0].size):
         a, b = u_lo[..., rows, :], u_hi[..., rows, :]
-        # an in-place complex product can round differently from a fresh one,
-        # so only the exact conjugate, difference and product by i run in place
         t1 = a.take(lay.lo, axis=-1) * b.take(lay.hi, axis=-1)
-        t2 = a.take(lay.hi, axis=-1) * b.take(lay.lo, axis=-1)
-        np.conjugate(t2, out=t2)
+        t2 = (a.take(lay.hi, axis=-1) * b.take(lay.lo, axis=-1)).conj()
         # a complex entry's (real, imaginary) parts land in the (sym, anti) columns
         pair_block[..., 0, rows, :, :] = (t1 + t2).view(float).reshape(
             t1.shape + (2,)).swapaxes(-1, -2)
-        t1 -= t2
-        t1 *= 1j
-        pair_block[..., 1, rows, :, :] = t1.view(float).reshape(t1.shape + (2,)).swapaxes(-1, -2)
+        pair_block[..., 1, rows, :, :] = ((t1 - t2) * 1j).view(float).reshape(
+            t1.shape + (2,)).swapaxes(-1, -2)
     # the diagonal columns, U diag(h_r) U^dag read on every row, and the
     # diagonal rows, U B_k U^dag read on the diagonal for the pair columns
     moved = (u_lo * u_hi) @ lay.helmert_t * _ROOT2
@@ -976,6 +958,7 @@ def _fill_unitary_matrices(u: np.ndarray, out: np.ndarray) -> None:
         [dd[..., :1, :], moved.real, -moved.imag, dd[..., 1:, :]], axis=-2)
     seen = lay.helmert @ (u.take(lay.lo, axis=-1) * u.take(lay.hi, axis=-1).conj()) * _ROOT2
     out[..., lay.diag_slots, 1 : 1 + 2 * p] = np.concatenate([seen.real, seen.imag], axis=-1)
+    return out
 
 
 def phase_unitary(system: SystemType, angles: Sequence[float]) -> Transformation:

@@ -126,7 +126,7 @@ def test_stacked_unitary_matrices_equal_one_unitary_calls(monkeypatch, d):
     u = np.stack([haar_unitary(d, seed) for seed in range(7)])
     want = np.stack([unitary_channel(quantum_system(d), one).matrix for one in u])
     p = d * (d - 1) // 2
-    spans_blocks(monkeypatch, 7, max(2 * p * p, d**3))
+    spans_blocks(monkeypatch, p, 2 * p * len(u), blocks=min(3, p))
     assert np.array_equal(core._unitary_matrices(u), want)
 
 
@@ -163,6 +163,17 @@ def test_finiteness_is_checked_in_every_block(monkeypatch):
     assert matrix.size > core._BLOCK_ENTRIES
     core._require_finite(matrix, "matrix")
     matrix[-1, -1] = np.nan
+    message = error_message(lambda: core._require_finite(matrix, "matrix"))
+    assert message == "matrix holds NaN or infinity"
+
+
+def test_huge_finite_entries_pass_the_finiteness_check_without_a_warning(monkeypatch):
+    # a check that summed the entries would overflow here, which warns
+    rows, cols = 40, 16
+    matrix = np.full((rows, cols), 1e308)
+    spans_blocks(monkeypatch, rows, cols)
+    core._require_finite(matrix, "matrix")
+    matrix[-1, -1] = -np.inf
     message = error_message(lambda: core._require_finite(matrix, "matrix"))
     assert message == "matrix holds NaN or infinity"
 
