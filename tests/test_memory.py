@@ -84,7 +84,9 @@ def test_an_effect_outside_the_unit_interval_in_the_last_block_reports_the_stack
     d, rows = 3, 11
     system = quantum_system(d)
     stack = np.stack([random_effect(system, s).coeffs for s in range(rows)])
-    stack[-1] = encoded([1.5, 0.5, -0.25])
+    # the highest value lies in the first block and the lowest in the last
+    stack[0] = encoded([1.5, 0.5, 0.25])
+    stack[-1] = encoded([0.75, 0.5, -0.25])
     whole = error_message(lambda: core._check_effects(system, stack))
     spectra = [np.linalg.eigvalsh(core._decode(row, d)) for row in stack]
     low, high = min(s[0] for s in spectra), max(s[-1] for s in spectra)
