@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 
@@ -94,6 +93,9 @@ _BLOCK_ENTRIES = 1 << 16
 def _blocks(rows: int, row_entries: int) -> list[slice]:
     """Consecutive slices of `rows` rows, each holding at most _BLOCK_ENTRIES
     entries at `row_entries` per row, and at least one row; none when rows is 0."""
+    # most stacks fit in one block, and the small-stack checks run this per call
+    if rows * row_entries <= _BLOCK_ENTRIES:
+        return [slice(0, rows)] if rows else []
     step = max(1, _BLOCK_ENTRIES // max(1, row_entries))
     return [slice(start, start + step) for start in range(0, rows, step)]
 
@@ -104,9 +106,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray | float, what: str) -> None:
-    # one block of leading-axis rows at a time, never a bool array of a's size
-    a = np.atleast_1d(a)
-    for b in _blocks(len(a), math.prod(a.shape[1:])):
+    # an array larger than one block is checked a block of leading-axis rows at
+    # a time, so the bool array never outgrows the budget
+    a = np.asarray(a)
+    blocks = (...,) if a.size <= _BLOCK_ENTRIES else _blocks(len(a), a[0].size)
+    for b in blocks:
         if not np.isfinite(a[b]).all():
             raise ValidationError(f"{what} holds NaN or infinity")
 
