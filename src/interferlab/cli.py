@@ -504,6 +504,10 @@ def main(argv: list[str] | None = None) -> int:
     except _LIBRARY_ERRORS as err:
         print(f"interferlab: error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as err:
+        detail = f" ({err})" if str(err) else ""
+        print(f"interferlab: error: not enough memory for this input{detail}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

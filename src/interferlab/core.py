@@ -63,12 +63,12 @@ EPS_DECISION = 1e-6
 # Validation policy: data is checked once, where it enters: the StateVector,
 # Effect and Transformation constructors on caller arrays, ket_state,
 # projector_effect, state_from_density, effect_from_matrix,
-# channel_from_matrix, _as_unitary, the serialize descriptors and
-# PathExperiment.  A value derived from validated values by a step that
-# preserves validity (a seeded draw, a projector sandwich, a phase built from
-# path kets) is not checked again (check=False, or bare coefficients).  apply,
-# transform_effect, the tensor products and the verify functions keep their
-# checks: a raw reversible=True Transformation need not preserve positivity.
+# channel_from_matrix, _as_unitary and PathExperiment.  A value derived from
+# validated values by a step that preserves validity (a seeded draw, a
+# projector sandwich, a phase built from path kets) is not checked again
+# (check=False, or bare coefficients).  apply, transform_effect, the tensor
+# products and the verify functions keep their checks: a raw reversible=True
+# Transformation need not preserve positivity.
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -1058,14 +1058,6 @@ def random_unitary(system: SystemType, seed: int | np.random.Generator) -> Trans
     return unitary_channel(system, haar_unitary(system.dim, seed))
 
 
-def random_reversible(system: SystemType, seed: int | np.random.Generator) -> Transformation:
-    """Seeded reversible transformation for either backend."""
-    if system.theory == QUANTUM:
-        return random_unitary(system, seed)
-    rng = np.random.default_rng(seed)
-    return permutation_transformation(system, rng.permutation(system.dim))
-
-
 def _random_density(dim: int, rng: np.random.Generator, kind: str) -> np.ndarray:
     """Density matrix of one Haar-pure or Hilbert-Schmidt-mixed draw."""
     if kind == "pure":
@@ -1112,23 +1104,7 @@ def random_effect(system: SystemType, seed: int | np.random.Generator) -> Effect
 
 
 # ---------------------------------------------------------------------------
-# operator transport and comparisons
-
-
-def transform_operator(t: Transformation, mat: np.ndarray) -> np.ndarray:
-    """Action of a quantum channel on an arbitrary Hermitian operator."""
-    if t.in_system.theory != QUANTUM:
-        raise SystemMismatchError("operator transport is quantum only")
-    return _decode(t.matrix @ _encode(np.asarray(mat, dtype=complex), t.in_system.dim),
-                   t.out_system.dim)
-
-
-def states_close(a: StateVector, b: StateVector, tol: float = EPS_EQ) -> bool:
-    return a.system == b.system and float(np.max(np.abs(a.coeffs - b.coeffs))) <= tol
-
-
-def effects_close(a: Effect, b: Effect, tol: float = EPS_EQ) -> bool:
-    return a.system == b.system and float(np.max(np.abs(a.coeffs - b.coeffs))) <= tol
+# comparisons
 
 
 def transformations_close(a: Transformation, b: Transformation, tol: float = EPS_EQ) -> bool:

@@ -29,6 +29,7 @@ from .core import (
     SystemType,
     Transformation,
     ValidationError,
+    _decode,
     _encode,
     _haar,
     _readonly,
@@ -37,7 +38,6 @@ from .core import (
     density_matrix,
     pair,
     permutation_transformation,
-    transform_operator,
     unit_effect,
 )
 
@@ -196,10 +196,12 @@ def phase_relative_angles(
     if not is_phase(transformation, experiment):
         raise NotAPhaseError("transformation does not fix the which-path effects")
     kets = experiment.kets
+    d = experiment.system.dim
     angles = np.zeros(experiment.n)
     for j in range(1, experiment.n):
         coherence = np.outer(kets[:, 0], kets[:, j].conj())
-        moved = transform_operator(transformation, coherence + coherence.conj().T)
+        op = coherence + coherence.conj().T
+        moved = _decode(transformation.matrix @ _encode(op, d), d)
         val = kets[:, 0].conj() @ moved @ kets[:, j]
         if abs(abs(val) - 1.0) > EPS_DECISION:
             raise NotAPhaseError(

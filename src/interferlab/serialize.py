@@ -1,9 +1,9 @@
-"""JSON descriptors for systems, states, effects, unitaries, and experiments.
+"""JSON descriptors for complex matrices and states, and the output schemas.
 
 Complex matrices travel as row-major [real, imag] pairs with an explicit
 shape; quantum states travel in amplitude or density form, classical ones as
-probability vectors.  These descriptors are what the command-line interface
-reads and writes.
+probability vectors.  The command-line interface reads these descriptors: the
+kickback branch unitaries and the optional fixed state.
 """
 
 from __future__ import annotations
@@ -16,18 +16,12 @@ import numpy as np
 
 from .core import (
     CLASSICAL,
-    QUANTUM,
-    Effect,
     StateVector,
     SystemType,
     ValidationError,
-    effect_from_matrix,
-    effect_matrix,
-    density_matrix,
     ket_state,
     state_from_density,
 )
-from .paths import Path, PathExperiment, make_experiment
 
 
 def complex_matrix_to_dict(mat: np.ndarray) -> dict:
@@ -72,30 +66,15 @@ def complex_matrix_from_dict(data: dict) -> np.ndarray:
     return np.array([complex(re, im) for re, im in pairs]).reshape(shape)
 
 
-def system_to_dict(system: SystemType) -> dict:
-    return {"theory": system.theory, "dim": system.dim, "factors": list(system.factors)}
-
-
-def system_from_dict(data: dict) -> SystemType:
+def _system_from_dict(data: dict) -> SystemType:
     theory = str(_field(data, "theory", "system"))
     (dim,) = _json_list([_field(data, "dim", "system")], "integer", "system dim")
     factors = _json_list(data.get("factors", []), "integer", "system factors")
     return SystemType(theory, dim, tuple(factors))
 
 
-def state_to_dict(state: StateVector) -> dict:
-    base = {"system": system_to_dict(state.system)}
-    if state.system.theory == QUANTUM:
-        base["form"] = "density"
-        base["matrix"] = complex_matrix_to_dict(density_matrix(state))
-    else:
-        base["form"] = "probabilities"
-        base["values"] = [float(x) for x in state.coeffs]
-    return base
-
-
 def state_from_dict(data: dict) -> StateVector:
-    system = system_from_dict(_field(data, "system", "state"))
+    system = _system_from_dict(_field(data, "system", "state"))
     form = data.get("form")
     if form == "density":
         return state_from_density(
@@ -109,53 +88,6 @@ def state_from_dict(data: dict) -> StateVector:
         values = _json_list(_field(data, "values", "state"), "number", "state values")
         return StateVector(system, values)
     raise ValidationError(f"unknown state form {form!r}")
-
-
-def effect_to_dict(effect: Effect) -> dict:
-    base = {"system": system_to_dict(effect.system)}
-    if effect.system.theory == QUANTUM:
-        base["form"] = "operator"
-        base["matrix"] = complex_matrix_to_dict(effect_matrix(effect))
-    else:
-        base["form"] = "values"
-        base["values"] = [float(x) for x in effect.coeffs]
-    return base
-
-
-def effect_from_dict(data: dict) -> Effect:
-    system = system_from_dict(_field(data, "system", "effect"))
-    form = data.get("form")
-    if form == "operator":
-        return effect_from_matrix(
-            system, complex_matrix_from_dict(_field(data, "matrix", "effect")))
-    if form == "values":
-        if system.theory != CLASSICAL:
-            raise ValidationError("plain value vectors describe classical effects")
-        values = _json_list(_field(data, "values", "effect"), "number", "effect values")
-        return Effect(system, values)
-    raise ValidationError(f"unknown effect form {form!r}")
-
-
-def experiment_to_dict(experiment: PathExperiment) -> dict:
-    return {
-        "paths": [
-            {"state": state_to_dict(p.state), "effect": effect_to_dict(p.effect)}
-            for p in experiment.paths
-        ],
-    }
-
-
-def experiment_from_dict(data: dict) -> PathExperiment:
-    try:
-        if "epsilon_support" in data:
-            raise ValidationError("'epsilon_support' is not supported: support is fixed at EPS_EQ")
-        paths = [
-            Path(state_from_dict(p["state"]), effect_from_dict(p["effect"]))
-            for p in data["paths"]
-        ]
-    except (KeyError, TypeError) as err:
-        raise ValidationError(f"malformed experiment descriptor: {err}") from err
-    return make_experiment(paths)
 
 
 def load_schema(command: str) -> dict:

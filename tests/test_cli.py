@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from interferlab import complex_matrix_to_dict, load_schema
+from interferlab import cli, complex_matrix_to_dict, load_schema
 from interferlab.cli import SEED_ENV_VAR, main
 
 PI_LITERAL = format(math.pi, ".17g")
@@ -360,6 +360,24 @@ def test_malformed_descriptor_files_exit_2_without_a_traceback(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("interferlab: error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "message",
+    ["Unable to allocate 745. GiB for an array with shape (100000000000,)", ""],
+)
+def test_running_out_of_memory_exits_2_without_a_traceback(monkeypatch, capsys, message):
+    def exhausted(cfg):
+        raise MemoryError(message)
+
+    monkeypatch.setitem(cli._RUNNERS, "mz-sweep", exhausted)
+    assert main(["mz-sweep"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("interferlab: error: not enough memory")
+    assert message in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
 
 
 def test_reruns_are_byte_identical(tmp_path):

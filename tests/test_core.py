@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from interferlab import core
 from interferlab import (
     EPS_EQ,
     EPS_PSD,
@@ -26,7 +27,6 @@ from interferlab import (
     dynamically_faithful_state,
     effect_from_matrix,
     effect_matrix,
-    effects_close,
     haar_unitary,
     hermitian_basis,
     identity_transformation,
@@ -40,20 +40,24 @@ from interferlab import (
     projector_effect,
     quantum_system,
     random_effect,
-    random_reversible,
     random_state,
     random_unitary,
     state_from_density,
-    states_close,
     tensor_effects,
     tensor_states,
     tensor_transformations,
     transform_effect,
-    transform_operator,
     transformations_close,
     unit_effect,
     unitary_channel,
 )
+
+
+def draw_reversible(system, rng):
+    """A Haar unitary on a quantum system, a uniform permutation on a classical one."""
+    if system.theory == core.QUANTUM:
+        return random_unitary(system, rng)
+    return permutation_transformation(system, rng.permutation(system.dim))
 
 
 def random_density(dim, rng, rank=None):
@@ -196,7 +200,7 @@ def test_reversibles_preserve_normalization(make):
     system = make(3)
     u = unit_effect(system)
     for _ in range(25):
-        t = random_reversible(system, rng)
+        t = draw_reversible(system, rng)
         s = random_state(system, rng)
         assert abs(pair(u, apply(t, s)) - 1.0) < EPS_EQ
 
@@ -229,8 +233,8 @@ def test_maximally_mixed_is_fixed_by_random_reversibles(make):
     system = make(3)
     mixed = maximally_mixed(system)
     for _ in range(1000):
-        t = random_reversible(system, rng)
-        assert states_close(apply(t, mixed), mixed)
+        t = draw_reversible(system, rng)
+        assert np.max(np.abs(apply(t, mixed).coeffs - mixed.coeffs)) <= EPS_EQ
 
 
 def test_bell_state_marginals_are_maximally_mixed():
@@ -248,8 +252,10 @@ def test_marginal_of_product_recovers_factors():
     a = random_state(qa, rng, kind="mixed")
     b = random_state(qb, rng, kind="mixed")
     joint = tensor_states(a, b)
-    assert states_close(marginalize(joint, 0), a)
-    assert states_close(marginalize(joint, 1), b)
+    for factor, want in enumerate((a, b)):
+        got = marginalize(joint, factor)
+        assert got.system == want.system
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= EPS_EQ
 
 
 def test_partial_pair_matches_matrix_conditioning():
@@ -290,7 +296,7 @@ def test_faithful_state_discriminates_transformations():
             continue
         moved1 = apply(tensor_transformations(t1, ident), faithful)
         moved2 = apply(tensor_transformations(t2, ident), faithful)
-        assert not states_close(moved1, moved2)
+        assert np.max(np.abs(moved1.coeffs - moved2.coeffs)) > EPS_EQ
         checked += 1
 
 
@@ -347,20 +353,24 @@ def test_transform_effect_is_the_pullback():
 
 
 def test_transform_operator_matches_conjugation():
+    """A channel matrix moves any Hermitian operator, not only a state, by
+    conjugation: phase_relative_angles reads path coherences this way."""
     rng = np.random.default_rng(53)
     system = quantum_system(3)
     u = haar_unitary(3, rng)
     t = unitary_channel(system, u)
     op = rng.standard_normal((3, 3))
     op = op + op.T
-    np.testing.assert_allclose(transform_operator(t, op), u @ op @ u.conj().T, atol=1e-12)
+    moved = core._decode(t.matrix @ core._encode(op.astype(complex), 3), 3)
+    np.testing.assert_allclose(moved, u @ op @ u.conj().T, atol=1e-12)
 
 
 def test_permutation_transformation_moves_classical_points():
     system = classical_system(3)
     t = permutation_transformation(system, (1, 2, 0))
     for i, target in enumerate((1, 2, 0)):
-        assert states_close(apply(t, basis_state(system, i)), basis_state(system, target))
+        moved = apply(t, basis_state(system, i)).coeffs
+        assert np.max(np.abs(moved - basis_state(system, target).coeffs)) <= EPS_EQ
     assert t.reversible
     assert transformations_close(
         compose_seq(t.inverse(), t), identity_transformation(system)
@@ -427,12 +437,3 @@ def test_composite_system_bookkeeping():
     assert joint.vector_space_dim == 36
     with pytest.raises(SystemMismatchError):
         composite_system(qa, classical_system(2))
-
-
-def test_effects_close_and_states_close_tolerance():
-    system = quantum_system(2)
-    s = basis_state(system, 0)
-    bumped = StateVector(system, s.coeffs + 0.5 * EPS_EQ, check=False)
-    assert states_close(s, bumped)
-    e = basis_effect(system, 0)
-    assert effects_close(e, Effect(system, e.coeffs.copy()))

@@ -24,7 +24,6 @@ from interferlab import (
     compose_seq,
     detection_order,
     effect_from_matrix,
-    effects_close,
     enumerate_classical_phases,
     haar_unitary,
     identity_transformation,
@@ -344,7 +343,10 @@ def is_phase_reference(t, experiment):
     return (
         t.out_system == experiment.system
         and t.reversible
-        and all(effects_close(transform_effect(t, p.effect), p.effect) for p in experiment.paths)
+        and all(
+            float(np.max(np.abs(transform_effect(t, p.effect).coeffs - p.effect.coeffs))) <= EPS_EQ
+            for p in experiment.paths
+        )
     )
 
 
