@@ -50,7 +50,7 @@ from .control import (
     swap_exchange_unitary,
 )
 from .oracle import build_oracle, run_deutsch
-from .serialize import complex_matrix_from_dict, state_from_dict
+from .serialize import _JSON_KINDS, complex_matrix_from_dict, state_from_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -96,8 +96,8 @@ _OPTIONS: dict[str, tuple] = {
     "angles": (str, None, "comma-separated phase angles, e.g. 0,0,1.5"),
 }
 
-# option type -> (Python types json.load gives an accepted value, JSON type name)
-_JSON_TYPES = {int: (int, "integer"), float: ((int, float), "number"), str: (str, "string")}
+# option type -> the JSON kind (serialize._JSON_KINDS) a config value must have
+_JSON_TYPES = {int: "integer", float: "number", str: "string"}
 
 _SHARED = ("theory", "dim", "paths", "format", "out", "config")
 
@@ -168,19 +168,23 @@ def _join_negative_values(argv: list[str]) -> list[str]:
     return joined
 
 
+def _read_json(path: str, what: str) -> object:
+    """The parsed content of a JSON file; exit 2 when it cannot be read or parsed."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as err:
+        raise CliError(f"cannot read {what} file: {err}") from err
+    except json.JSONDecodeError as err:
+        raise CliError(f"{what} file is not valid JSON: {err}") from err
+
+
 def _resolve_config(command: str, args: argparse.Namespace) -> dict:
     """Merge flags over config-file values over defaults."""
     keys = _COMMANDS[command][2] + _SHARED
     file_values: dict = {}
-    config_path = args.config
-    if config_path is not None:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                file_values = json.load(fh)
-        except OSError as err:
-            raise CliError(f"cannot read config file: {err}") from err
-        except json.JSONDecodeError as err:
-            raise CliError(f"config file is not valid JSON: {err}") from err
+    if args.config is not None:
+        file_values = _read_json(args.config, "config")
         if not isinstance(file_values, dict):
             raise CliError("config file must hold a JSON object")
         unknown = set(file_values) - set(keys)
@@ -194,8 +198,8 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is None and file_values.get(key) is not None:
             value = file_values[key]
-            accepted, kind = _JSON_TYPES[cast]
-            if isinstance(value, bool) or not isinstance(value, accepted):
+            kind = _JSON_TYPES[cast]
+            if not _JSON_KINDS[kind](value):
                 raise CliError(f"config key {key!r} must be a JSON {kind}, got {value!r}")
             value = cast(value)
         resolved[key] = default if value is None else value
@@ -331,13 +335,7 @@ def _run_kickback(cfg: dict) -> tuple[str, int]:
     if cfg["unitaries"] is None:
         raise CliError("kickback needs --unitaries FILE")
     seed = _require_seed(cfg, "kickback")
-    try:
-        with open(cfg["unitaries"], encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as err:
-        raise CliError(f"cannot read unitaries file: {err}") from err
-    except json.JSONDecodeError as err:
-        raise CliError(f"unitaries file is not valid JSON: {err}") from err
+    data = _read_json(cfg["unitaries"], "unitaries")
     if not isinstance(data, dict) or not isinstance(data.get("unitaries"), list):
         raise CliError('unitaries file must hold {"unitaries": [matrix, ...]}')
     try:

@@ -56,6 +56,7 @@ class ControlledTransformation:
 
     Stores the branch unitaries and one control ket per branch (columns), as
     read-only copies; everything else derives from them once, on first use.
+    The constructor checks them; build_controlled also verifies the contract.
     """
 
     target_system: SystemType
@@ -64,9 +65,15 @@ class ControlledTransformation:
     designated_target: StateVector | None = None
 
     def __post_init__(self) -> None:
-        unitaries = tuple(_readonly(np.array(u, dtype=complex)) for u in self.branch_unitaries)
+        if self.target_system.theory != QUANTUM:
+            raise SystemMismatchError("controlled transformations are built on the quantum backend")
+        n, d = len(self.branch_unitaries), self.target_system.dim
+        if n < 2:
+            raise ValidationError("need at least two branches to control on")
+        unitaries = tuple(_readonly(np.array(_as_unitary(u, d, f"branch {i}")))
+                          for i, u in enumerate(self.branch_unitaries))
         object.__setattr__(self, "branch_unitaries", unitaries)
-        kets = _readonly(np.array(self.control_kets, dtype=complex))
+        kets = _readonly(np.array(_as_unitary(self.control_kets, n, "control kets")))
         object.__setattr__(self, "control_kets", kets)
 
     @property
@@ -93,8 +100,7 @@ class ControlledTransformation:
         The control states and effects share this stack.  It is encoded
         row-exactly, so row i is bit for bit ket_state's and
         projector_effect's, and checked once as a state stack and once as an
-        effect stack.  A state's unit pairing is |k_i|**2, so the state check
-        also bounds the ket norms that ket_state tests.
+        effect stack.
         """
         kets = np.ascontiguousarray(self.control_kets.T)
         coeffs = _readonly(_encode(kets[:, :, None] * kets.conj()[:, None, :], self.n_branches))
@@ -123,36 +129,23 @@ def build_controlled(
     verify_samples: int = 20,
     seed: int | np.random.Generator = 0,
 ) -> ControlledTransformation:
-    """Assemble and verify the controlled transformation of the given branches.
+    """Construct and verify the controlled transformation of the given branches.
 
-    The control defaults to the computational basis of an n-level quantum
-    system.  Construction checks both defining properties on random target
-    states: branch i acts on the target whenever the control is prepared on
-    basis state i, and filtering the control on (i| after the composite yields
-    branch i weighted by the control overlap.
+    The control kets default to the computational basis of an n-level quantum
+    system.  The contract is checked on random target states: branch i acts
+    on the target whenever the control is prepared on ket i, and filtering
+    the control on (k_i| after the composite yields branch i weighted by the
+    control overlap.
     """
-    n = len(branch_unitaries)
-    _require_controllable(target_system, n)
-    d_t = target_system.dim
-    unitaries = tuple(
-        _as_unitary(u, d_t, f"branch {i}") for i, u in enumerate(branch_unitaries)
-    )
-    kets = np.eye(n) if control_kets is None else _as_unitary(control_kets, n, "control kets")
-    built = ControlledTransformation(target_system, unitaries, kets)
+    kets = np.eye(len(branch_unitaries)) if control_kets is None else control_kets
+    built = ControlledTransformation(target_system, branch_unitaries, kets)
     return _verified(built, verify_samples, seed)
-
-
-def _require_controllable(target_system: SystemType, n_branches: int) -> None:
-    if target_system.theory != QUANTUM:
-        raise SystemMismatchError("controlled transformations are built on the quantum backend")
-    if n_branches < 2:
-        raise ValidationError("need at least two branches to control on")
 
 
 def _verified(
     built: ControlledTransformation, verify_samples: int, seed: int | np.random.Generator
 ) -> ControlledTransformation:
-    """The map, once its contract holds on random samples; its arrays are checked already."""
+    """The map, once its contract holds on random samples; its constructor checked its arrays."""
     report = verify_control_contract(built, trials=verify_samples, seed=seed)
     if report["max_branch_deviation"] > EPS_EQ or report["max_filter_deviation"] > EPS_EQ:
         raise ValidationError(f"controlled contract failed at construction: {report}")
@@ -177,7 +170,7 @@ def verify_control_contract(
     (sigmas,) = _sample_stacks((controlled.target_system,), trials, rng)
     # axis 0 runs over the control basis states, axis 1 over the samples
     controls = controlled._projectors[:, None, :]
-    branched = _rowwise(_branch_matrices(controlled)[:, None], sigmas)
+    branched = _branched(controlled, sigmas)
     _check_states(controlled.target_system, branched.reshape(-1, sigmas.shape[1]))
     branch_dev = _product_deviation(controlled, (controls, sigmas), (controls, branched))
     filt = verify_superposition_preservation(controlled, trials=trials, seed=rng)
@@ -210,14 +203,14 @@ def _require_samples(trials: int) -> None:
         raise ValidationError(f"need at least one verification sample, got {trials}")
 
 
-def _branch_matrices(controlled: ControlledTransformation) -> np.ndarray:
-    """The branch channels' matrices as one stack, axis 0 over the branches.
+def _branched(controlled: ControlledTransformation, rows: np.ndarray) -> np.ndarray:
+    """Every branch channel applied to the rows, axis 0 over the branches.
 
-    Stacked on each use, not stored.  _rowwise(stack[:, None], rows) applies
-    every branch to every row in one matmul that is still one gemv per row,
-    so each result is bit for bit the branch's own _rowwise.
+    Each branch's _rowwise is one gemv per row, so every result is bit for
+    bit the branch's own; only these results are stacked, never the channel
+    matrices themselves.
     """
-    return np.stack([t.matrix for t in controlled.branch_transforms])
+    return np.stack([_rowwise(t.matrix, rows) for t in controlled.branch_transforms])
 
 
 def _sample_stacks(
@@ -280,7 +273,7 @@ def verify_superposition_preservation(
     omegas, sigmas = _sample_stacks((control, target), trials, rng)
     prepared = _tensor_coeffs(control, target, omegas, sigmas)
     moved = _rowwise(controlled.composite.matrix, prepared)
-    branched = _rowwise(_branch_matrices(controlled)[:, None], sigmas)
+    branched = _branched(controlled, sigmas)
     _check_states(joint, np.concatenate([prepared, moved]))
     _check_states(target, branched.reshape(-1, sigmas.shape[1]))
     effects = controlled._projectors
@@ -429,9 +422,7 @@ class KickbackResult:
     phase_residual: float
 
     def __post_init__(self) -> None:
-        arr = np.array(self.angles, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "angles", arr)
+        object.__setattr__(self, "angles", _readonly(np.array(self.angles, dtype=float)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -461,15 +452,13 @@ def extract_kickback(
     validated, by one batched check per system.
     """
     _require_samples(verify_samples)
-    # the branch channels check each branch unitary, so the search below need not
-    branches = _branch_matrices(controlled)
     if fixed_state is None:
         fixed_state = _common_fixed_state(controlled.branch_unitaries, controlled.target_system)
         if fixed_state is None:
             raise InfeasibleError("branches share no fixed state to kick back from")
     if fixed_state.system != controlled.target_system:
         raise SystemMismatchError("fixed state does not live on the target system")
-    moved = _rowwise(branches, fixed_state.coeffs)
+    moved = _branched(controlled, fixed_state.coeffs)
     deviations = np.max(np.abs(moved - fixed_state.coeffs), axis=-1)
     worst = int(np.argmax(deviations))
     if deviations[worst] > EPS_EQ:
@@ -531,10 +520,9 @@ def realize_phase_as_kickback(
     """
     angles = phase_relative_angles(phase, control_experiment)
     target = quantum_system(2)
-    # diag(1, e^{i w}) is unitary for every finite angle; the kets are caller data
     branches = [np.diag([1.0, np.exp(1j * a)]) for a in angles]
-    kets = _as_unitary(control_experiment.kets, len(angles), "control kets")
-    built = ControlledTransformation(target, branches, kets, basis_state(target, 1))
+    built = ControlledTransformation(
+        target, branches, control_experiment.kets, basis_state(target, 1))
     return _verified(built, verify_samples=20, seed=seed)
 
 
@@ -628,19 +616,12 @@ def multi_path_permutation_experiment(
 ) -> np.ndarray:
     """Kicked angles of a family of permutation-induced operations.
 
-    Branch 0 is the identity gauge; returns the angles of branches 1..n-1.
-    Every operation must fix the state, or the kick-back extraction reports
-    the offending branch.
+    Branch 0 is the identity gauge and operation j is branch j + 1, the name
+    its errors carry; returns the angles of branches 1..n.  Every operation
+    must fix the state, or the kick-back extraction reports the offending branch.
     """
     system = particle_state.system
-    d = system.dim
-    ops = [np.eye(d)] + [
-        _as_unitary(u, d, f"permutation operation {i}")
-        for i, u in enumerate(permutation_ops)
-    ]
-    _require_controllable(system, len(ops))
-    built = ControlledTransformation(system, ops, np.eye(len(ops)))
-    controlled = _verified(built, verify_samples=20, seed=seed)
+    controlled = build_controlled([np.eye(system.dim), *permutation_ops], system, seed=seed)
     result = extract_kickback(controlled, particle_state, seed=seed)
     return result.angles[1:]
 

@@ -63,10 +63,10 @@ EPS_DECISION = 1e-6
 # Validation policy: data is checked once, where it enters: the StateVector,
 # Effect and Transformation constructors on caller arrays, ket_state,
 # projector_effect, state_from_density, effect_from_matrix,
-# channel_from_matrix, _as_unitary and PathExperiment.  A value derived from
-# validated values by a step that preserves validity (a seeded draw, a
-# projector sandwich, a phase built from path kets) is not checked again
-# (check=False, or bare coefficients).  apply, transform_effect, the tensor
+# channel_from_matrix, _as_unitary, PathExperiment and
+# ControlledTransformation.  A value derived from validated values by a step
+# that preserves validity (a seeded draw, a projector sandwich, a phase built
+# from path kets) is not checked again (check=False, or bare coefficients).  apply, transform_effect, the tensor
 # products and the verify functions keep their checks: a raw reversible=True
 # Transformation need not preserve positivity.
 

@@ -211,12 +211,6 @@ def phase_relative_angles(
     return angles
 
 
-def _circular_spread(angles: np.ndarray) -> float:
-    """Largest distance of any angle from 0 on the circle."""
-    wrapped = np.angle(np.exp(1j * angles))
-    return float(np.max(np.abs(wrapped))) if angles.size else 0.0
-
-
 def is_n_undetectable(
     transformation: Transformation,
     experiment: PathExperiment,
@@ -249,7 +243,8 @@ def is_n_undetectable(
     angles = phase_relative_angles(transformation, experiment)
     if order == 1:
         return True
-    return _circular_spread(angles) <= EPS_EQ
+    # the largest distance of any angle from 0 on the circle
+    return float(np.max(np.abs(np.angle(np.exp(1j * angles))))) <= EPS_EQ
 
 
 def detection_order(
@@ -260,12 +255,7 @@ def detection_order(
     A quantum phase with any nonvanishing relative angle is caught by an
     effect on the corresponding path pair, so the order is 2 or nothing.
     """
-    if experiment.system.theory == CLASSICAL:
-        if not is_phase(transformation, experiment):
-            raise NotAPhaseError("transformation does not fix the which-path effects")
-        return None
-    angles = phase_relative_angles(transformation, experiment)
-    return None if _circular_spread(angles) <= EPS_EQ else 2
+    return None if is_n_undetectable(transformation, experiment, 2) else 2
 
 
 def _subset_effects(

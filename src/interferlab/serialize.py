@@ -42,6 +42,7 @@ def _field(data: object, key: str, what: str) -> object:
 _JSON_KINDS = {
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
 }
 _JSON_KINDS["non-negative integer"] = lambda v: _JSON_KINDS["integer"](v) and v >= 0
 _JSON_KINDS["[real, imag] pair"] = lambda v: (

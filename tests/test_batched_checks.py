@@ -36,6 +36,7 @@ from interferlab import (
     random_unitary,
     state_from_density,
     tensor_states,
+    unitary_channel,
     verify_control_contract,
     verify_superposition_preservation,
 )
@@ -255,23 +256,22 @@ def test_control_projectors_are_checked_once_as_states_and_as_effects(monkeypatc
     controlled = control.ControlledTransformation(quantum_system(2), [np.eye(2)] * 3, np.eye(3))
     assert len(controlled.control_states) == len(controlled.control_effects) == 3
     assert calls == [("_check_states", 3, (3, 9)), ("_check_effects", 3, (3, 9))]
-    long_ket = control.ControlledTransformation(quantum_system(2), [Z] * 2, 1.01 * np.eye(2))
-    with pytest.raises(ValidationError, match="state is not normalized"):
-        long_ket.control_states
+    with pytest.raises(ValidationError, match="control kets is not unitary"):
+        control.ControlledTransformation(quantum_system(2), [Z] * 2, 1.01 * np.eye(2))
 
 
 @pytest.mark.parametrize("n,d", SHAPES)
 def test_stacked_branch_action_equals_the_per_branch_products(n, d):
     controlled = built_and_broken(n, d)[0]
     (sigmas,) = control._sample_stacks((controlled.target_system,), 20, np.random.default_rng(d))
-    stack = control._branch_matrices(controlled)
-    acted = core._rowwise(stack[:, None], sigmas)
+    acted = control._branched(controlled, sigmas)
     fixed = random_state(controlled.target_system, 5).coeffs
-    moved = core._rowwise(stack, fixed)
+    moved = control._branched(controlled, fixed)
     assert acted.shape == (n,) + sigmas.shape
-    for i, t in enumerate(controlled.branch_transforms):
-        assert np.array_equal(acted[i], core._rowwise(t.matrix, sigmas))
-        assert np.array_equal(moved[i], t.matrix @ fixed)
+    for i, u in enumerate(controlled.branch_unitaries):
+        matrix = unitary_channel(controlled.target_system, u).matrix
+        assert np.array_equal(acted[i], core._rowwise(matrix, sigmas))
+        assert np.array_equal(moved[i], matrix @ fixed)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

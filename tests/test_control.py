@@ -361,10 +361,9 @@ def test_public_entry_points_keep_their_exact_check_messages():
         (lambda: build_controlled([np.eye(2)], qubit),
          ValidationError, "need at least two branches to control on"),
         (lambda: multi_path_permutation_experiment([skew4], sym),
-         ValidationError,
-         f"permutation operation 0 is not unitary (deviation {unitarity_gap(skew4)!r})"),
+         ValidationError, f"branch 1 is not unitary (deviation {unitarity_gap(skew4)!r})"),
         (lambda: multi_path_permutation_experiment([np.eye(4), np.eye(3)], sym),
-         SystemMismatchError, "permutation operation 1 has shape (3, 3), expected (4, 4)"),
+         SystemMismatchError, "branch 2 has shape (3, 3), expected (4, 4)"),
         (lambda: multi_path_permutation_experiment([], sym),
          ValidationError, "need at least two branches to control on"),
         (lambda: multi_path_permutation_experiment([np.eye(2)], basis_state(bit, 0)),
@@ -386,13 +385,35 @@ def test_the_kickback_path_checks_each_unitary_once(monkeypatch):
 
     monkeypatch.setattr(control, "_as_unitary", counted)
     controlled = build_controlled([np.eye(2), Z], quantum_system(2))
-    assert checked == ["branch 0", "branch 1"]
+    assert checked == ["branch 0", "branch 1", "control kets"]
     checked.clear()
     extract_kickback(controlled)
     assert checked == []
     _, sym, _ = two_particle_states()
     multi_path_permutation_experiment([swap_exchange_unitary(2), np.eye(4)], sym)
-    assert checked == ["permutation operation 0", "permutation operation 1"]
+    assert checked == ["branch 0", "branch 1", "branch 2", "control kets"]
+
+
+def test_the_constructor_checks_its_input_with_the_exact_messages():
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    gap = unitarity_gap(skew)
+    qubit = quantum_system(2)
+    cases = [
+        ((classical_system(2), [np.eye(2), np.eye(2)], np.eye(2)),
+         SystemMismatchError, "controlled transformations are built on the quantum backend"),
+        ((qubit, [np.eye(2)], np.eye(1)),
+         ValidationError, "need at least two branches to control on"),
+        ((qubit, [np.eye(2), skew], np.eye(2)),
+         ValidationError, f"branch 1 is not unitary (deviation {gap!r})"),
+        ((qubit, [np.eye(3), Z], np.eye(2)),
+         SystemMismatchError, "branch 0 has shape (3, 3), expected (2, 2)"),
+        ((qubit, [np.eye(2), Z], skew),
+         ValidationError, f"control kets is not unitary (deviation {gap!r})"),
+    ]
+    for args, kind, message in cases:
+        with pytest.raises(kind) as err:
+            ControlledTransformation(*args)
+        assert str(err.value) == message
 
 
 def test_kickback_of_controlled_sign_on_designated_state():
