@@ -1,10 +1,12 @@
 """Reproducible command-line experiment runs with JSON/CSV output.
 
-Every subcommand resolves its configuration from flags, an optional JSON
-config file, and defaults (in that precedence), echoes the resolved values
-into the output metadata, and writes deterministic bytes for a given
-(command, config, seed) triple.  Exit codes: 0 success, 2 usage or input
-error, 3 scientific anomaly, 4 numerical-tolerance failure.
+Every subcommand accepts only the options that can change its output.  It
+resolves them from flags, an optional JSON config file, and defaults (in that
+precedence), echoes the resolved values into the output metadata along with
+the backend, dimension, path count and format it derives, and writes
+deterministic bytes for a given (command, config, seed) triple.  Exit codes:
+0 success, 2 usage or input error, 3 scientific anomaly, 4 numerical-tolerance
+failure.
 """
 
 from __future__ import annotations
@@ -59,6 +61,17 @@ EXIT_TOLERANCE = 4
 
 SEED_ENV_VAR = "INTERFERLAB_SEED"
 
+# The most a run may hold in its largest array (for mz-sweep and sorkin, its
+# rows), estimated from the resolved input before any work: the channel
+# matrix of `exchange --dim 6` (215 MB) and `--dim 7` (738 MB) is under it,
+# that of `--dim 8` (2.1 GB) over it.
+SIZE_CAP_BYTES = 1 << 30
+# Bytes held per mz-sweep grid point and per sorkin trial, as numbers, Python
+# floats and output text; tracemalloc peaks read 0.3 KB (CSV) and 1.0 KB (JSON)
+# per grid point, 1.9 KB per order-3 trial and 0.4 KB per order-2 phase.
+_POINT_BYTES = 1024
+_TRIAL_BYTES = 2048
+
 _LIBRARY_ERRORS = (
     ValidationError,
     SystemMismatchError,
@@ -79,8 +92,7 @@ class CliError(Exception):
 # option -> (type, default, help); None means unset or derived by the command
 _OPTIONS: dict[str, tuple] = {
     "theory": (str, "quantum", "backend: quantum or classical"),
-    "dim": (int, None, "system dimension"),
-    "paths": (int, None, "number of paths"),
+    "dim": (int, 2, "dimension of each exchanged factor"),
     "trials": (int, None, "number of sampled trials"),
     "seed": (int, None, f"rng seed (default: ${SEED_ENV_VAR})"),
     "format": (str, None, "output format (default: the first one listed above)"),
@@ -99,19 +111,19 @@ _OPTIONS: dict[str, tuple] = {
 # option type -> the JSON kind (serialize._JSON_KINDS) a config value must have
 _JSON_TYPES = {int: "integer", float: "number", str: "string"}
 
-_SHARED = ("theory", "dim", "paths", "format", "out", "config")
+_SHARED = ("out", "config")
 
 # command -> (help, output formats with the default first, options read beyond _SHARED)
 _COMMANDS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
     "mz-sweep": (
         "two-path pattern over a phase grid",
         ("csv", "json"),
-        ("grid_points", "angle_min", "angle_max"),
+        ("grid_points", "angle_min", "angle_max", "format"),
     ),
     "sorkin": (
         "interference-order scan (order 2 or 3)",
         ("json", "csv"),
-        ("order", "trials", "seed"),
+        ("order", "trials", "seed", "theory", "format"),
     ),
     "kickback": (
         "extract the kicked phase of branch unitaries",
@@ -119,7 +131,7 @@ _COMMANDS: dict[str, tuple[str, tuple[str, ...], tuple[str, ...]]] = {
         ("unitaries", "seed"),
     ),
     "deutsch": ("single-query parity of a two-bit function", ("json",), ("function",)),
-    "exchange": ("classify exchange statistics of a state", ("json",), ("state", "seed")),
+    "exchange": ("classify exchange statistics of a state", ("json",), ("state", "seed", "dim")),
     "phase-order": ("detection order of a diagonal phase", ("json",), ("angles",)),
 }
 
@@ -215,12 +227,10 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
 
 
 def _validate_common(command: str, cfg: dict) -> None:
-    if cfg["theory"] not in ("quantum", "classical"):
+    if cfg.get("theory", "quantum") not in ("quantum", "classical"):
         raise CliError(f"unknown theory {cfg['theory']!r}; use quantum or classical")
-    if cfg["dim"] is not None and cfg["dim"] < 2:
+    if cfg.get("dim", 2) < 2:
         raise CliError(f"dim must be >= 2, got {cfg['dim']}")
-    if cfg["paths"] is not None and cfg["paths"] < 2:
-        raise CliError(f"paths must be >= 2, got {cfg['paths']}")
     if cfg.get("trials") is not None and cfg["trials"] < 1:
         raise CliError(f"trials must be >= 1, got {cfg['trials']}")
     if cfg.get("seed") is not None and cfg["seed"] < 0:
@@ -228,13 +238,14 @@ def _validate_common(command: str, cfg: dict) -> None:
     for key, value in cfg.items():
         if _OPTIONS[key][0] is float and not math.isfinite(value):
             raise CliError(f"{key.replace('_', '-')} must be finite, got {value!r}")
-    allowed = _COMMANDS[command][1]
-    if cfg["format"] is None:
-        cfg["format"] = allowed[0]
-    if cfg["format"] not in allowed:
-        raise CliError(
-            f"{command} supports format {', '.join(allowed)}; got {cfg['format']!r}"
-        )
+    if "format" in cfg:
+        allowed = _COMMANDS[command][1]
+        if cfg["format"] is None:
+            cfg["format"] = allowed[0]
+        if cfg["format"] not in allowed:
+            raise CliError(
+                f"{command} supports format {', '.join(allowed)}; got {cfg['format']!r}"
+            )
 
 
 def _require_seed(cfg: dict, command: str) -> int:
@@ -245,16 +256,24 @@ def _require_seed(cfg: dict, command: str) -> int:
     return cfg["seed"]
 
 
-def _pin(cfg: dict, key: str, value: int, what: str) -> None:
-    """Fill a derived config value, rejecting a conflicting explicit one."""
-    if cfg[key] is not None and cfg[key] != value:
-        raise CliError(f"{what} implies {key}={value}, got {key}={cfg[key]}")
-    cfg[key] = value
+def _require_size(need: int, what: str) -> None:
+    """Exit 2 when the estimate of what a run will hold passes SIZE_CAP_BYTES."""
+    if need > SIZE_CAP_BYTES:
+        raise CliError(
+            f"{what} needs {need:,} bytes ({need / 2**30:,.1f} GiB), over the size cap "
+            f"of {SIZE_CAP_BYTES:,} bytes ({SIZE_CAP_BYTES / 2**30:,.1f} GiB)"
+        )
 
 
-def _metadata(command: str, cfg: dict) -> dict:
-    """Document skeleton carrying the resolved configuration for provenance."""
-    return {"metadata": {"command": command, "config": {k: cfg[k] for k in sorted(cfg)}}}
+def _metadata(command: str, cfg: dict, dim: int, paths: int) -> dict:
+    """Document skeleton carrying the resolved configuration for provenance.
+
+    Besides the options read, the config records the values the command
+    derives: its dimension and number of paths, and, where it has no option
+    for them, the quantum backend and the JSON format of this document.
+    """
+    config = {"theory": "quantum", "format": "json", **cfg, "dim": dim, "paths": paths}
+    return {"metadata": {"command": command, "config": {k: config[k] for k in sorted(config)}}}
 
 
 def _json_document(payload: dict) -> str:
@@ -267,14 +286,9 @@ def _csv_document(header: list[str], rows: list[list[float]]) -> str:
 
 
 def _run_mz_sweep(cfg: dict) -> tuple[str, int]:
-    if cfg["theory"] != "quantum":
-        raise CliError(
-            "the classical backend has no nontrivial phase group to sweep"
-        )
-    _pin(cfg, "dim", 2, "mz-sweep")
-    _pin(cfg, "paths", 2, "mz-sweep")
     if cfg["grid_points"] < 1:
         raise CliError(f"grid-points must be >= 1, got {cfg['grid_points']}")
+    _require_size(_POINT_BYTES * cfg["grid_points"], "the phase grid")
     system = quantum_system(2)
     experiment = basis_experiment(system)
     uniform = np.array([1.0, 1.0]) / math.sqrt(2.0)
@@ -285,7 +299,7 @@ def _run_mz_sweep(cfg: dict) -> tuple[str, int]:
     rows = interference_pattern_sweep(state, effect, experiment, grid)[:, 1:].tolist()
     if cfg["format"] == "csv":
         return _csv_document(["delta_phi", "probability"], rows), EXIT_OK
-    payload = _metadata("mz-sweep", cfg)
+    payload = _metadata("mz-sweep", cfg, 2, 2)
     payload["rows"] = [
         {"delta_phi": dphi, "probability": prob} for dphi, prob in rows
     ]
@@ -298,10 +312,9 @@ def _run_sorkin(cfg: dict) -> tuple[str, int]:
         raise CliError(f"order must be 2 or 3, got {order}")
     if order == 3 and cfg["theory"] != "quantum":
         raise CliError("the third-order scan runs on the quantum backend only")
-    _pin(cfg, "dim", order, f"order {order}")
-    _pin(cfg, "paths", order, f"order {order}")
     if cfg["trials"] is None:
         cfg["trials"] = 256 if order == 2 else 1000
+    _require_size(_TRIAL_BYTES * cfg["trials"], "the trial stack")
     randomized = cfg["theory"] == "quantum"
     seed = _require_seed(cfg, "sorkin") if randomized else (cfg["seed"] or 0)
     make = quantum_system if cfg["theory"] == "quantum" else classical_system
@@ -324,14 +337,12 @@ def _run_sorkin(cfg: dict) -> tuple[str, int]:
             [*s.angles, s.lhs, s.rhs, s.residual] for s in report.samples
         ]
         return _csv_document(header, rows), code
-    payload = _metadata("sorkin", cfg)
+    payload = _metadata("sorkin", cfg, order, order)
     payload.update(report.to_json_dict())
     return _json_document(payload), code
 
 
 def _run_kickback(cfg: dict) -> tuple[str, int]:
-    if cfg["theory"] != "quantum":
-        raise CliError("kick-back extraction runs on the quantum backend only")
     if cfg["unitaries"] is None:
         raise CliError("kickback needs --unitaries FILE")
     seed = _require_seed(cfg, "kickback")
@@ -347,8 +358,7 @@ def _run_kickback(cfg: dict) -> tuple[str, int]:
     if mats[0].ndim != 2:
         raise CliError(f"branch 0 has shape {mats[0].shape}, expected a square matrix")
     d_target = mats[0].shape[0]
-    _pin(cfg, "dim", d_target, "the unitaries file")
-    _pin(cfg, "paths", len(mats), "the unitaries file")
+    _require_size(8 * (len(mats) * d_target) ** 4, "the controlled channel matrix")
     fixed = None
     if "fixed_state" in data and data["fixed_state"] is not None:
         try:
@@ -365,24 +375,20 @@ def _run_kickback(cfg: dict) -> tuple[str, int]:
         raise CliError(str(err)) from err
     except ValidationError as err:
         raise CliError(str(err), EXIT_TOLERANCE) from err
-    payload = _metadata("kickback", cfg)
+    payload = _metadata("kickback", cfg, d_target, len(mats))
     payload.update(result.to_json_dict())
     return _json_document(payload), EXIT_OK
 
 
 def _run_deutsch(cfg: dict) -> tuple[str, int]:
-    if cfg["theory"] != "quantum":
-        raise CliError("oracle protocols run on the quantum backend only")
     bits = cfg["function"]
     if bits is None:
         raise CliError("deutsch needs --function BITS (e.g. --function 01)")
     if len(bits) != 2 or set(bits) - {"0", "1"}:
         raise CliError(f"function must be two bits like 01, got {bits!r}")
-    _pin(cfg, "dim", 2, "a two-bit function")
-    _pin(cfg, "paths", 2, "a two-bit function")
     oracle = build_oracle(tuple(int(b) for b in bits))
     result = run_deutsch(oracle)
-    payload = _metadata("deutsch", cfg)
+    payload = _metadata("deutsch", cfg, 2, 2)
     payload["parity"] = result.parity
     payload["queries"] = result.queries
     payload["prob"] = float(result.probability)
@@ -405,16 +411,12 @@ def _exchange_state_spec(spec: str) -> tuple[str, float | None]:
 
 
 def _run_exchange(cfg: dict) -> tuple[str, int]:
-    if cfg["theory"] != "quantum":
-        raise CliError("exchange experiments run on the quantum backend only")
     if cfg["state"] is None:
         raise CliError("exchange needs --state sym|antisym|anyon:THETA")
     kind, injected = _exchange_state_spec(cfg["state"])
     seed = _require_seed(cfg, "exchange")
-    if cfg["dim"] is None:
-        cfg["dim"] = 2
-    _pin(cfg, "paths", 2, "a two-branch exchange")
     d = cfg["dim"]
+    _require_size(8 * (2 * d * d) ** 4, "the controlled exchange channel matrix")
     factor = quantum_system(d)
     system = composite_system(factor, factor)
     amplitudes = np.zeros(d * d, dtype=complex)
@@ -432,15 +434,13 @@ def _run_exchange(cfg: dict) -> tuple[str, int]:
     except ValidationError as err:
         raise CliError(str(err), EXIT_TOLERANCE) from err
     particle = classify_particle(theta)
-    payload = _metadata("exchange", cfg)
+    payload = _metadata("exchange", cfg, d, 2)
     payload["class"] = particle.kind.capitalize()
     payload["theta"] = float(particle.theta)
     return _json_document(payload), EXIT_OK
 
 
 def _run_phase_order(cfg: dict) -> tuple[str, int]:
-    if cfg["theory"] != "quantum":
-        raise CliError("phase-order builds a quantum diagonal phase")
     if cfg["angles"] is None:
         raise CliError("phase-order needs --angles LIST (e.g. --angles 0,0,1.5)")
     try:
@@ -451,13 +451,11 @@ def _run_phase_order(cfg: dict) -> tuple[str, int]:
         raise CliError(f"angles must be finite, got {cfg['angles']!r}")
     if len(angles) < 2:
         raise CliError(f"need at least two angles, got {len(angles)}")
-    _pin(cfg, "dim", len(angles), "the angle list")
-    _pin(cfg, "paths", len(angles), "the angle list")
     system = quantum_system(len(angles))
     experiment = basis_experiment(system)
     transformation = phase_unitary(system, angles)
     order = detection_order(transformation, experiment)
-    payload = _metadata("phase-order", cfg)
+    payload = _metadata("phase-order", cfg, len(angles), len(angles))
     payload["angles"] = angles
     payload["order"] = order
     return _json_document(payload), EXIT_OK

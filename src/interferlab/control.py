@@ -468,7 +468,7 @@ def extract_kickback(
     vals, vecs = np.linalg.eigh(density_matrix(fixed_state))
     if vals[-1] < 1.0 - EPS_PSD:
         raise InfeasibleError(
-            f"fixed state is not pure (top eigenvalue {vals[-1]!r}); "
+            f"fixed state is not pure (top eigenvalue {float(vals[-1])!r}); "
             "kick-back needs a pure fixed state"
         )
     psi = vecs[:, -1]

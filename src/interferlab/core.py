@@ -862,13 +862,13 @@ def distinguishing_measurement(states: Sequence[StateVector]) -> Measurement:
         for i, s in enumerate(states):
             vals, vecs = np.linalg.eigh(density_matrix(s))
             if vals[-1] < 1.0 - EPS_PSD:
-                raise InfeasibleError(f"state {i} is not pure (top eigenvalue {vals[-1]!r})")
+                raise InfeasibleError(f"state {i} is not pure (top eigenvalue {float(vals[-1])!r})")
             kets.append(vecs[:, -1])
         for i, j in itertools.combinations(range(len(states)), 2):
             overlap = abs(np.vdot(kets[i], kets[j])) ** 2
             if overlap > EPS_EQ:
                 raise InfeasibleError(
-                    f"states {i} and {j} are not distinguishable (overlap {overlap!r})"
+                    f"states {i} and {j} are not distinguishable (overlap {float(overlap)!r})"
                 )
         effects = [projector_effect(system, k) for k in kets]
     else:

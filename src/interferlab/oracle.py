@@ -154,6 +154,6 @@ def kickback_signature(oracle: OracleInstance) -> np.ndarray:
     for idx, angle in enumerate(result.angles):
         kind = classify_particle(angle).kind
         if kind not in _SIGNS:
-            raise RuntimeError(f"branch {idx} kicked a non-sign angle {angle!r}")
+            raise RuntimeError(f"branch {idx} kicked a non-sign angle {float(angle)!r}")
         signs[idx] = _SIGNS[kind]
     return signs

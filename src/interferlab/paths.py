@@ -205,7 +205,7 @@ def phase_relative_angles(
         val = kets[:, 0].conj() @ moved @ kets[:, j]
         if abs(abs(val) - 1.0) > EPS_DECISION:
             raise NotAPhaseError(
-                f"path coherence 0-{j} is not phase-transported (magnitude {abs(val)!r})"
+                f"path coherence 0-{j} is not phase-transported (magnitude {float(abs(val))!r})"
             )
         angles[j] = -np.angle(val) % (2.0 * math.pi)
     return angles

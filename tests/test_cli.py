@@ -1,37 +1,47 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import math
 import pathlib
 import shlex
 import shutil
 import subprocess
+import tracemalloc
 import warnings
 
 import jsonschema
 import numpy as np
 import pytest
 
-from interferlab import cli, complex_matrix_to_dict, load_schema
+from interferlab import (
+    InfeasibleError,
+    ValidationError,
+    cli,
+    complex_matrix_to_dict,
+    load_schema,
+)
 from interferlab.cli import SEED_ENV_VAR, main
+from interferlab.interference import SorkinReport, SorkinSample
 
 PI_LITERAL = format(math.pi, ".17g")
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
-# the options each command reads: its flags, its config-file keys and its
-# metadata.config echo
-SHARED_KEYS = {"theory", "dim", "paths", "format", "out", "config"}
+# the options each command reads: its flags and its config-file keys
+SHARED_KEYS = {"out", "config"}
 COMMAND_KEYS = {
-    "mz-sweep": SHARED_KEYS | {"grid_points", "angle_min", "angle_max"},
-    "sorkin": SHARED_KEYS | {"order", "trials", "seed"},
+    "mz-sweep": SHARED_KEYS | {"grid_points", "angle_min", "angle_max", "format"},
+    "sorkin": SHARED_KEYS | {"order", "trials", "seed", "theory", "format"},
     "kickback": SHARED_KEYS | {"unitaries", "seed"},
     "deutsch": SHARED_KEYS | {"function"},
-    "exchange": SHARED_KEYS | {"state", "seed"},
+    "exchange": SHARED_KEYS | {"state", "seed", "dim"},
     "phase-order": SHARED_KEYS | {"angles"},
 }
+# values every JSON output's metadata.config holds, read or derived
+DERIVED_KEYS = {"theory", "dim", "paths", "format"}
 
-# options that once were accepted but that the command never read
+# options that once were accepted but that could not change the command's output
 REMOVED_OPTIONS = (
     [(command, "eps_eq") for command in COMMAND_KEYS]
     + [
@@ -39,6 +49,12 @@ REMOVED_OPTIONS = (
         for command in ("mz-sweep", "kickback", "deutsch", "exchange", "phase-order")
     ]
     + [(command, "seed") for command in ("mz-sweep", "deutsch", "phase-order")]
+    + [
+        (command, key)
+        for command in COMMAND_KEYS
+        for key in ("paths", "dim", "theory", "format")
+        if key not in COMMAND_KEYS[command]
+    ]
 )
 
 
@@ -106,11 +122,10 @@ def test_mz_sweep_json_matches_schema_and_echoes_config(tmp_path):
 
 
 def test_mz_sweep_has_no_classical_variant(tmp_path, capsys):
+    # the classical backend has no nontrivial phase group to sweep
     code = main(["mz-sweep", "--theory", "classical"])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("interferlab: error:")
-    assert "no nontrivial phase group" in err
+    assert "unrecognized arguments: --theory classical" in capsys.readouterr().err
 
 
 def test_mz_sweep_rejects_dimension_conflicts(tmp_path):
@@ -380,6 +395,83 @@ def test_running_out_of_memory_exits_2_without_a_traceback(monkeypatch, capsys, 
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "args, what",
+    [
+        (["exchange", "--state", "antisym", "--dim", "30", "--seed", "0"],
+         "the controlled exchange channel matrix needs 83,980,800,000,000 bytes"),
+        (["mz-sweep", "--grid-points", "100000000000"],
+         "the phase grid needs 102,400,000,000,000 bytes"),
+    ],
+    ids=["exchange-dim-30", "mz-sweep-1e11-points"],
+)
+def test_oversized_inputs_exit_2_before_allocating(capsys, args, what):
+    tracemalloc.start()
+    try:
+        code = main(args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2
+    assert what in err
+    assert f"over the size cap of {cli.SIZE_CAP_BYTES:,} bytes" in err
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("residual, code", [(0.5, 3), (1e-7, 4)], ids=["present", "dead-band"])
+def test_third_order_verdicts_other_than_absent_exit_3_or_4(monkeypatch, capsys, residual, code):
+    def scan(experiment, trials, seed):
+        return SorkinReport(3, (SorkinSample((0.0, 1.0, 2.0), residual, 0.0, residual),), None)
+
+    monkeypatch.setattr(cli, "third_order_scan_quantum", scan)
+    assert main(["sorkin", "--order", "3", "--seed", "1"]) == code
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["max_abs_residual"] == residual
+
+
+@pytest.mark.parametrize("error, code", [(ValidationError, 4), (InfeasibleError, 2)])
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("extract_kickback", ["kickback", "--unitaries", "UNITARIES", "--seed", "1"]),
+        ("exchange_experiment", ["exchange", "--state", "sym", "--seed", "0"]),
+    ],
+    ids=["kickback", "exchange"],
+)
+def test_failed_verifications_exit_4_and_infeasible_inputs_exit_2(
+    tmp_path, monkeypatch, capsys, name, args, error, code
+):
+    def failing(*args, **kwargs):
+        raise error("the check failed (deviation 0.25)")
+
+    monkeypatch.setattr(cli, name, failing)
+    spec = unitaries_file(tmp_path, [np.eye(2), np.diag([1.0, -1.0])])
+    assert main([spec if a == "UNITARIES" else a for a in args]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "interferlab: error: the check failed (deviation 0.25)\n"
+
+
+def test_an_unwritable_output_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "parity.json"
+    assert main(["deutsch", "--function", "01", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("interferlab: error: cannot write output file:")
+    assert not out.exists()
+
+
+def test_library_errors_escaping_a_runner_exit_2_without_a_traceback(monkeypatch, capsys):
+    def failing(cfg):
+        raise ValidationError("state is not normalized: unit pairing 1.5")
+
+    monkeypatch.setitem(cli._RUNNERS, "deutsch", failing)
+    assert main(["deutsch", "--function", "01"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "interferlab: error: state is not normalized: unit pairing 1.5\n"
+
+
 def test_reruns_are_byte_identical(tmp_path):
     out = tmp_path / "repeat.json"
     args = ["sorkin", "--order", "2", "--seed", "5", "--out", str(out)]
@@ -547,8 +639,11 @@ def test_output_files_use_bare_line_feeds(tmp_path):
     assert raw.endswith(b"\n")
 
 
-def test_common_option_validation():
-    assert main(["mz-sweep", "--theory", "thermal"]) == 2
+def test_common_option_validation(capsys):
+    assert main(["sorkin", "--order", "2", "--theory", "thermal"]) == 2
+    assert "unknown theory 'thermal'" in capsys.readouterr().err
+    assert main(["exchange", "--state", "sym", "--seed", "0", "--dim", "1"]) == 2
+    assert "dim must be >= 2, got 1" in capsys.readouterr().err
     assert main(["mz-sweep", "--eps-eq", "0"]) == 2
     assert main(["sorkin", "--order", "2", "--seed", "1", "--trials", "0"]) == 2
     assert main(["mz-sweep", "--format", "yaml"]) == 2
@@ -605,10 +700,12 @@ def test_unseeded_commands_ignore_the_seed_variable(monkeypatch, capsys, args):
 
 @pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
 def test_metadata_echoes_exactly_the_options_a_command_reads(tmp_path, command):
-    args = valid_args(tmp_path, command) + ["--format", "json"]
+    args = valid_args(tmp_path, command)
+    if "format" in COMMAND_KEYS[command]:
+        args += ["--format", "json"]
     code, doc = run_json(tmp_path, args)
     assert code == 0
-    assert set(doc["metadata"]["config"]) == COMMAND_KEYS[command]
+    assert set(doc["metadata"]["config"]) == COMMAND_KEYS[command] | DERIVED_KEYS
 
 
 def readme_block(language):
@@ -622,6 +719,40 @@ README_COMMANDS = [
     for line in readme_block("sh").splitlines()
     if line.startswith("interferlab ")
 ]
+
+
+def readme_flag_table():
+    """command -> the flags the README's table lists for it."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    return {
+        command.strip().strip("`"): {flag.strip().strip("`") for flag in flags.split(",")}
+        for command, flags in rows
+    }
+
+
+def test_readme_flag_table_matches_the_parser():
+    (subparsers,) = [
+        action for action in cli._build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    accepted = {
+        command: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        for command, parser in subparsers.choices.items()
+    }
+    documented = readme_flag_table()
+    assert accepted == {
+        command: flags | {"--out", "--config"} for command, flags in documented.items()
+    }
+    assert accepted == {
+        command: {"--" + key.replace("_", "-") for key in keys}
+        for command, keys in COMMAND_KEYS.items()
+    }
 
 
 def test_readme_shows_every_command():

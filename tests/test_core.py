@@ -18,6 +18,7 @@ from interferlab import (
     apply,
     basis_effect,
     basis_state,
+    build_controlled,
     channel_from_matrix,
     classical_system,
     compose_seq,
@@ -27,6 +28,7 @@ from interferlab import (
     dynamically_faithful_state,
     effect_from_matrix,
     effect_matrix,
+    extract_kickback,
     haar_unitary,
     hermitian_basis,
     identity_transformation,
@@ -397,6 +399,38 @@ def test_distinguishing_measurement_names_the_overlapping_pair():
     plus = ket_state(system, np.array([1.0, 1.0]) / math.sqrt(2.0))
     with pytest.raises(InfeasibleError, match="0 and 1"):
         distinguishing_measurement([basis_state(system, 0), plus])
+
+
+def mixed_fixed_state_kickback():
+    target = quantum_system(2)
+    controlled = build_controlled([np.eye(2), np.diag([1.0, -1.0])], target, seed=0)
+    extract_kickback(controlled, maximally_mixed(target))
+
+
+def plus_state():
+    return ket_state(quantum_system(2), np.array([1.0, 1.0]) / math.sqrt(2.0))
+
+
+@pytest.mark.parametrize(
+    "fail, label",
+    [
+        (mixed_fixed_state_kickback, "top eigenvalue"),
+        (lambda: distinguishing_measurement([maximally_mixed(quantum_system(2))]),
+         "top eigenvalue"),
+        (lambda: distinguishing_measurement([basis_state(quantum_system(2), 0), plus_state()]),
+         "overlap"),
+    ],
+    ids=["kickback-mixed-fixed-state", "mixed-state", "overlapping-states"],
+)
+def test_infeasibility_messages_print_bare_floats(fail, label):
+    # numpy 2 reprs a numpy scalar as np.float64(...); numpy 1 as a bare float
+    with pytest.raises(InfeasibleError) as info:
+        fail()
+    message = str(info.value)
+    assert "np." not in message
+    value = message.split(f"({label} ", 1)[1].split(")", 1)[0]
+    assert value == repr(float(value))
+    assert abs(float(value) - 0.5) < 1e-12
 
 
 def test_random_state_kinds():

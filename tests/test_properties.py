@@ -16,12 +16,16 @@ from interferlab import (
     EPS_EQ,
     EPS_PSD,
     Effect,
+    apply,
     basis_state,
     build_controlled,
+    channel_from_matrix,
+    classical_system,
     classify_particle,
     compose_seq,
     composite_system,
     density_matrix,
+    distinguishing_measurement,
     effect_matrix,
     extract_kickback,
     filtered_effect,
@@ -29,15 +33,18 @@ from interferlab import (
     ket_state,
     make_experiment,
     marginalize,
+    pair,
     partial_pair,
     projector_effect,
     quantum_system,
     random_effect,
     random_state,
+    random_unitary,
     tensor_effects,
     tensor_states,
     tensor_transformations,
     third_order_scan_quantum,
+    unit_effect,
     unitary_channel,
 )
 from interferlab.paths import _subset_effects
@@ -171,6 +178,87 @@ def test_marginals_of_a_product_state_are_its_factors(dim_a, dim_b, seed, kind_a
         got = marginalize(joint, factor)
         assert got.system == want.system
         assert float(np.max(np.abs(got.coeffs - want.coeffs))) <= TOL
+
+
+# the composite properties below hold on both backends
+theories = st.sampled_from([quantum_system, classical_system])
+
+
+def random_channel(system, rng):
+    """A Haar unitary channel (quantum) or a random column-stochastic matrix (classical)."""
+    if system.theory == core.QUANTUM:
+        return random_unitary(system, rng)
+    return channel_from_matrix(system, system, rng.dirichlet(np.ones(system.dim), system.dim).T)
+
+
+@SETTINGS
+@given(make=theories, sizes=st.lists(st.integers(1, 3), min_size=3, max_size=3), seed=seeds,
+       keep=st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+def test_marginals_of_a_three_factor_product_are_its_factors(make, sizes, seed, keep):
+    rng = np.random.default_rng(seed)
+    states = [random_state(make(d), rng, kind="mixed") for d in sizes]
+    joint = tensor_states(tensor_states(states[0], states[1]), states[2])
+    for factor, want in enumerate(states):
+        got = marginalize(joint, factor)
+        assert got.system == want.system
+        assert float(np.max(np.abs(got.coeffs - want.coeffs))) <= TOL
+    got = marginalize(joint, keep)
+    want = tensor_states(states[keep[0]], states[keep[1]])
+    assert got.system == want.system
+    assert float(np.max(np.abs(got.coeffs - want.coeffs))) <= TOL
+
+
+@SETTINGS
+@given(make=theories, dim_a=dims, dim_b=dims, seed=seeds)
+def test_product_effects_pair_with_product_states_factor_by_factor(make, dim_a, dim_b, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (random_state(make(d), rng, kind="mixed") for d in (dim_a, dim_b))
+    e, f = (random_effect(make(d), rng) for d in (dim_a, dim_b))
+    got = pair(tensor_effects(e, f), tensor_states(a, b))
+    assert abs(got - pair(e, a) * pair(f, b)) <= TOL
+
+
+@SETTINGS
+@given(make=theories, dim_a=dims, dim_b=dims, seed=seeds)
+def test_tensor_transformations_act_factor_by_factor(make, dim_a, dim_b, seed):
+    rng = np.random.default_rng(seed)
+    a, b = (random_state(make(d), rng, kind="mixed") for d in (dim_a, dim_b))
+    t, u = (random_channel(make(d), rng) for d in (dim_a, dim_b))
+    got = apply(tensor_transformations(t, u), tensor_states(a, b))
+    want = tensor_states(apply(t, a), apply(u, b))
+    assert got.system == want.system
+    assert float(np.max(np.abs(got.coeffs - want.coeffs))) <= TOL
+
+
+@SETTINGS
+@given(make=theories, sizes=st.lists(st.integers(1, 3), min_size=2, max_size=3), seed=seeds,
+       data=st.data())
+def test_partial_pairing_the_unit_effect_is_marginalizing(make, sizes, seed, data):
+    system = make(sizes[0])
+    for d in sizes[1:]:
+        system = composite_system(system, make(d))
+    state = random_state(system, np.random.default_rng(seed), kind="mixed")
+    factor = data.draw(st.integers(0, len(sizes) - 1))
+    got = partial_pair(state, unit_effect(make(sizes[factor])), factor)
+    want = marginalize(state, [i for i in range(len(sizes)) if i != factor])
+    assert got.system == want.system
+    assert float(np.max(np.abs(got.coeffs - want.coeffs))) <= TOL
+
+
+@SETTINGS
+@given(dim=st.integers(1, 6), data=st.data())
+def test_classical_distinguishing_effects_resolve_the_unit_effect(dim, data):
+    system = classical_system(dim)
+    points = data.draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True))
+    states = [basis_state(system, p) for p in points]
+    effects = distinguishing_measurement(states).effects
+    # one effect per state, and the complement when the points leave some out
+    assert len(effects) == len(points) + (len(points) < dim)
+    total = np.sum([e.coeffs for e in effects], axis=0)
+    assert np.array_equal(total, unit_effect(system).coeffs)
+    for i, effect in enumerate(effects):
+        for j, state in enumerate(states):
+            assert pair(effect, state) == (1.0 if i == j else 0.0)
 
 
 inside = st.floats(0.0, 0.99)
