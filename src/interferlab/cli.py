@@ -314,8 +314,10 @@ def _run_sorkin(cfg: dict) -> tuple[str, int]:
         raise CliError("the third-order scan runs on the quantum backend only")
     if cfg["trials"] is None:
         cfg["trials"] = 256 if order == 2 else 1000
-    _require_size(_TRIAL_BYTES * cfg["trials"], "the trial stack")
     randomized = cfg["theory"] == "quantum"
+    # the classical scan enumerates its phases and never builds the stack
+    if randomized:
+        _require_size(_TRIAL_BYTES * cfg["trials"], "the trial stack")
     seed = _require_seed(cfg, "sorkin") if randomized else (cfg["seed"] or 0)
     make = quantum_system if cfg["theory"] == "quantum" else classical_system
     experiment = basis_experiment(make(order))

@@ -472,16 +472,10 @@ def extract_kickback(
             "kick-back needs a pure fixed state"
         )
     psi = vecs[:, -1]
-    raw = np.empty(controlled.n_branches)
-    for i, u in enumerate(controlled.branch_unitaries):
-        moved = u @ psi
-        eig = np.vdot(psi, moved)
-        residue = float(np.max(np.abs(moved - eig * psi)))
-        if residue > EPS_PSD or abs(abs(eig) - 1.0) > EPS_PSD:
-            raise InfeasibleError(
-                f"branch {i} does not phase the fixed state (residue {residue!r})"
-            )
-        raw[i] = np.angle(eig)
+    # a branch that fixes the state to EPS_EQ per coefficient sends psi to
+    # its phase times psi, up to D EPS_EQ / sqrt(2) on a D-dimensional target;
+    # the kick-back equation checked below bounds what remains
+    raw = np.array([np.angle(np.vdot(psi, u @ psi)) for u in controlled.branch_unitaries])
     angles = (raw - raw[0]) % (2.0 * math.pi)
     kets = controlled.control_kets
     q_matrix = (kets * np.exp(1j * angles)) @ kets.conj().T

@@ -266,22 +266,29 @@ def _subset_effects(
 ) -> np.ndarray:
     """Stack of random effect covectors supported inside the given paths.
 
-    Each V diag(u) V^dag with u in [0, 1] is an effect by construction, so the
-    stack is encoded without an Effect's check.  The draws are made trial by
-    trial, in order; only the QR and the products run on the stack.
+    Each W diag(u) W^dag, with W the path kets times a Haar V and u in
+    [0, 1], is an effect by construction, so the stack is encoded without an
+    Effect's check.  The draws are two bulk calls: every trial's real and
+    imaginary Gaussian matrices, standard_normal((trials, 2, k, k)), then
+    every trial's spectrum, random((trials, k)).  Both products are sums of
+    outer products, one path at a time and elementwise, so each trial's
+    matrix is bit for bit what that trial alone gives; a gemm over the
+    trials would round differently, and a matmul per trial costs more.
     """
-    kets = experiment.kets[:, list(indices)]
+    kets = experiment.kets.T[list(indices)]  # one C-contiguous ket per row
     k = len(indices)
-    # per trial: the real then the imaginary Gaussian matrix, one call, then
-    # the spectrum; random() returns the doubles uniform(0, 1) does
-    normals = np.empty((trials, 2, k, k))
-    vals = np.empty((trials, k))
-    for t in range(trials):
-        rng.standard_normal(out=normals[t])
-        rng.random(out=vals[t])
+    normals = rng.standard_normal((trials, 2, k, k))
+    vals = rng.random((trials, k))
     v = _haar(normals[:, 0] + 1j * normals[:, 1])
-    blocks = (v * vals[:, None, :]) @ v.conj().swapaxes(-1, -2)
-    return _encode(kets @ blocks @ kets.conj().T, experiment.system.dim)
+    # row j of W^T is sum_i V[i, j] ket_i
+    wt = v[:, 0, :, None] * kets[0]
+    for i in range(1, k):
+        wt += v[:, i, :, None] * kets[i]
+    scaled, conj = wt * vals[:, :, None], wt.conj()
+    mats = scaled[:, 0, :, None] * conj[:, 0, None, :]
+    for j in range(1, k):
+        mats += scaled[:, j, :, None] * conj[:, j, None, :]
+    return _encode(mats, experiment.system.dim)
 
 
 def search_detecting_effect(
@@ -294,7 +301,10 @@ def search_detecting_effect(
     """Randomized hunt for an effect on few paths that the phase moves.
 
     Returns a detecting effect with support on at most `max_support` paths,
-    or None when all sampled effects are fixed within tolerance.
+    or None when all sampled effects are fixed within tolerance.  Subsets
+    are tried by size, then in lexicographic order, and the first one with a
+    moved effect ends the search.  Each subset takes its draws from the one
+    seeded stream in turn, as two bulk calls (see _subset_effects).
     """
     if experiment.system.theory != QUANTUM:
         raise SystemMismatchError("effect search applies to quantum experiments")

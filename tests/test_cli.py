@@ -402,8 +402,10 @@ def test_running_out_of_memory_exits_2_without_a_traceback(monkeypatch, capsys, 
          "the controlled exchange channel matrix needs 83,980,800,000,000 bytes"),
         (["mz-sweep", "--grid-points", "100000000000"],
          "the phase grid needs 102,400,000,000,000 bytes"),
+        (["sorkin", "--order", "2", "--trials", "10000000", "--seed", "1"],
+         "the trial stack needs 20,480,000,000 bytes"),
     ],
-    ids=["exchange-dim-30", "mz-sweep-1e11-points"],
+    ids=["exchange-dim-30", "mz-sweep-1e11-points", "sorkin-quantum-1e7-trials"],
 )
 def test_oversized_inputs_exit_2_before_allocating(capsys, args, what):
     tracemalloc.start()
@@ -418,6 +420,16 @@ def test_oversized_inputs_exit_2_before_allocating(capsys, args, what):
     assert f"over the size cap of {cli.SIZE_CAP_BYTES:,} bytes" in err
     assert peak < 4 * 2**20
 
+
+
+def test_classical_sorkin_ignores_the_trial_count(capsys):
+    # the classical scan enumerates its phases; --trials sizes nothing there
+    docs = []
+    for trials, seed in (("5", "1"), ("9999", "3"), ("10000000", "1")):
+        argv = ["sorkin", "--order", "2", "--theory", "classical", "--format", "csv"]
+        assert main([*argv, "--trials", trials, "--seed", seed]) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1] == docs[2]
 
 @pytest.mark.parametrize("residual, code", [(0.5, 3), (1e-7, 4)], ids=["present", "dead-band"])
 def test_third_order_verdicts_other_than_absent_exit_3_or_4(monkeypatch, capsys, residual, code):

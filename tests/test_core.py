@@ -285,6 +285,34 @@ def test_partial_pair_weights_give_the_full_pairing():
     assert abs(total - want) < 1e-12
 
 
+@pytest.mark.parametrize("make", [quantum_system, classical_system])
+def test_marginalize_keeping_every_factor_returns_the_state(make):
+    rng = np.random.default_rng(37)
+    joint = tensor_states(random_state(make(2), rng), random_state(make(3), rng))
+    assert marginalize(joint, [1, 0]) is joint
+
+
+def test_partial_pair_needs_a_composite_state():
+    q2 = quantum_system(2)
+    with pytest.raises(SystemMismatchError, match="needs a composite state"):
+        partial_pair(basis_state(q2, 0), basis_effect(q2, 0), 0)
+
+
+@pytest.mark.parametrize("make", [quantum_system, classical_system])
+@pytest.mark.parametrize("index", [-1, 3])
+def test_basis_indices_out_of_range_are_rejected(make, index):
+    system = make(3)
+    with pytest.raises(SystemMismatchError, match="out of range for dim 3"):
+        basis_state(system, index)
+    with pytest.raises(SystemMismatchError, match="out of range for dim 3"):
+        basis_effect(system, index)
+
+
+def test_unitary_channel_rejects_a_classical_system():
+    with pytest.raises(SystemMismatchError, match="quantum systems only"):
+        unitary_channel(classical_system(2), np.eye(2))
+
+
 def test_faithful_state_discriminates_transformations():
     rng = np.random.default_rng(31)
     system = quantum_system(2)

@@ -46,6 +46,7 @@ from interferlab import (
     transformations_close,
     unitary_channel,
 )
+from interferlab.core import _haar
 from interferlab.paths import _subset_effects
 
 
@@ -294,6 +295,20 @@ def test_search_cannot_falsify_a_trivial_phase():
     assert search_detecting_effect(t, experiment, max_support=3, trials=100, seed=5) is None
 
 
+def test_search_reruns_give_the_same_witness_bytes():
+    system = quantum_system(4)
+    v = haar_unitary(4, np.random.default_rng(17))
+    experiment = make_experiment(
+        (ket_state(system, v[:, k]), projector_effect(system, v[:, k])) for k in range(4)
+    )
+    phases = np.exp(1j * np.array([0.0, 0.4, 2.2, 5.0]))
+    t = unitary_channel(system, (v * phases) @ v.conj().T)
+    first = search_detecting_effect(t, experiment, max_support=2, trials=50, seed=9)
+    again = search_detecting_effect(t, experiment, max_support=2, trials=50, seed=9)
+    assert first is not None
+    assert first.coeffs.tobytes() == again.coeffs.tobytes()
+
+
 def subset_effect_bank(experiment, indices, count, rng):
     """Random effects supported on the given basis paths, built with plain numpy."""
     dim = experiment.system.dim
@@ -309,15 +324,22 @@ def subset_effect_bank(experiment, indices, count, rng):
 
 
 def subset_effects_reference(experiment, indices, trials, rng):
-    """_subset_effects as it was: one validated Effect per trial."""
+    """_subset_effects one validated Effect per trial, from the same two bulk draws.
+
+    W = kets V and W diag(u) W^dag are summed one path at a time, with the
+    operands in the order the stack uses.
+    """
     kets = experiment.kets[:, list(indices)]
     k = len(indices)
+    normals = rng.standard_normal((trials, 2, k, k))
+    vals = rng.random((trials, k))
     out = np.empty((trials, experiment.system.vector_space_dim))
     for t in range(trials):
-        v = haar_unitary(k, rng)
-        vals = rng.uniform(0.0, 1.0, k)
-        block = (v * vals) @ v.conj().T
-        out[t] = effect_from_matrix(experiment.system, kets @ block @ kets.conj().T).coeffs
+        v = _haar(normals[t, 0] + 1j * normals[t, 1])
+        # row j of W^T is sum_i V[i, j] ket_i
+        wt = sum(np.outer(v[i], kets[:, i]) for i in range(k))
+        mat = sum(np.outer(wt[j] * vals[t, j], wt[j].conj()) for j in range(k))
+        out[t] = effect_from_matrix(experiment.system, mat).coeffs
     return out
 
 

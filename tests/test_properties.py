@@ -40,6 +40,8 @@ from interferlab import (
     random_effect,
     random_state,
     random_unitary,
+    search_detecting_effect,
+    support_of_effect,
     tensor_effects,
     tensor_states,
     tensor_transformations,
@@ -327,6 +329,29 @@ def test_subset_effects_are_effects_that_fire_only_inside_the_subset(dim, size, 
     outside = [p.state.coeffs for i, p in enumerate(experiment.paths) if i not in indices]
     if outside:
         assert float(np.max(np.abs(rows @ np.array(outside).T))) <= EPS_EQ
+
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.integers(2, 5), data=st.data(), seed=seeds)
+def test_search_witness_is_an_effect_on_few_paths_that_the_phase_moves(dim, data, seed):
+    rng = np.random.default_rng(seed)
+    system = quantum_system(dim)
+    basis = haar_unitary(dim, rng)
+    experiment = make_experiment(
+        (ket_state(system, k), projector_effect(system, k)) for k in basis.T
+    )
+    # path 1's angle is kept away from path 0's, so the pair (0, 1) sees it
+    angles = rng.uniform(0.0, 2.0 * math.pi, dim)
+    angles[1] = angles[0] + rng.uniform(0.3, 2.0 * math.pi - 0.3)
+    t = unitary_channel(system, (basis * np.exp(1j * angles)) @ basis.conj().T)
+    max_support = data.draw(st.integers(2, dim))
+    found = search_detecting_effect(t, experiment, max_support, trials=20, seed=rng)
+    assert found is not None
+    spectrum = np.linalg.eigvalsh(effect_matrix(found))
+    assert spectrum.min() >= -EPS_PSD and spectrum.max() <= 1.0 + EPS_PSD
+    assert 1 <= len(support_of_effect(found, experiment)) <= max_support
+    assert float(np.max(np.abs(found.coeffs @ t.matrix - found.coeffs))) > EPS_PSD
 
 
 @SETTINGS
