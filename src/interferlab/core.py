@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 
@@ -66,9 +67,14 @@ EPS_DECISION = 1e-6
 # channel_from_matrix, _as_unitary, PathExperiment and
 # ControlledTransformation.  A value derived from validated values by a step
 # that preserves validity (a seeded draw, a projector sandwich, a phase built
-# from path kets) is not checked again (check=False, or bare coefficients).  apply, transform_effect, the tensor
-# products and the verify functions keep their checks: a raw reversible=True
-# Transformation need not preserve positivity.
+# from path kets) is not checked again (check=False, or bare coefficients).
+# Two kinds of value are built once per key and then shared, because they
+# are frozen and depend only on the key: unit_effect per system (exact by
+# construction), and the pairwise-parity readouts of oracle._pair_readout
+# per (n, i, j), which the validating constructors check on first use.
+# apply, transform_effect, the tensor products and the verify functions keep
+# their checks: a raw reversible=True Transformation need not preserve
+# positivity.
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -129,7 +135,7 @@ class SystemType:
         if self.dim < 1:
             raise ValidationError(f"system dimension must be >= 1, got {self.dim}")
         factors = self.factors or (self.dim,)
-        if min(factors) < 1 or int(np.prod(factors)) != self.dim:
+        if min(factors) < 1 or math.prod(factors) != self.dim:
             raise ValidationError(
                 f"composite descriptor {factors} does not split dim {self.dim} into factors >= 1"
             )
@@ -621,7 +627,7 @@ def _kept_system(system: SystemType, keep: tuple[int, ...]) -> SystemType:
     dims = [system.factors[i] for i in keep]
     if len(dims) == 1:
         return SystemType(system.theory, dims[0])
-    return SystemType(system.theory, int(np.prod(dims)), tuple(dims))
+    return SystemType(system.theory, math.prod(dims), tuple(dims))
 
 
 def _normalize_keep(system: SystemType, keep: int | Sequence[int]) -> tuple[int, ...]:
@@ -700,7 +706,7 @@ def _pair_factor(
     n = len(system.factors)
     stack = coeffs.shape[:-1]
     kept = [i for i in range(n) if i != factor]
-    dim = int(np.prod([system.factors[i] for i in kept]))
+    dim = math.prod(system.factors[i] for i in kept)
     rho = _decode(coeffs, system.dim).reshape(*stack, *system.factors * 2)
     e_mats = _decode(effects, system.factors[factor])
     # out_{r,s} = sum_{a,b} E_{ab} rho_{(..b..r..),(..a..s..)}

@@ -499,3 +499,10 @@ def test_composite_system_bookkeeping():
     assert joint.vector_space_dim == 36
     with pytest.raises(SystemMismatchError):
         composite_system(qa, classical_system(2))
+
+
+def test_system_factors_must_multiply_to_the_dimension_exactly():
+    # 2**32 * (2**32 + 1) is 2**32 modulo 2**64, so an int64 product accepts it
+    with pytest.raises(ValidationError, match="does not split"):
+        core.SystemType(core.QUANTUM, 2**32, (2**32, 2**32 + 1))
+    assert core.SystemType(core.QUANTUM, 6, (2, 3)).factors == (2, 3)

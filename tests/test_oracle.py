@@ -1,18 +1,30 @@
 """Tests for kick-back oracles and one-query parity protocols."""
 
 import itertools
+import math
 
+import numpy as np
 import pytest
 
+from interferlab import core, oracle as oracle_module
 from interferlab import (
     DecisionFunction,
+    OracleInstance,
     ValidationError,
+    apply,
     basis_state,
+    build_controlled,
     build_oracle,
+    ket_state,
     kickback_signature,
+    pair,
+    projector_effect,
+    quantum_system,
     run_deutsch,
     run_pairwise,
+    tensor_effects,
     tensor_states,
+    unit_effect,
 )
 
 
@@ -107,3 +119,91 @@ def test_signature_disagreement_bit_matches_pairwise_parity():
         signs = kickback_signature(oracle)
         for i, j in itertools.combinations(range(3), 2):
             assert (signs[i] != signs[j]) == bool(run_pairwise(oracle, i, j).parity)
+
+
+def reference_readout(n, i, j):
+    """The pairwise readout built inline from the public constructors."""
+    control, target = quantum_system(n), quantum_system(2)
+    superpose = np.zeros(n, dtype=complex)
+    superpose[i] = superpose[j] = 1.0 / math.sqrt(2.0)
+    antipose = np.zeros(n, dtype=complex)
+    antipose[i], antipose[j] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
+    prepared = tensor_states(ket_state(control, superpose), basis_state(target, 1))
+    stay = tensor_effects(projector_effect(control, superpose), unit_effect(target))
+    flip = tensor_effects(projector_effect(control, antipose), unit_effect(target))
+    return prepared, stay, flip
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_cached_readout_is_bit_for_bit_the_inline_one(n):
+    oracle_module._pair_readout.cache_clear()
+    table = tuple(k % 2 for k in range(n))
+    oracle = build_oracle(table)
+    control, target = oracle.controlled.control_system, oracle.controlled.target_system
+    for i, j in itertools.permutations(range(n), 2):
+        want = reference_readout(n, i, j)
+        got = oracle_module._pair_readout(control, target, i, j)
+        for w, g in zip(want, got):
+            assert np.array_equal(w.coeffs, g.coeffs)
+        moved = apply(oracle.controlled.composite, want[0])
+        p_stay, p_flip = pair(want[1], moved), pair(want[2], moved)
+        result = run_pairwise(oracle, i, j)
+        assert result.probability == (p_flip if result.parity else p_stay)
+
+
+def test_readout_effects_are_validated_once_per_key(monkeypatch):
+    oracle_module._pair_readout.cache_clear()
+    first, second = build_oracle((0, 1, 1)), build_oracle((1, 1, 0))
+    joint = core.composite_system(quantum_system(3), quantum_system(2))
+    checked = []
+    real = core._check_effects
+
+    def counting(system, coeffs):
+        checked.append(system)
+        return real(system, coeffs)
+
+    monkeypatch.setattr(core, "_check_effects", counting)
+    assert run_pairwise(first, 0, 2).parity == 1
+    assert checked.count(joint) == 2
+    checked.clear()
+    assert run_pairwise(second, 0, 2).parity == 1
+    assert checked == []
+
+
+def test_query_count_rises_by_one_per_pairwise_call():
+    oracle = build_oracle((0, 1, 1, 0))
+    pairs = [(0, 1), (2, 3), (0, 1), (1, 0), (0, 1)]
+    for calls, (i, j) in enumerate(pairs, start=1):
+        run_pairwise(oracle, i, j)
+        assert oracle.query_count == calls
+
+
+def test_readout_cache_is_bounded():
+    assert oracle_module._pair_readout.cache_info().maxsize is not None
+
+
+def phase_oracle():
+    """An oracle whose second branch kicks the angle pi/2, not a sign."""
+    branches = [np.eye(2), np.diag([1.0, 1j])]
+    return OracleInstance(DecisionFunction((0, 1)), build_controlled(branches, quantum_system(2)))
+
+
+def test_pairwise_rejects_a_non_deterministic_readout():
+    with pytest.raises(RuntimeError, match="oracle readout is not deterministic"):
+        run_pairwise(phase_oracle(), 0, 1)
+
+
+def test_signature_rejects_a_non_sign_kick():
+    with pytest.raises(RuntimeError, match="kicked a non-sign angle"):
+        kickback_signature(phase_oracle())
+
+
+def test_pairwise_rejects_a_query_that_is_not_counted():
+    class Uncounted(OracleInstance):
+        def query(self, state):
+            return apply(self.controlled.composite, state)
+
+    built = build_oracle((0, 1))
+    uncounted = Uncounted(built.function, built.controlled)
+    with pytest.raises(RuntimeError, match="protocol spent 0 queries"):
+        run_pairwise(uncounted, 0, 1)
