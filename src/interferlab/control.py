@@ -24,7 +24,6 @@ from .core import (
     Effect,
     InfeasibleError,
     StateVector,
-    SystemMismatchError,
     SystemType,
     Transformation,
     ValidationError,
@@ -37,6 +36,8 @@ from .core import (
     _pure_densities,
     _readonly,
     _require_finite,
+    _require_same,
+    _require_theory,
     _rowpair,
     _rowwise,
     _tensor_coeffs,
@@ -65,8 +66,7 @@ class ControlledTransformation:
     designated_target: StateVector | None = None
 
     def __post_init__(self) -> None:
-        if self.target_system.theory != QUANTUM:
-            raise SystemMismatchError("controlled transformations are built on the quantum backend")
+        _require_theory(self.target_system, QUANTUM, "controlled transformation")
         n, d = len(self.branch_unitaries), self.target_system.dim
         if n < 2:
             raise ValidationError("need at least two branches to control on")
@@ -364,12 +364,12 @@ def common_fixed_state(
     """
     if not branch_unitaries:
         raise ValidationError("need at least one branch")
-    d = np.asarray(branch_unitaries[0]).shape[0]
-    system = target_system if target_system is not None else quantum_system(d)
-    if system.dim != d:
-        raise SystemMismatchError(f"branches of size {d} do not fit system dim {system.dim}")
+    if target_system is None:
+        target_system = quantum_system(np.asarray(branch_unitaries[0]).shape[0])
+    _require_theory(target_system, QUANTUM, "common fixed state")
+    d = target_system.dim
     unitaries = [_as_unitary(u, d, f"branch {i}") for i, u in enumerate(branch_unitaries)]
-    return _common_fixed_state(unitaries, system)
+    return _common_fixed_state(unitaries, target_system)
 
 
 def _common_fixed_state(
@@ -456,8 +456,7 @@ def extract_kickback(
         fixed_state = _common_fixed_state(controlled.branch_unitaries, controlled.target_system)
         if fixed_state is None:
             raise InfeasibleError("branches share no fixed state to kick back from")
-    if fixed_state.system != controlled.target_system:
-        raise SystemMismatchError("fixed state does not live on the target system")
+    _require_same(fixed_state.system, controlled.target_system, "fixed state")
     moved = _branched(controlled, fixed_state.coeffs)
     deviations = np.max(np.abs(moved - fixed_state.coeffs), axis=-1)
     worst = int(np.argmax(deviations))
@@ -529,10 +528,7 @@ def control_target_swap_check(controlled: ControlledTransformation) -> dict:
     is exact at channel level).  Returns the kicked-phase table and deviation.
     """
     d_c, d_t = controlled.control_system.dim, controlled.target_system.dim
-    if d_c != d_t:
-        raise SystemMismatchError(
-            f"swap comparison needs equal factors, got {d_c} and {d_t}"
-        )
+    _require_same(d_t, d_c, "target dimension")
     if float(np.max(np.abs(controlled.control_kets - np.eye(d_c)))) > EPS_EQ:
         raise ValidationError("swap comparison assumes the computational control basis")
     betas = np.empty((controlled.n_branches, d_t))
@@ -636,8 +632,7 @@ def anyonic_exchange_unitary(
     stays fixed while its exchange eigenphase becomes theta.
     """
     system = particle_state.system
-    if len(system.factors) != 2 or system.factors[0] != system.factors[1]:
-        raise SystemMismatchError("anyonic exchange needs two equal factors")
+    _require_same(system.factors, (system.factors[0],) * 2, "particle state's factor tuple")
     vals, vecs = np.linalg.eigh(density_matrix(particle_state))
     if vals[-1] < 1.0 - EPS_PSD:
         raise InfeasibleError("anyonic exchange needs a pure state")

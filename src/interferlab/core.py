@@ -74,7 +74,11 @@ EPS_DECISION = 1e-6
 # per (n, i, j), which the validating constructors check on first use.
 # apply, transform_effect, the tensor products and the verify functions keep
 # their checks: a raw reversible=True Transformation need not preserve
-# positivity.
+# positivity.  Every SystemMismatchError comes from one of four helpers
+# below, each with one message form: _require_same ("{what} is {found},
+# expected {want}"), _require_theory ("{what} needs a {theory} system, got
+# {system}"), _require_shape ("{what} has shape {found}, expected {want}")
+# and _require_index ("{what} {index} is out of range({count})").
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -121,6 +125,26 @@ def _require_finite(a: np.ndarray | float, what: str) -> None:
             raise ValidationError(f"{what} holds NaN or infinity")
 
 
+def _require_same(found: object, want: object, what: str) -> None:
+    if found != want:
+        raise SystemMismatchError(f"{what} is {found}, expected {want}")
+
+
+def _require_theory(system: SystemType, theory: str, what: str) -> None:
+    if system.theory != theory:
+        raise SystemMismatchError(f"{what} needs a {theory} system, got {system}")
+
+
+def _require_shape(shape: tuple[int, ...], want: tuple[int, ...], what: str) -> None:
+    if shape != want:
+        raise SystemMismatchError(f"{what} has shape {shape}, expected {want}")
+
+
+def _require_index(index: int, count: int, what: str) -> None:
+    if not 0 <= index < count:
+        raise SystemMismatchError(f"{what} {index} is out of range({count})")
+
+
 @dataclass(frozen=True)
 class SystemType:
     """A finite-dimensional system: theory tag, dimension, declared tensor factors."""
@@ -141,6 +165,9 @@ class SystemType:
             )
         object.__setattr__(self, "factors", tuple(int(f) for f in factors))
 
+    def __str__(self) -> str:
+        return f"{self.theory}({' x '.join(map(str, self.factors))})"
+
     @property
     def vector_space_dim(self) -> int:
         return self.dim * self.dim if self.theory == QUANTUM else self.dim
@@ -160,10 +187,7 @@ def classical_system(dim: int, factors: Sequence[int] = ()) -> SystemType:
 
 def composite_system(a: SystemType, b: SystemType) -> SystemType:
     """Parallel composite of two systems of the same theory."""
-    if a.theory != b.theory:
-        raise SystemMismatchError(
-            f"cannot compose {a.theory} with {b.theory}: mixed backends never compose"
-        )
+    _require_theory(b, a.theory, "second factor")
     return SystemType(a.theory, a.dim * b.dim, a.factors + b.factors)
 
 
@@ -334,11 +358,7 @@ class StateVector:
     def __post_init__(self, check: bool) -> None:
         arr = _readonly(np.array(self.coeffs, dtype=float))
         object.__setattr__(self, "coeffs", arr)
-        if arr.shape != (self.system.vector_space_dim,):
-            raise SystemMismatchError(
-                f"state vector of length {arr.shape} does not fit system "
-                f"(expected {self.system.vector_space_dim})"
-            )
+        _require_shape(arr.shape, (self.system.vector_space_dim,), "state vector")
         _require_finite(arr, "state vector")
         if check:
             self._validate()
@@ -390,11 +410,7 @@ class Effect:
     def __post_init__(self, check: bool) -> None:
         arr = _readonly(np.array(self.coeffs, dtype=float))
         object.__setattr__(self, "coeffs", arr)
-        if arr.shape != (self.system.vector_space_dim,):
-            raise SystemMismatchError(
-                f"effect vector of length {arr.shape} does not fit system "
-                f"(expected {self.system.vector_space_dim})"
-            )
+        _require_shape(arr.shape, (self.system.vector_space_dim,), "effect vector")
         _require_finite(arr, "effect vector")
         if check:
             self._validate()
@@ -441,16 +457,11 @@ class Transformation:
 
     def _admit(self, copy: bool) -> None:
         """Lock the matrix, a float copy of it when `copy`, and check it."""
-        if self.in_system.theory != self.out_system.theory:
-            raise SystemMismatchError("transformation cannot change theory backend")
+        _require_theory(self.out_system, self.in_system.theory, "transformation output")
         arr = _readonly(np.array(self.matrix, dtype=float) if copy else self.matrix)
         object.__setattr__(self, "matrix", arr)
         shape = (self.out_system.vector_space_dim, self.in_system.vector_space_dim)
-        if arr.shape != shape:
-            raise SystemMismatchError(
-                f"transformation matrix shape {arr.shape} does not fit systems "
-                f"(expected {shape})"
-            )
+        _require_shape(arr.shape, shape, "transformation matrix")
         _require_finite(arr, "transformation matrix")
         # Unit-effect preservation holds for every transformation we admit.
         pulled = unit_effect(self.out_system).coeffs @ arr
@@ -496,9 +507,8 @@ class Measurement:
         object.__setattr__(self, "effects", tuple(self.effects))
         if not self.effects:
             raise ValidationError("measurement needs at least one effect")
-        for e in self.effects:
-            if e.system != self.system:
-                raise SystemMismatchError("measurement mixes effects from different systems")
+        for i, e in enumerate(self.effects):
+            _require_same(e.system, self.system, f"effect {i}")
         total = np.sum([e.coeffs for e in self.effects], axis=0)
         dev = float(np.max(np.abs(total - unit_effect(self.system).coeffs)))
         if dev > EPS_EQ:
@@ -511,39 +521,25 @@ class Measurement:
 
 def pair(effect: Effect, state: StateVector) -> float:
     """Probability of an effect on a state (a closed circuit)."""
-    if effect.system != state.system:
-        raise SystemMismatchError(
-            f"effect on {effect.system} cannot pair with state on {state.system}"
-        )
+    _require_same(state.system, effect.system, "state")
     return float(effect.coeffs @ state.coeffs)
 
 
 def apply(transformation: Transformation, state: StateVector) -> StateVector:
     """Run a state through a channel."""
-    if transformation.in_system != state.system:
-        raise SystemMismatchError(
-            f"transformation expects {transformation.in_system}, got {state.system}"
-        )
+    _require_same(state.system, transformation.in_system, "state")
     return StateVector(transformation.out_system, transformation.matrix @ state.coeffs)
 
 
 def transform_effect(transformation: Transformation, effect: Effect) -> Effect:
     """Pull an effect back through a channel: the covector (e|T."""
-    if transformation.out_system != effect.system:
-        raise SystemMismatchError(
-            f"effect on {effect.system} cannot follow a transformation into "
-            f"{transformation.out_system}"
-        )
+    _require_same(effect.system, transformation.out_system, "effect")
     return Effect(transformation.in_system, transformation.matrix.T @ effect.coeffs)
 
 
 def compose_seq(second: Transformation, first: Transformation) -> Transformation:
     """Sequential composition: run `first`, then `second`."""
-    if first.out_system != second.in_system:
-        raise SystemMismatchError(
-            f"cannot compose: first outputs {first.out_system}, "
-            f"second expects {second.in_system}"
-        )
+    _require_same(first.out_system, second.in_system, "first's output")
     return _channel(
         first.in_system,
         second.out_system,
@@ -637,10 +633,7 @@ def _normalize_keep(system: SystemType, keep: int | Sequence[int]) -> tuple[int,
     if len(set(kept)) != len(kept):
         raise ValidationError(f"duplicate factors in keep selector {kept}")
     for i in kept:
-        if not 0 <= i < len(system.factors):
-            raise SystemMismatchError(
-                f"factor index {i} out of range for composite {system.factors}"
-            )
+        _require_index(i, len(system.factors), "factor index")
     return tuple(sorted(int(i) for i in kept))
 
 
@@ -672,17 +665,9 @@ def partial_pair(state: StateVector, effect: Effect, factor: int) -> StateVector
     skips the normalization check.
     """
     system = state.system
-    if not system.is_composite:
-        raise SystemMismatchError("partial pairing needs a composite state")
-    if not 0 <= factor < len(system.factors):
-        raise SystemMismatchError(
-            f"factor index {factor} out of range for composite {system.factors}"
-        )
-    if effect.system.theory != system.theory or effect.system.dim != system.factors[factor]:
-        raise SystemMismatchError(
-            f"effect on {effect.system} cannot pair with factor {factor} "
-            f"of composite {system.factors}"
-        )
+    # pairing the only factor would keep none, so a one-factor state has no factor to pair
+    _require_index(factor, len(system.factors) if system.is_composite else 0, "factor index")
+    _require_same(effect.system, _kept_system(system, (factor,)), "effect")
     kept = tuple(i for i in range(len(system.factors)) if i != factor)
     out_system = _kept_system(system, kept)
     if system.theory == QUANTUM:
@@ -765,48 +750,34 @@ def dynamically_faithful_state(system: SystemType) -> StateVector:
 
 def density_matrix(state: StateVector) -> np.ndarray:
     """Decode a quantum state back to its density operator."""
-    if state.system.theory != QUANTUM:
-        raise SystemMismatchError("only quantum states decode to density matrices")
+    _require_theory(state.system, QUANTUM, "density matrix")
     return _decode(state.coeffs, state.system.dim)
 
 
 def effect_matrix(effect: Effect) -> np.ndarray:
-    if effect.system.theory != QUANTUM:
-        raise SystemMismatchError("only quantum effects decode to operators")
+    _require_theory(effect.system, QUANTUM, "effect matrix")
     return _decode(effect.coeffs, effect.system.dim)
 
 
 def state_from_density(system: SystemType, rho: np.ndarray) -> StateVector:
-    if system.theory != QUANTUM:
-        raise SystemMismatchError("density matrices describe quantum states only")
+    _require_theory(system, QUANTUM, "density matrix")
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (system.dim, system.dim):
-        raise SystemMismatchError(
-            f"density matrix shape {rho.shape} does not fit dimension {system.dim}"
-        )
+    _require_shape(rho.shape, (system.dim, system.dim), "density matrix")
     return StateVector(system, _encode(rho, system.dim))
 
 
 def effect_from_matrix(system: SystemType, mat: np.ndarray) -> Effect:
-    if system.theory != QUANTUM:
-        raise SystemMismatchError("operator effects describe quantum systems only")
+    _require_theory(system, QUANTUM, "effect matrix")
     mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (system.dim, system.dim):
-        raise SystemMismatchError(
-            f"effect matrix shape {mat.shape} does not fit dimension {system.dim}"
-        )
+    _require_shape(mat.shape, (system.dim, system.dim), "effect matrix")
     return Effect(system, _encode(mat, system.dim))
 
 
 def _ket_projector(system: SystemType, amplitudes: Sequence[complex]) -> np.ndarray:
     """Coefficients of |psi><psi| for a normalized amplitude vector psi."""
-    if system.theory != QUANTUM:
-        raise SystemMismatchError("amplitude vectors describe quantum systems only")
+    _require_theory(system, QUANTUM, "amplitude vector")
     psi = np.asarray(amplitudes, dtype=complex)
-    if psi.shape != (system.dim,):
-        raise SystemMismatchError(
-            f"amplitude vector of shape {psi.shape} does not fit dimension {system.dim}"
-        )
+    _require_shape(psi.shape, (system.dim,), "amplitude vector")
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > EPS_EQ:
         raise ValidationError(f"amplitudes are not normalized: |psi| = {norm!r}")
@@ -825,8 +796,7 @@ def projector_effect(system: SystemType, amplitudes: Sequence[complex]) -> Effec
 
 def basis_state(system: SystemType, index: int) -> StateVector:
     """Computational basis state (quantum) or point mass (classical)."""
-    if not 0 <= index < system.dim:
-        raise SystemMismatchError(f"basis index {index} out of range for dim {system.dim}")
+    _require_index(index, system.dim, "basis index")
     if system.theory == QUANTUM:
         psi = np.zeros(system.dim)
         psi[index] = 1.0
@@ -838,8 +808,7 @@ def basis_state(system: SystemType, index: int) -> StateVector:
 
 def basis_effect(system: SystemType, index: int) -> Effect:
     """Projector onto a computational basis state, or a classical indicator."""
-    if not 0 <= index < system.dim:
-        raise SystemMismatchError(f"basis index {index} out of range for dim {system.dim}")
+    _require_index(index, system.dim, "basis index")
     if system.theory == QUANTUM:
         psi = np.zeros(system.dim)
         psi[index] = 1.0
@@ -860,9 +829,8 @@ def distinguishing_measurement(states: Sequence[StateVector]) -> Measurement:
     if not states:
         raise ValidationError("need at least one state to distinguish")
     system = states[0].system
-    for s in states[1:]:
-        if s.system != system:
-            raise SystemMismatchError("states to distinguish live on different systems")
+    for i, s in enumerate(states):
+        _require_same(s.system, system, f"state {i}")
     if system.theory == QUANTUM:
         kets = []
         for i, s in enumerate(states):
@@ -904,8 +872,7 @@ def distinguishing_measurement(states: Sequence[StateVector]) -> Measurement:
 def _as_unitary(mat: np.ndarray, dim: int, label: str) -> np.ndarray:
     """The matrix as a complex d x d array, checked to be unitary."""
     u = np.asarray(mat, dtype=complex)
-    if u.shape != (dim, dim):
-        raise SystemMismatchError(f"{label} has shape {u.shape}, expected {(dim, dim)}")
+    _require_shape(u.shape, (dim, dim), label)
     _require_finite(u, label)
     dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
     if dev > EPS_EQ:
@@ -918,8 +885,7 @@ def unitary_channel(system: SystemType, unitary: np.ndarray) -> Transformation:
 
     M[j, k] = Tr(B_j U B_k U^dag): column k is the encoding of U B_k U^dag.
     """
-    if system.theory != QUANTUM:
-        raise SystemMismatchError("unitary channels describe quantum systems only")
+    _require_theory(system, QUANTUM, "unitary channel")
     u = _as_unitary(unitary, system.dim, "matrix")
     return _channel(system, system, _unitary_matrices(u), True)
 
@@ -974,18 +940,14 @@ def _unitary_matrices(u: np.ndarray) -> np.ndarray:
 def phase_unitary(system: SystemType, angles: Sequence[float]) -> Transformation:
     """Conjugation by a diagonal phase in the computational basis."""
     theta = np.asarray(angles, dtype=float)
-    if theta.shape != (system.dim,):
-        raise SystemMismatchError(
-            f"need {system.dim} angles for dimension {system.dim}, got {theta.shape}"
-        )
+    _require_shape(theta.shape, (system.dim,), "phase angles")
     _require_finite(theta, "phase angles")
     return unitary_channel(system, np.diag(np.exp(1j * theta)))
 
 
 def permutation_transformation(system: SystemType, perm: Sequence[int]) -> Transformation:
     """Relabeling of classical outcomes; the classical reversible constructor."""
-    if system.theory != CLASSICAL:
-        raise SystemMismatchError("permutation transformations are classical")
+    _require_theory(system, CLASSICAL, "permutation")
     perm = list(perm)
     if sorted(perm) != list(range(system.dim)):
         raise ValidationError(f"{perm} is not a permutation of range({system.dim})")
@@ -1059,8 +1021,7 @@ def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
 
 
 def random_unitary(system: SystemType, seed: int | np.random.Generator) -> Transformation:
-    if system.theory != QUANTUM:
-        raise SystemMismatchError("random unitaries describe quantum systems only")
+    """Haar-random unitary channel; unitary_channel checks the system's theory."""
     return unitary_channel(system, haar_unitary(system.dim, seed))
 
 

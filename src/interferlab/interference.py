@@ -22,7 +22,6 @@ from .core import (
     QUANTUM,
     Effect,
     StateVector,
-    SystemMismatchError,
     Transformation,
     ValidationError,
     _blocks,
@@ -32,6 +31,9 @@ from .core import (
     _encode,
     _pure_densities,
     _require_finite,
+    _require_same,
+    _require_shape,
+    _require_theory,
     _rowpair,
     _rowwise,
     _unitary_matrices,
@@ -61,10 +63,8 @@ class InterferencePattern:
     effect: Effect
 
     def __post_init__(self) -> None:
-        if self.state.system != self.experiment.system:
-            raise SystemMismatchError("pattern state does not live on the experiment's system")
-        if self.effect.system != self.experiment.system:
-            raise SystemMismatchError("pattern effect does not live on the experiment's system")
+        _require_same(self.state.system, self.experiment.system, "pattern state")
+        _require_same(self.effect.system, self.experiment.system, "pattern effect")
 
     def __call__(self, transformation: Transformation) -> float:
         if not is_phase(transformation, self.experiment):
@@ -81,12 +81,8 @@ def filtered_effect(
 ) -> Effect:
     """Restriction of a quantum effect to a path subset by projector sandwich."""
     system = experiment.system
-    if system.theory != QUANTUM:
-        raise SystemMismatchError(
-            "projector filtering is quantum; classical restriction is masked_effect"
-        )
-    if effect.system != system:
-        raise SystemMismatchError("effect does not live on the experiment's system")
+    _require_theory(system, QUANTUM, "projector filtering")
+    _require_same(effect.system, system, "effect")
     idx = sorted(set(int(i) for i in indices))
     if not idx or not set(idx) <= set(range(experiment.n)):
         raise ValidationError(f"invalid path subset {idx} for {experiment.n} paths")
@@ -113,10 +109,8 @@ def masked_effect(
 ) -> Effect:
     """Restriction of a classical effect to a path subset by outcome masking."""
     system = experiment.system
-    if system.theory != CLASSICAL:
-        raise SystemMismatchError("outcome masking is classical; use filtered_effect")
-    if effect.system != system:
-        raise SystemMismatchError("effect does not live on the experiment's system")
+    _require_theory(system, CLASSICAL, "outcome masking")
+    _require_same(effect.system, system, "effect")
     idx = set(int(i) for i in indices)
     if not idx or not idx <= set(range(experiment.n)):
         raise ValidationError(f"invalid path subset {sorted(idx)} for {experiment.n} paths")
@@ -142,8 +136,6 @@ class EffectChoice:
                 raise ValidationError(
                     f"subset {sorted(subset)} is not a nonempty proper path subset"
                 )
-            if effect.system != self.experiment.system:
-                raise SystemMismatchError("choice effect lives on the wrong system")
             found = support_of_effect(effect, self.experiment)
             if not found <= subset:
                 raise ValidationError(
@@ -187,8 +179,8 @@ def sorkin_residual(
     probabilities over nonempty proper subsets I with sign (-1)^(n-|I|+1).
     """
     n = experiment.n
-    if choice.experiment.system != experiment.system or choice.experiment.n != n:
-        raise SystemMismatchError("choice was built for a different experiment")
+    _require_same(choice.experiment.system, experiment.system, "choice's system")
+    _require_same(choice.experiment.n, n, "choice's path count")
     if not is_phase(transformation, experiment):
         raise NotAPhaseError("patterns are evaluated on phase transformations only")
     moved = apply(transformation, state)
@@ -357,8 +349,7 @@ def third_order_scan_quantum(
     residual and the witness equal that loop's bit for bit.  The effects get
     Effect's spectrum check as one batched check.
     """
-    if experiment.system.theory != QUANTUM:
-        raise SystemMismatchError("the third-order scan samples quantum phases")
+    _require_theory(experiment.system, QUANTUM, "third-order scan")
     if experiment.n != 3:
         raise ValidationError(f"third-order scan needs a 3-path experiment, got {experiment.n}")
     if trials < 1:
@@ -414,10 +405,7 @@ def interference_pattern_sweep(
     grid = np.atleast_2d(np.asarray(angle_grid, dtype=float))
     if grid.size == 0:
         raise ValidationError("angle grid is empty")
-    if grid.shape[1] != experiment.n:
-        raise SystemMismatchError(
-            f"angle vectors of length {grid.shape[1]} do not fit {experiment.n} paths"
-        )
+    _require_shape(grid.shape[1:], (experiment.n,), "angle vector")
     _require_finite(grid, "phase angles")
     pattern(state, effect, experiment)  # checks the systems once
     rows = np.empty((grid.shape[0], experiment.n + 1))

@@ -25,7 +25,6 @@ from .core import (
     QUANTUM,
     Effect,
     StateVector,
-    SystemMismatchError,
     SystemType,
     Transformation,
     ValidationError,
@@ -33,6 +32,8 @@ from .core import (
     _encode,
     _haar,
     _readonly,
+    _require_same,
+    _require_theory,
     basis_effect,
     basis_state,
     density_matrix,
@@ -58,8 +59,7 @@ class Path:
     effect: Effect
 
     def __post_init__(self) -> None:
-        if self.state.system != self.effect.system:
-            raise SystemMismatchError("path state and effect live on different systems")
+        _require_same(self.effect.system, self.state.system, "path effect")
         p = pair(self.effect, self.state)
         if abs(p - 1.0) > EPS_EQ:
             raise ValidationError(f"path pairing is {p!r}, expected 1")
@@ -76,9 +76,8 @@ class PathExperiment:
         if len(self.paths) < 2:
             raise ValidationError("a path experiment needs at least two paths")
         system = self.paths[0].state.system
-        for p in self.paths[1:]:
-            if p.state.system != system:
-                raise SystemMismatchError("paths live on different systems")
+        for i, p in enumerate(self.paths):
+            _require_same(p.state.system, system, f"path {i}")
         for i, j in itertools.permutations(range(len(self.paths)), 2):
             val = pair(self.paths[i].effect, self.paths[j].state)
             if abs(val) > EPS_EQ:
@@ -105,8 +104,7 @@ class PathExperiment:
     @cached_property
     def kets(self) -> np.ndarray:
         """Kets of the rank-1 quantum paths, one column per path, read-only."""
-        if self.system.theory != QUANTUM:
-            raise SystemMismatchError("path kets exist for quantum experiments only")
+        _require_theory(self.system, QUANTUM, "path ket")
         kets = []
         for i, p in enumerate(self.paths):
             vals, vecs = np.linalg.eigh(density_matrix(p.state))
@@ -132,8 +130,7 @@ def basis_experiment(system: SystemType) -> PathExperiment:
 
 def support_of_state(state: StateVector, experiment: PathExperiment) -> frozenset[int]:
     """Paths whose effect fires on the state above the support threshold."""
-    if state.system != experiment.system:
-        raise SystemMismatchError("state does not live on the experiment's system")
+    _require_same(state.system, experiment.system, "state")
     return frozenset(
         i for i, p in enumerate(experiment.paths) if pair(p.effect, state) > EPS_EQ
     )
@@ -141,8 +138,7 @@ def support_of_state(state: StateVector, experiment: PathExperiment) -> frozense
 
 def support_of_effect(effect: Effect, experiment: PathExperiment) -> frozenset[int]:
     """Paths whose state triggers the effect above the support threshold."""
-    if effect.system != experiment.system:
-        raise SystemMismatchError("effect does not live on the experiment's system")
+    _require_same(effect.system, experiment.system, "effect")
     return frozenset(
         i for i, p in enumerate(experiment.paths) if pair(effect, p.state) > EPS_EQ
     )
@@ -168,8 +164,7 @@ def is_superposition(state: StateVector, experiment: PathExperiment) -> bool:
 
 def is_phase(transformation: Transformation, experiment: PathExperiment) -> bool:
     """True when the transformation is reversible and fixes every path effect."""
-    if transformation.in_system != experiment.system:
-        raise SystemMismatchError("transformation does not act on the experiment's system")
+    _require_same(transformation.in_system, experiment.system, "transformation input")
     if transformation.out_system != experiment.system:
         return False
     if not transformation.reversible:
@@ -191,8 +186,7 @@ def phase_relative_angles(
     is conjugation by a phase diagonal in the path basis; the relative angles
     are read off from how the channel transports path coherences.
     """
-    if experiment.system.theory != QUANTUM:
-        raise SystemMismatchError("relative phase angles exist for quantum experiments only")
+    _require_theory(experiment.system, QUANTUM, "relative phase angles")
     if not is_phase(transformation, experiment):
         raise NotAPhaseError("transformation does not fix the which-path effects")
     kets = experiment.kets
@@ -306,8 +300,7 @@ def search_detecting_effect(
     moved effect ends the search.  Each subset takes its draws from the one
     seeded stream in turn, as two bulk calls (see _subset_effects).
     """
-    if experiment.system.theory != QUANTUM:
-        raise SystemMismatchError("effect search applies to quantum experiments")
+    _require_theory(experiment.system, QUANTUM, "effect search")
     if not is_phase(transformation, experiment):
         raise NotAPhaseError("transformation does not fix the which-path effects")
     rng = np.random.default_rng(seed)
@@ -331,8 +324,7 @@ def enumerate_classical_phases(
     Exhaustive over permutations, so guarded to small dimensions.
     """
     system = experiment.system
-    if system.theory != CLASSICAL:
-        raise SystemMismatchError("phase enumeration is exhaustive for classical only")
+    _require_theory(system, CLASSICAL, "phase enumeration")
     if system.dim > max_dim:
         raise ValidationError(
             f"refusing to enumerate {system.dim}! permutations (max_dim={max_dim})"

@@ -1,4 +1,20 @@
-"""Shared pytest wiring: print one line per acceptance criterion at the end."""
+"""Shared pytest wiring: print one line per acceptance criterion at the end, and
+the `outcome` fixture of the per-module rejection tables."""
+
+import pytest
+
+
+@pytest.fixture
+def outcome():
+    """What a call gives: its value, or the type and text of what it raised."""
+
+    def run(call):
+        try:
+            return call()
+        except Exception as err:  # the tables compare the exact type and message
+            return type(err), str(err)
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -345,19 +345,23 @@ def test_public_entry_points_keep_their_exact_check_messages():
     system, sym, _ = two_particle_states()
     skew4 = np.kron(skew, np.eye(2))
     qubit, bit = quantum_system(2), classical_system(2)
+    sign = build_controlled([np.eye(2), Z], qubit)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     cases = [
         (lambda: common_fixed_state([np.eye(2), skew]),
          ValidationError, f"branch 1 is not unitary (deviation {gap!r})"),
         (lambda: common_fixed_state([np.eye(2), np.eye(3)]),
          SystemMismatchError, "branch 1 has shape (3, 3), expected (2, 2)"),
         (lambda: common_fixed_state([np.eye(2)], quantum_system(3)),
-         SystemMismatchError, "branches of size 2 do not fit system dim 3"),
+         SystemMismatchError, "branch 0 has shape (2, 2), expected (3, 3)"),
+        (lambda: common_fixed_state([np.eye(2), Z], bit),
+         SystemMismatchError, "common fixed state needs a quantum system, got classical(2)"),
         (lambda: build_controlled([skew, np.eye(2)], qubit),
          ValidationError, f"branch 0 is not unitary (deviation {gap!r})"),
         (lambda: build_controlled([np.eye(2), Z], qubit, control_kets=skew),
          ValidationError, f"control kets is not unitary (deviation {gap!r})"),
         (lambda: build_controlled([np.eye(2), Z], bit),
-         SystemMismatchError, "controlled transformations are built on the quantum backend"),
+         SystemMismatchError, "controlled transformation needs a quantum system, got classical(2)"),
         (lambda: build_controlled([np.eye(2)], qubit),
          ValidationError, "need at least two branches to control on"),
         (lambda: multi_path_permutation_experiment([skew4], sym),
@@ -367,7 +371,17 @@ def test_public_entry_points_keep_their_exact_check_messages():
         (lambda: multi_path_permutation_experiment([], sym),
          ValidationError, "need at least two branches to control on"),
         (lambda: multi_path_permutation_experiment([np.eye(2)], basis_state(bit, 0)),
-         SystemMismatchError, "controlled transformations are built on the quantum backend"),
+         SystemMismatchError, "controlled transformation needs a quantum system, got classical(2)"),
+        (lambda: extract_kickback(sign, basis_state(quantum_system(3), 0)),
+         SystemMismatchError, "fixed state is quantum(3), expected quantum(2)"),
+        (lambda: control_target_swap_check(build_controlled([np.eye(3)] * 2, quantum_system(3))),
+         SystemMismatchError, "target dimension is 3, expected 2"),
+        (lambda: control_target_swap_check(build_controlled([np.eye(2), Z], qubit, hadamard)),
+         ValidationError, "swap comparison assumes the computational control basis"),
+        (lambda: anyonic_exchange_unitary(basis_state(quantum_system(4), 0), 1.0),
+         SystemMismatchError, "particle state's factor tuple is (4,), expected (4, 4)"),
+        (lambda: realize_phase_as_kickback(identity_transformation(bit), basis_experiment(bit)),
+         SystemMismatchError, "relative phase angles needs a quantum system, got classical(2)"),
     ]
     for call, kind, message in cases:
         with pytest.raises(kind) as err:
@@ -400,7 +414,7 @@ def test_the_constructor_checks_its_input_with_the_exact_messages():
     qubit = quantum_system(2)
     cases = [
         ((classical_system(2), [np.eye(2), np.eye(2)], np.eye(2)),
-         SystemMismatchError, "controlled transformations are built on the quantum backend"),
+         SystemMismatchError, "controlled transformation needs a quantum system, got classical(2)"),
         ((qubit, [np.eye(2)], np.eye(1)),
          ValidationError, "need at least two branches to control on"),
         ((qubit, [np.eye(2), skew], np.eye(2)),

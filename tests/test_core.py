@@ -1,6 +1,8 @@
 """Tests for the real-vector state/effect/transformation substrate."""
 
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from interferlab import (
     EPS_PSD,
     Effect,
     InfeasibleError,
+    Measurement,
     StateVector,
     SystemMismatchError,
     Transformation,
@@ -146,11 +149,11 @@ def test_state_validation_rejects_bad_inputs():
 def test_amplitude_constructors_check_shape_norm_and_theory(make):
     q = quantum_system(2)
     for wrong in ([1.0, 0.0, 0.0], [[1.0, 0.0]], 1.0):
-        with pytest.raises(SystemMismatchError, match="does not fit dimension 2"):
+        with pytest.raises(SystemMismatchError, match=r"amplitude vector has shape .*, expected"):
             make(q, wrong)
     with pytest.raises(ValidationError, match="not normalized"):
         make(q, [1.0, 1.0])
-    with pytest.raises(SystemMismatchError, match="quantum systems only"):
+    with pytest.raises(SystemMismatchError, match="amplitude vector needs a quantum system"):
         make(classical_system(2), [1.0, 0.0])
     amps = np.array([1.0, 1.0j]) / math.sqrt(2.0)
     want = state_from_density(q, np.outer(amps, amps.conj())).coeffs
@@ -294,7 +297,7 @@ def test_marginalize_keeping_every_factor_returns_the_state(make):
 
 def test_partial_pair_needs_a_composite_state():
     q2 = quantum_system(2)
-    with pytest.raises(SystemMismatchError, match="needs a composite state"):
+    with pytest.raises(SystemMismatchError, match=r"factor index 0 is out of range\(0\)"):
         partial_pair(basis_state(q2, 0), basis_effect(q2, 0), 0)
 
 
@@ -302,14 +305,14 @@ def test_partial_pair_needs_a_composite_state():
 @pytest.mark.parametrize("index", [-1, 3])
 def test_basis_indices_out_of_range_are_rejected(make, index):
     system = make(3)
-    with pytest.raises(SystemMismatchError, match="out of range for dim 3"):
+    with pytest.raises(SystemMismatchError, match=rf"basis index {index} is out of range\(3\)"):
         basis_state(system, index)
-    with pytest.raises(SystemMismatchError, match="out of range for dim 3"):
+    with pytest.raises(SystemMismatchError, match=rf"basis index {index} is out of range\(3\)"):
         basis_effect(system, index)
 
 
 def test_unitary_channel_rejects_a_classical_system():
-    with pytest.raises(SystemMismatchError, match="quantum systems only"):
+    with pytest.raises(SystemMismatchError, match="unitary channel needs a quantum system"):
         unitary_channel(classical_system(2), np.eye(2))
 
 
@@ -506,3 +509,140 @@ def test_system_factors_must_multiply_to_the_dimension_exactly():
     with pytest.raises(ValidationError, match="does not split"):
         core.SystemType(core.QUANTUM, 2**32, (2**32, 2**32 + 1))
     assert core.SystemType(core.QUANTUM, 6, (2, 3)).factors == (2, 3)
+
+
+Q2, Q3, C2, C3 = quantum_system(2), quantum_system(3), classical_system(2), classical_system(3)
+JOINT = tensor_states(basis_state(Q2, 0), basis_state(Q3, 0))
+
+# (call, what it gives): every public entry point of core that checks a system
+# type, given a mismatched one, and the other rejections Tier-1 would not run
+CORE_CASES = {
+    "unknown-theory": (lambda: core.SystemType("qubit", 2),
+                       (ValidationError, "unknown theory backend 'qubit'")),
+    "dimension-zero": (lambda: core.SystemType(core.QUANTUM, 0),
+                       (ValidationError, "system dimension must be >= 1, got 0")),
+    "composite-system": (lambda: composite_system(Q2, C2), (
+        SystemMismatchError, "second factor needs a quantum system, got classical(2)")),
+    "state-vector": (lambda: StateVector(Q2, [1.0, 0.0]), (
+        SystemMismatchError, "state vector has shape (2,), expected (4,)")),
+    "effect-vector": (lambda: Effect(Q2, [1.0, 0.0]), (
+        SystemMismatchError, "effect vector has shape (2,), expected (4,)")),
+    "transformation-theory": (lambda: Transformation(Q2, C2, np.eye(2, 4)), (
+        SystemMismatchError, "transformation output needs a quantum system, got classical(2)")),
+    "transformation-shape": (lambda: Transformation(Q2, Q2, np.eye(2)), (
+        SystemMismatchError, "transformation matrix has shape (2, 2), expected (4, 4)")),
+    "inverse-irreversible": (lambda: Transformation(C2, C2, np.eye(2)).inverse(),
+                             (InfeasibleError, "transformation is not marked reversible")),
+    "measurement-empty": (lambda: Measurement(Q2, ()),
+                          (ValidationError, "measurement needs at least one effect")),
+    "measurement-system": (lambda: Measurement(Q2, (basis_effect(Q2, 0), basis_effect(Q3, 0))),
+                           (SystemMismatchError, "effect 1 is quantum(3), expected quantum(2)")),
+    "measurement-sum": (lambda: Measurement(C2, (basis_effect(C2, 0),)), (
+        ValidationError, "effects do not sum to the unit effect (deviation 1.0)")),
+    "pair": (lambda: pair(basis_effect(Q3, 0), basis_state(Q2, 0)),
+             (SystemMismatchError, "state is quantum(2), expected quantum(3)")),
+    "apply": (lambda: apply(identity_transformation(Q3), basis_state(Q2, 0)),
+              (SystemMismatchError, "state is quantum(2), expected quantum(3)")),
+    "transform-effect": (lambda: transform_effect(identity_transformation(C3), basis_effect(C2, 0)),
+                         (SystemMismatchError, "effect is classical(2), expected classical(3)")),
+    "compose-seq": (lambda: compose_seq(identity_transformation(Q3), identity_transformation(Q2)),
+                    (SystemMismatchError, "first's output is quantum(2), expected quantum(3)")),
+    "tensor-states": (lambda: tensor_states(basis_state(C2, 0), basis_state(Q2, 0)), (
+        SystemMismatchError, "second factor needs a classical system, got quantum(2)")),
+    "tensor-effects": (lambda: tensor_effects(basis_effect(Q2, 0), basis_effect(C2, 0)), (
+        SystemMismatchError, "second factor needs a quantum system, got classical(2)")),
+    "tensor-transformations": (lambda: tensor_transformations(
+        identity_transformation(Q2), identity_transformation(C2)), (
+        SystemMismatchError, "second factor needs a quantum system, got classical(2)")),
+    "marginalize-nothing": (lambda: marginalize(JOINT, []),
+                            (ValidationError, "must keep at least one factor")),
+    "marginalize-twice": (lambda: marginalize(JOINT, [1, 1]),
+                          (ValidationError, "duplicate factors in keep selector (1, 1)")),
+    "marginalize-index": (lambda: marginalize(JOINT, 2),
+                          (SystemMismatchError, "factor index 2 is out of range(2)")),
+    "partial-pair-single": (lambda: partial_pair(basis_state(Q2, 0), basis_effect(Q2, 0), 0),
+                            (SystemMismatchError, "factor index 0 is out of range(0)")),
+    "partial-pair-index": (lambda: partial_pair(JOINT, basis_effect(Q2, 0), -1),
+                           (SystemMismatchError, "factor index -1 is out of range(2)")),
+    "partial-pair-effect": (lambda: partial_pair(JOINT, basis_effect(Q3, 0), 0),
+                            (SystemMismatchError, "effect is quantum(3), expected quantum(2)")),
+    "faithful-classical": (lambda: dynamically_faithful_state(C2), (
+        InfeasibleError, "classical composites carry no dynamically faithful state in this sense")),
+    "density-matrix": (lambda: density_matrix(basis_state(C2, 0)), (
+        SystemMismatchError, "density matrix needs a quantum system, got classical(2)")),
+    "effect-matrix": (lambda: effect_matrix(basis_effect(C2, 0)), (
+        SystemMismatchError, "effect matrix needs a quantum system, got classical(2)")),
+    "state-from-density-theory": (lambda: state_from_density(C2, np.eye(2) / 2), (
+        SystemMismatchError, "density matrix needs a quantum system, got classical(2)")),
+    "state-from-density-shape": (lambda: state_from_density(Q2, np.eye(3) / 3), (
+        SystemMismatchError, "density matrix has shape (3, 3), expected (2, 2)")),
+    "effect-from-matrix-theory": (lambda: effect_from_matrix(C2, np.eye(2)), (
+        SystemMismatchError, "effect matrix needs a quantum system, got classical(2)")),
+    "effect-from-matrix-shape": (lambda: effect_from_matrix(Q3, np.eye(2)), (
+        SystemMismatchError, "effect matrix has shape (2, 2), expected (3, 3)")),
+    "ket-state-theory": (lambda: ket_state(C2, [1.0, 0.0]), (
+        SystemMismatchError, "amplitude vector needs a quantum system, got classical(2)")),
+    "projector-effect-shape": (lambda: projector_effect(Q2, [1.0, 0.0, 0.0]), (
+        SystemMismatchError, "amplitude vector has shape (3,), expected (2,)")),
+    "basis-state": (lambda: basis_state(Q2, 2),
+                    (SystemMismatchError, "basis index 2 is out of range(2)")),
+    "basis-effect": (lambda: basis_effect(C2, -1),
+                     (SystemMismatchError, "basis index -1 is out of range(2)")),
+    "distinguish-nothing": (lambda: distinguishing_measurement([]),
+                            (ValidationError, "need at least one state to distinguish")),
+    "distinguish-system": (lambda: distinguishing_measurement(
+        [basis_state(Q2, 0), basis_state(Q3, 1)]),
+        (SystemMismatchError, "state 1 is quantum(3), expected quantum(2)")),
+    "distinguish-spread": (lambda: distinguishing_measurement([maximally_mixed(C2)]),
+                           (InfeasibleError, "state 0 is not a point mass")),
+    "distinguish-same-point": (lambda: distinguishing_measurement(
+        [basis_state(C2, 1), basis_state(C2, 1)]),
+        (InfeasibleError, "states 0 and 1 are not distinguishable (same point mass)")),
+    "unitary-channel-theory": (lambda: unitary_channel(C2, np.eye(2)), (
+        SystemMismatchError, "unitary channel needs a quantum system, got classical(2)")),
+    "unitary-channel-shape": (lambda: unitary_channel(Q2, np.eye(3)),
+                              (SystemMismatchError, "matrix has shape (3, 3), expected (2, 2)")),
+    "phase-unitary": (lambda: phase_unitary(Q2, [0.0, 0.0, 0.0]),
+                      (SystemMismatchError, "phase angles has shape (3,), expected (2,)")),
+    "permutation-theory": (lambda: permutation_transformation(Q2, [1, 0]), (
+        SystemMismatchError, "permutation needs a classical system, got quantum(2)")),
+    "permutation-repeat": (lambda: permutation_transformation(C3, [0, 0, 1]),
+                           (ValidationError, "[0, 0, 1] is not a permutation of range(3)")),
+    "random-unitary": (lambda: random_unitary(C2, 0), (
+        SystemMismatchError, "unitary channel needs a quantum system, got classical(2)")),
+    "channel-from-matrix": (lambda: channel_from_matrix(Q2, Q3, np.eye(4)), (
+        SystemMismatchError, "transformation matrix has shape (4, 4), expected (9, 4)")),
+}
+
+
+@pytest.mark.parametrize("call, want", CORE_CASES.values(), ids=CORE_CASES)
+def test_core_rejections_give_the_exact_error(call, want, outcome):
+    assert outcome(call) == want
+
+
+# the helpers in core that raise SystemMismatchError, each with one message form
+SYSTEM_GUARDS = {"_require_same", "_require_theory", "_require_shape", "_require_index"}
+
+
+def system_mismatch_raises(path):
+    """The innermost enclosing function of each `raise SystemMismatchError` in a file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    owner = {}
+    for fn in ast.walk(tree):  # an outer function comes before the ones nested in it
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((node, fn.name) for node in ast.walk(fn))
+    found = []
+    for node in ast.walk(tree):
+        exc = node.exc if isinstance(node, ast.Raise) else None
+        name = exc.func if isinstance(exc, ast.Call) else exc
+        if getattr(name, "id", getattr(name, "attr", None)) == "SystemMismatchError":
+            found.append(owner.get(node))
+    return found
+
+
+def test_system_mismatches_are_raised_by_the_core_helpers_only():
+    src = pathlib.Path(core.__file__).resolve().parent
+    found = sorted(
+        (path.name, name) for path in src.glob("*.py") for name in system_mismatch_raises(path)
+    )
+    assert found == [("core.py", name) for name in sorted(SYSTEM_GUARDS)]

@@ -15,6 +15,7 @@ from interferlab import (
     VERDICT_ABSENT,
     VERDICT_PRESENT,
     VERDICT_INCONCLUSIVE,
+    Effect,
     EffectChoice,
     NotAPhaseError,
     StateVector,
@@ -23,6 +24,7 @@ from interferlab import (
     apply,
     basis_effect,
     basis_experiment,
+    basis_state,
     classical_system,
     detection_order,
     effect_matrix,
@@ -36,6 +38,7 @@ from interferlab import (
     masked_effect,
     pair,
     pattern,
+    permutation_transformation,
     phase_unitary,
     projector_effect,
     quantum_system,
@@ -538,3 +541,69 @@ def test_scan_costs_do_not_grow_with_the_trials(monkeypatch):
             assert scan["cholesky"] >= 1 and sweep["cholesky"] >= 1
             assert scan["eigvalsh"] >= 1
     assert (scan, sweep) == small
+
+
+Q2, Q3, C2, C3 = quantum_system(2), quantum_system(3), classical_system(2), classical_system(3)
+QUBIT_PATHS, BIT_PATHS, TRIT_PATHS = (basis_experiment(s) for s in (Q2, C2, C3))
+# two paths on a classical trit: the second path's effect fires on outcomes 1 and 2
+TRIT_TWO_PATHS = make_experiment([
+    (basis_state(C3, 0), basis_effect(C3, 0)),
+    (basis_state(C3, 1), Effect(C3, [0.0, 1.0, 1.0])),
+])
+
+
+def residual(experiment, choice, transformation=None):
+    system = experiment.system
+    transformation = transformation or identity_transformation(system)
+    return sorkin_residual(
+        basis_state(system, 0), basis_effect(system, 0), experiment, transformation, choice)
+
+
+# (call, what it gives): every public entry point of interference that checks
+# a system type, given a mismatched one, and the branches Tier-1 would not run
+INTERFERENCE_CASES = {
+    "pattern-state": (lambda: pattern(basis_state(Q3, 0), basis_effect(Q2, 0), QUBIT_PATHS),
+                      (SystemMismatchError, "pattern state is quantum(3), expected quantum(2)")),
+    "pattern-effect": (lambda: pattern(basis_state(Q2, 0), basis_effect(Q3, 0), QUBIT_PATHS),
+                       (SystemMismatchError, "pattern effect is quantum(3), expected quantum(2)")),
+    "filtered-classical": (lambda: filtered_effect(basis_effect(C2, 0), [0], BIT_PATHS), (
+        SystemMismatchError, "projector filtering needs a quantum system, got classical(2)")),
+    "filtered-system": (lambda: filtered_effect(basis_effect(Q3, 0), [0], QUBIT_PATHS),
+                        (SystemMismatchError, "effect is quantum(3), expected quantum(2)")),
+    "filtered-empty": (lambda: filtered_effect(basis_effect(Q2, 0), [], QUBIT_PATHS),
+                       (ValidationError, "invalid path subset [] for 2 paths")),
+    "masked-quantum": (lambda: masked_effect(basis_effect(Q2, 0), [0], QUBIT_PATHS), (
+        SystemMismatchError, "outcome masking needs a classical system, got quantum(2)")),
+    "masked-system": (lambda: masked_effect(basis_effect(C3, 0), [0], BIT_PATHS),
+                      (SystemMismatchError, "effect is classical(3), expected classical(2)")),
+    "masked-outside": (lambda: masked_effect(basis_effect(C2, 0), [2], BIT_PATHS),
+                       (ValidationError, "invalid path subset [2] for 2 paths")),
+    "choice-system": (lambda: EffectChoice(QUBIT_PATHS, {frozenset({0}): basis_effect(Q3, 0)}),
+                      (SystemMismatchError, "effect is quantum(3), expected quantum(2)")),
+    "residual-choice-system": (lambda: residual(
+        QUBIT_PATHS, filter_choice(basis_effect(C2, 0), BIT_PATHS)),
+        (SystemMismatchError, "choice's system is classical(2), expected quantum(2)")),
+    "residual-choice-paths": (lambda: residual(
+        TRIT_PATHS, filter_choice(basis_effect(C3, 0), TRIT_TWO_PATHS)),
+        (SystemMismatchError, "choice's path count is 2, expected 3")),
+    "residual-not-a-phase": (lambda: residual(
+        BIT_PATHS, filter_choice(basis_effect(C2, 0), BIT_PATHS),
+        permutation_transformation(C2, [1, 0])),
+        (NotAPhaseError, "patterns are evaluated on phase transformations only")),
+    "residual-missing-subset": (lambda: residual(
+        BIT_PATHS, EffectChoice(BIT_PATHS, {frozenset({0}): basis_effect(C2, 0)})),
+        (ValidationError, "choice is missing subset [1]")),
+    "third-order-classical": (lambda: third_order_scan_quantum(TRIT_PATHS), (
+        SystemMismatchError, "third-order scan needs a quantum system, got classical(3)")),
+    "sweep-angles": (lambda: interference_pattern_sweep(
+        basis_state(Q2, 0), basis_effect(Q2, 0), QUBIT_PATHS, [[0.0, 0.0, 0.0]]),
+        (SystemMismatchError, "angle vector has shape (3,), expected (2,)")),
+    "sweep-state": (lambda: interference_pattern_sweep(
+        basis_state(Q3, 0), basis_effect(Q2, 0), QUBIT_PATHS, [[0.0, 0.0]]),
+        (SystemMismatchError, "pattern state is quantum(3), expected quantum(2)")),
+}
+
+
+@pytest.mark.parametrize("call, want", INTERFERENCE_CASES.values(), ids=INTERFERENCE_CASES)
+def test_interference_rejections_give_the_exact_error(call, want, outcome):
+    assert outcome(call) == want

@@ -16,6 +16,7 @@ from interferlab import (
     PathRankError,
     StateVector,
     SystemMismatchError,
+    Transformation,
     ValidationError,
     basis_effect,
     basis_experiment,
@@ -32,6 +33,7 @@ from interferlab import (
     is_superposition,
     ket_state,
     make_experiment,
+    maximally_mixed,
     permutation_transformation,
     phase_relative_angles,
     phase_unitary,
@@ -44,6 +46,7 @@ from interferlab import (
     support_of_state,
     transform_effect,
     transformations_close,
+    unit_effect,
     unitary_channel,
 )
 from interferlab.core import _haar
@@ -484,3 +487,52 @@ def test_enumeration_rejects_invalid_order():
         is_n_undetectable(t, experiment, 0)
     with pytest.raises(ValidationError):
         is_n_undetectable(t, experiment, 2, method="guess")
+
+
+Q2, Q3, C2 = quantum_system(2), quantum_system(3), classical_system(2)
+QUBIT_PATHS, BIT_PATHS = basis_experiment(Q2), basis_experiment(C2)
+# reversible, but it moves the which-path effects
+HADAMARD = unitary_channel(Q2, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+# prepares the maximally mixed qutrit whatever the qubit held: unit-preserving, out of Q2
+REPLACE = Transformation(Q2, Q3, np.outer(maximally_mixed(Q3).coeffs, unit_effect(Q2).coeffs))
+# kills every coherence and keeps the diagonal, with the reversible flag set by hand
+DEPHASE = Transformation(Q2, Q2, np.diag([1.0, 0.0, 0.0, 1.0]), reversible=True)
+BIT_FLIP = permutation_transformation(C2, [1, 0])
+
+# (call, what it gives): every public entry point of paths that checks a
+# system type, given a mismatched one, and the branches Tier-1 would not run
+PATHS_CASES = {
+    "path": (lambda: Path(basis_state(Q2, 0), basis_effect(Q3, 0)),
+             (SystemMismatchError, "path effect is quantum(3), expected quantum(2)")),
+    "make-experiment": (lambda: make_experiment(
+        [(basis_state(Q2, 0), basis_effect(Q2, 0)), (basis_state(Q3, 1), basis_effect(Q3, 1))]),
+        (SystemMismatchError, "path 1 is quantum(3), expected quantum(2)")),
+    "kets-classical": (lambda: BIT_PATHS.kets, (
+        SystemMismatchError, "path ket needs a quantum system, got classical(2)")),
+    "support-of-state": (lambda: support_of_state(basis_state(Q3, 0), QUBIT_PATHS),
+                         (SystemMismatchError, "state is quantum(3), expected quantum(2)")),
+    "support-of-effect": (lambda: support_of_effect(basis_effect(C2, 0), QUBIT_PATHS),
+                          (SystemMismatchError, "effect is classical(2), expected quantum(2)")),
+    "superposition-one-path": (lambda: is_superposition(basis_state(Q2, 1), QUBIT_PATHS), False),
+    "is-phase-input": (lambda: is_phase(identity_transformation(Q3), QUBIT_PATHS), (
+        SystemMismatchError, "transformation input is quantum(3), expected quantum(2)")),
+    "is-phase-output": (lambda: is_phase(REPLACE, QUBIT_PATHS), False),
+    "angles-classical": (lambda: phase_relative_angles(identity_transformation(C2), BIT_PATHS), (
+        SystemMismatchError, "relative phase angles needs a quantum system, got classical(2)")),
+    "angles-dephased": (lambda: phase_relative_angles(DEPHASE, QUBIT_PATHS), (
+        NotAPhaseError, "path coherence 0-1 is not phase-transported (magnitude 0.0)")),
+    "undetectable-classical-flip": (lambda: is_n_undetectable(BIT_FLIP, BIT_PATHS, 2), (
+        NotAPhaseError, "transformation does not fix the which-path effects")),
+    "search-classical": (lambda: search_detecting_effect(
+        identity_transformation(C2), BIT_PATHS, 1), (
+        SystemMismatchError, "effect search needs a quantum system, got classical(2)")),
+    "search-not-a-phase": (lambda: search_detecting_effect(HADAMARD, QUBIT_PATHS, 1), (
+        NotAPhaseError, "transformation does not fix the which-path effects")),
+    "enumerate-quantum": (lambda: enumerate_classical_phases(QUBIT_PATHS), (
+        SystemMismatchError, "phase enumeration needs a classical system, got quantum(2)")),
+}
+
+
+@pytest.mark.parametrize("call, want", PATHS_CASES.values(), ids=PATHS_CASES)
+def test_paths_rejections_give_the_exact_error(call, want, outcome):
+    assert outcome(call) == want
