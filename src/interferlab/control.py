@@ -28,7 +28,6 @@ from .core import (
     Transformation,
     ValidationError,
     _as_unitary,
-    _channel,
     _check_effects,
     _check_states,
     _encode,
@@ -57,7 +56,8 @@ class ControlledTransformation:
 
     Stores the branch unitaries and one control ket per branch (columns), as
     read-only copies; everything else derives from them once, on first use.
-    The constructor checks them; build_controlled also verifies the contract.
+    The constructor checks them, and that a designated target is a state on
+    the target system; build_controlled also verifies the contract.
     """
 
     target_system: SystemType
@@ -75,6 +75,10 @@ class ControlledTransformation:
         object.__setattr__(self, "branch_unitaries", unitaries)
         kets = _readonly(np.array(_as_unitary(self.control_kets, n, "control kets")))
         object.__setattr__(self, "control_kets", kets)
+        target = self.designated_target
+        if target is not None:
+            found = target.system if isinstance(target, StateVector) else type(target).__name__
+            _require_same(found, self.target_system, "designated target")
 
     @property
     def n_branches(self) -> int:
@@ -546,13 +550,8 @@ def control_target_swap_check(controlled: ControlledTransformation) -> dict:
         composite_system(controlled.control_system, controlled.target_system),
         swap_exchange_unitary(d_c),
     )
-    conjugated = _channel(
-        swap.in_system,
-        swap.out_system,
-        swap.matrix @ controlled.composite.matrix @ swap.matrix,
-        True,
-    )
-    deviation = float(np.max(np.abs(conjugated.matrix - rebuilt.composite.matrix)))
+    conjugated = swap.matrix @ controlled.composite.matrix @ swap.matrix
+    deviation = float(np.max(np.abs(conjugated - rebuilt.composite.matrix)))
     return {
         "deviation": deviation,
         "equal": deviation <= EPS_EQ,

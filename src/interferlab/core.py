@@ -73,12 +73,12 @@ EPS_DECISION = 1e-6
 # construction), and the pairwise-parity readouts of oracle._pair_readout
 # per (n, i, j), which the validating constructors check on first use.
 # apply, transform_effect, the tensor products and the verify functions keep
-# their checks: a raw reversible=True Transformation need not preserve
-# positivity.  Every SystemMismatchError comes from one of four helpers
-# below, each with one message form: _require_same ("{what} is {found},
-# expected {want}"), _require_theory ("{what} needs a {theory} system, got
-# {system}"), _require_shape ("{what} has shape {found}, expected {want}")
-# and _require_index ("{what} {index} is out of range({count})").
+# their checks: a raw transformation need not preserve positivity.  Every
+# SystemMismatchError comes from one of four helpers below, each with one
+# message form: _require_same ("{what} is {found}, expected {want}"),
+# _require_theory ("{what} needs a {theory} system, got {system}"),
+# _require_shape ("{what} has shape {found}, expected {want}") and
+# _require_index ("{what} {index} is out of range({count})").
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -440,17 +440,18 @@ def _check_effects(system: SystemType, coeffs: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Transformation:
-    """A channel: real matrix acting on coefficient vectors.
+    """A real matrix carrying input coefficients to output ones; nothing else is stored.
 
-    The matrix is copied, so the caller's array can change afterwards without
-    touching the channel.  The package's constructors build through _channel
+    The matrix must preserve the unit effect; positivity is channel_from_matrix's
+    check, and reversibility is read from the matrix on first use.  The matrix
+    is copied, so the caller's array can change afterwards without touching
+    the transformation; the package's constructors build through _channel
     instead, which keeps the fresh matrix they made without a copy.
     """
 
     in_system: SystemType
     out_system: SystemType
     matrix: np.ndarray
-    reversible: bool = False
 
     def __post_init__(self) -> None:
         self._admit(copy=True)
@@ -471,27 +472,33 @@ class Transformation:
                 f"transformation does not preserve the unit effect (deviation {dev!r})"
             )
 
+    @functools.cached_property
+    def reversible(self) -> bool:
+        """True when the matrix is square and orthogonal: max|M^T M - I| <= EPS_EQ.
+
+        On channels these are exactly the reversible ones in both backends:
+        conjugations by a unitary, since the Hermitian basis is orthonormal,
+        and permutations of outcomes.
+        """
+        m = self.matrix
+        return m.shape[0] == m.shape[1] and float(np.abs(m.T @ m - np.eye(len(m))).max()) <= EPS_EQ
+
     def inverse(self) -> "Transformation":
+        """The transformation undoing this one, M^T, when it is reversible."""
         if not self.reversible:
-            raise InfeasibleError("transformation is not marked reversible")
-        return _channel(self.out_system, self.in_system, np.linalg.inv(self.matrix), True)
+            raise InfeasibleError("transformation is not reversible")
+        return _channel(self.out_system, self.in_system, self.matrix.T.copy())
 
 
-def _channel(
-    in_system: SystemType, out_system: SystemType, matrix: np.ndarray, reversible: bool
-) -> Transformation:
-    """Transformation(in_system, out_system, matrix, reversible) without its copy.
+def _channel(in_system: SystemType, out_system: SystemType, matrix: np.ndarray) -> Transformation:
+    """Transformation(in_system, out_system, matrix) without its copy.
 
     For a fresh float64 matrix that nothing else holds, as the package's
     constructors build: it is locked and checked as Transformation does, and
-    kept as the channel's one copy.
+    kept as the transformation's one copy.
     """
     t = object.__new__(Transformation)
-    for name, value in zip(
-        ("in_system", "out_system", "matrix", "reversible"),
-        (in_system, out_system, matrix, reversible),
-    ):
-        object.__setattr__(t, name, value)
+    vars(t).update(in_system=in_system, out_system=out_system, matrix=matrix)
     t._admit(copy=False)
     return t
 
@@ -540,16 +547,11 @@ def transform_effect(transformation: Transformation, effect: Effect) -> Effect:
 def compose_seq(second: Transformation, first: Transformation) -> Transformation:
     """Sequential composition: run `first`, then `second`."""
     _require_same(first.out_system, second.in_system, "first's output")
-    return _channel(
-        first.in_system,
-        second.out_system,
-        second.matrix @ first.matrix,
-        first.reversible and second.reversible,
-    )
+    return _channel(first.in_system, second.out_system, second.matrix @ first.matrix)
 
 
 def identity_transformation(system: SystemType) -> Transformation:
-    return _channel(system, system, np.eye(system.vector_space_dim), True)
+    return _channel(system, system, np.eye(system.vector_space_dim))
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +618,7 @@ def tensor_transformations(a: Transformation, b: Transformation) -> Transformati
     basis = _tensor_coeffs(a.in_system, b.in_system, np.eye(n_a)[:, None], np.eye(n_b))
     moved = _tensor_coeffs(a.out_system, b.out_system, a.matrix.T[:, None], b.matrix.T)
     prod = moved.reshape(n_a * n_b, -1).T @ basis.reshape(n_a * n_b, -1)
-    return _channel(in_system, out_system, prod, a.reversible and b.reversible)
+    return _channel(in_system, out_system, prod)
 
 
 def _kept_system(system: SystemType, keep: tuple[int, ...]) -> SystemType:
@@ -887,7 +889,7 @@ def unitary_channel(system: SystemType, unitary: np.ndarray) -> Transformation:
     """
     _require_theory(system, QUANTUM, "unitary channel")
     u = _as_unitary(unitary, system.dim, "matrix")
-    return _channel(system, system, _unitary_matrices(u), True)
+    return _channel(system, system, _unitary_matrices(u))
 
 
 _ROOT2 = np.sqrt(2.0)
@@ -954,20 +956,15 @@ def permutation_transformation(system: SystemType, perm: Sequence[int]) -> Trans
     matrix = np.zeros((system.dim, system.dim))
     for src, dst in enumerate(perm):
         matrix[dst, src] = 1.0
-    return _channel(system, system, matrix, True)
+    return _channel(system, system, matrix)
 
 
 def channel_from_matrix(
-    in_system: SystemType,
-    out_system: SystemType,
-    matrix: np.ndarray,
-    reversible: bool = False,
+    in_system: SystemType, out_system: SystemType, matrix: np.ndarray
 ) -> Transformation:
     """Validated generic channel: CPTP for quantum, stochastic for classical."""
-    t = Transformation(in_system, out_system, matrix, reversible=reversible)
+    t = Transformation(in_system, out_system, matrix)
     _require_channel(t)
-    if reversible:
-        _require_channel(_channel(out_system, in_system, np.linalg.inv(t.matrix), False))
     return t
 
 

@@ -42,13 +42,7 @@ from .core import (
     pair,
     projector_effect,
 )
-from .paths import (
-    NotAPhaseError,
-    PathExperiment,
-    enumerate_classical_phases,
-    is_phase,
-    support_of_effect,
-)
+from .paths import PathExperiment, _require_phase, enumerate_classical_phases, support_of_effect
 
 VERDICT_PRESENT = "present"
 VERDICT_ABSENT = "absent"
@@ -67,8 +61,7 @@ class InterferencePattern:
         _require_same(self.effect.system, self.experiment.system, "pattern effect")
 
     def __call__(self, transformation: Transformation) -> float:
-        if not is_phase(transformation, self.experiment):
-            raise NotAPhaseError("patterns are evaluated on phase transformations only")
+        _require_phase(transformation, self.experiment)
         return pair(self.effect, apply(transformation, self.state))
 
 
@@ -181,8 +174,7 @@ def sorkin_residual(
     n = experiment.n
     _require_same(choice.experiment.system, experiment.system, "choice's system")
     _require_same(choice.experiment.n, n, "choice's path count")
-    if not is_phase(transformation, experiment):
-        raise NotAPhaseError("patterns are evaluated on phase transformations only")
+    _require_phase(transformation, experiment)
     moved = apply(transformation, state)
     lhs = pair(effect, moved)
     rhs = 0.0

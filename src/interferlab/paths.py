@@ -44,7 +44,7 @@ from .core import (
 
 
 class NotAPhaseError(ValueError):
-    """The transformation does not fix every which-path effect."""
+    """The transformation is not a phase: not reversible, or it moves a which-path effect."""
 
 
 class PathRankError(ValueError):
@@ -163,18 +163,32 @@ def is_superposition(state: StateVector, experiment: PathExperiment) -> bool:
 
 
 def is_phase(transformation: Transformation, experiment: PathExperiment) -> bool:
-    """True when the transformation is reversible and fixes every path effect."""
+    """True when the transformation maps the experiment's system to itself, is
+    reversible (Transformation.reversible) and fixes every which-path effect
+    within EPS_EQ; a SystemMismatchError when its input is on another system."""
+    return _phase_failure(transformation, experiment) is None
+
+
+def _require_phase(transformation: Transformation, experiment: PathExperiment) -> None:
+    """The one not-a-phase guard: NotAPhaseError naming the condition is_phase failed."""
+    if failure := _phase_failure(transformation, experiment):
+        raise NotAPhaseError(failure)
+
+
+def _phase_failure(transformation: Transformation, experiment: PathExperiment) -> str | None:
+    """Why the transformation is not a phase of the experiment; None when it is."""
     _require_same(transformation.in_system, experiment.system, "transformation input")
     if transformation.out_system != experiment.system:
-        return False
+        return f"transformation output is {transformation.out_system}, expected {experiment.system}"
     if not transformation.reversible:
-        return False
+        return "transformation is not reversible"
     # transform_effect's arithmetic, without building an Effect per path
     m = transformation.matrix.T
-    return all(
-        float(np.max(np.abs(m @ p.effect.coeffs - p.effect.coeffs))) <= EPS_EQ
-        for p in experiment.paths
-    )
+    for i, p in enumerate(experiment.paths):
+        dev = float(np.max(np.abs(m @ p.effect.coeffs - p.effect.coeffs)))
+        if dev > EPS_EQ:
+            return f"transformation moves the effect of path {i} (deviation {dev!r})"
+    return None
 
 
 def phase_relative_angles(
@@ -187,8 +201,7 @@ def phase_relative_angles(
     are read off from how the channel transports path coherences.
     """
     _require_theory(experiment.system, QUANTUM, "relative phase angles")
-    if not is_phase(transformation, experiment):
-        raise NotAPhaseError("transformation does not fix the which-path effects")
+    _require_phase(transformation, experiment)
     kets = experiment.kets
     d = experiment.system.dim
     angles = np.zeros(experiment.n)
@@ -226,8 +239,7 @@ def is_n_undetectable(
     if method not in ("closed-form", "search"):
         raise ValidationError(f"unknown method {method!r}")
     if experiment.system.theory == CLASSICAL:
-        if not is_phase(transformation, experiment):
-            raise NotAPhaseError("transformation does not fix the which-path effects")
+        _require_phase(transformation, experiment)
         return True
     if method == "search":
         found = search_detecting_effect(
@@ -301,8 +313,7 @@ def search_detecting_effect(
     seeded stream in turn, as two bulk calls (see _subset_effects).
     """
     _require_theory(experiment.system, QUANTUM, "effect search")
-    if not is_phase(transformation, experiment):
-        raise NotAPhaseError("transformation does not fix the which-path effects")
+    _require_phase(transformation, experiment)
     rng = np.random.default_rng(seed)
     size_cap = min(max_support, experiment.n)
     for size in range(1, size_cap + 1):

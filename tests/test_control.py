@@ -18,6 +18,7 @@ from interferlab import (
     ValidationError,
     anyonic_exchange_unitary,
     apply,
+    basis_effect,
     basis_experiment,
     basis_state,
     build_controlled,
@@ -423,6 +424,12 @@ def test_the_constructor_checks_its_input_with_the_exact_messages():
          SystemMismatchError, "branch 0 has shape (3, 3), expected (2, 2)"),
         ((qubit, [np.eye(2), Z], skew),
          ValidationError, f"control kets is not unitary (deviation {gap!r})"),
+        ((qubit, [np.eye(2), Z], np.eye(2), basis_state(quantum_system(3), 0)),
+         SystemMismatchError, "designated target is quantum(3), expected quantum(2)"),
+        ((qubit, [np.eye(2), Z], np.eye(2), basis_effect(qubit, 0)),
+         SystemMismatchError, "designated target is Effect, expected quantum(2)"),
+        ((qubit, [np.eye(2), Z], np.eye(2), "not a state"),
+         SystemMismatchError, "designated target is str, expected quantum(2)"),
     ]
     for args, kind, message in cases:
         with pytest.raises(kind) as err:

@@ -1,6 +1,8 @@
 """Tests for the real-vector state/effect/transformation substrate."""
 
 import ast
+import dataclasses
+import functools
 import math
 import pathlib
 
@@ -362,9 +364,63 @@ def test_channel_from_matrix_round_trips_a_unitary_channel():
     system = quantum_system(2)
     u = haar_unitary(2, np.random.default_rng(43))
     t = unitary_channel(system, u)
-    rebuilt = channel_from_matrix(system, system, t.matrix, reversible=True)
+    rebuilt = channel_from_matrix(system, system, t.matrix)
     assert transformations_close(t, rebuilt)
     assert rebuilt.reversible
+
+
+def amplitude_damping(gamma):
+    """Qubit amplitude damping from its Kraus operators: CPTP and invertible, not orthogonal."""
+    basis = hermitian_basis(2)
+    kraus = (np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - gamma)]]),
+             np.array([[0.0, math.sqrt(gamma)], [0.0, 0.0]]))
+    moved = sum(k @ basis @ k.conj().T for k in kraus)
+    # M[j, k] = Tr(B_j K B_k K^dag), summed over the Kraus operators
+    return channel_from_matrix(Q2, Q2, np.einsum("jab,kba->jk", basis, moved).real)
+
+
+def test_transformation_stores_its_systems_and_matrix_only():
+    assert [f.name for f in dataclasses.fields(Transformation)] == [
+        "in_system", "out_system", "matrix"]
+    assert isinstance(vars(Transformation)["reversible"], functools.cached_property)
+    t = phase_unitary(Q2, [0.0, 0.3])
+    assert "reversible" not in vars(t)
+    assert t.reversible and vars(t)["reversible"] is True
+    with pytest.raises(TypeError):
+        Transformation(Q2, Q2, t.matrix, reversible=True)
+
+
+def test_reversibility_is_read_from_the_matrix():
+    rng = np.random.default_rng(59)
+    unitary = unitary_channel(Q3, haar_unitary(3, rng))
+    phase = phase_unitary(Q3, [0.0, 0.4, 1.1])
+    cycle = permutation_transformation(C3, (1, 2, 0))
+    reversible = [
+        unitary,
+        phase,
+        cycle,
+        identity_transformation(Q2),
+        identity_transformation(C3),
+        compose_seq(phase, unitary),
+        compose_seq(cycle, cycle),
+        tensor_transformations(unitary_channel(Q2, haar_unitary(2, rng)), phase),
+        tensor_transformations(permutation_transformation(C2, (1, 0)), cycle),
+        # a raw transformation reads reversible whenever its matrix is orthogonal
+        Transformation(C2, C2, np.eye(2)),
+    ]
+    for t in reversible:
+        assert t.reversible
+        back = t.inverse()
+        assert np.array_equal(back.matrix, t.matrix.T)
+        assert transformations_close(compose_seq(back, t), identity_transformation(t.in_system))
+    damping = amplitude_damping(0.3)
+    assert np.linalg.matrix_rank(damping.matrix) == 4
+    # prepares the maximally mixed qutrit whatever the qubit held
+    replace = Transformation(Q2, Q3, np.outer(maximally_mixed(Q3).coeffs, unit_effect(Q2).coeffs))
+    for t in (damping, replace):
+        assert not t.reversible
+        with pytest.raises(InfeasibleError, match="^transformation is not reversible$"):
+            t.inverse()
 
 
 def test_channel_from_matrix_rejects_the_transpose_map():
@@ -531,8 +587,8 @@ CORE_CASES = {
         SystemMismatchError, "transformation output needs a quantum system, got classical(2)")),
     "transformation-shape": (lambda: Transformation(Q2, Q2, np.eye(2)), (
         SystemMismatchError, "transformation matrix has shape (2, 2), expected (4, 4)")),
-    "inverse-irreversible": (lambda: Transformation(C2, C2, np.eye(2)).inverse(),
-                             (InfeasibleError, "transformation is not marked reversible")),
+    "inverse-irreversible": (lambda: Transformation(C2, C2, [[1.0, 0.5], [0.0, 0.5]]).inverse(),
+                             (InfeasibleError, "transformation is not reversible")),
     "measurement-empty": (lambda: Measurement(Q2, ()),
                           (ValidationError, "measurement needs at least one effect")),
     "measurement-system": (lambda: Measurement(Q2, (basis_effect(Q2, 0), basis_effect(Q3, 0))),

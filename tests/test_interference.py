@@ -20,6 +20,7 @@ from interferlab import (
     NotAPhaseError,
     StateVector,
     SystemMismatchError,
+    Transformation,
     ValidationError,
     apply,
     basis_effect,
@@ -566,6 +567,10 @@ INTERFERENCE_CASES = {
                       (SystemMismatchError, "pattern state is quantum(3), expected quantum(2)")),
     "pattern-effect": (lambda: pattern(basis_state(Q2, 0), basis_effect(Q3, 0), QUBIT_PATHS),
                        (SystemMismatchError, "pattern effect is quantum(3), expected quantum(2)")),
+    # a dephasing map fixes every which-path effect, but it is not reversible
+    "pattern-dephased": (lambda: pattern(basis_state(Q2, 0), basis_effect(Q2, 0), QUBIT_PATHS)(
+        Transformation(Q2, Q2, np.diag([1.0, 0.0, 0.0, 1.0]))),
+        (NotAPhaseError, "transformation is not reversible")),
     "filtered-classical": (lambda: filtered_effect(basis_effect(C2, 0), [0], BIT_PATHS), (
         SystemMismatchError, "projector filtering needs a quantum system, got classical(2)")),
     "filtered-system": (lambda: filtered_effect(basis_effect(Q3, 0), [0], QUBIT_PATHS),
@@ -589,7 +594,7 @@ INTERFERENCE_CASES = {
     "residual-not-a-phase": (lambda: residual(
         BIT_PATHS, filter_choice(basis_effect(C2, 0), BIT_PATHS),
         permutation_transformation(C2, [1, 0])),
-        (NotAPhaseError, "patterns are evaluated on phase transformations only")),
+        (NotAPhaseError, "transformation moves the effect of path 0 (deviation 1.0)")),
     "residual-missing-subset": (lambda: residual(
         BIT_PATHS, EffectChoice(BIT_PATHS, {frozenset({0}): basis_effect(C2, 0)})),
         (ValidationError, "choice is missing subset [1]")),

@@ -274,10 +274,10 @@ def test_the_constructors_private_path_keeps_every_check():
     system = quantum_system(2)
     matrix = np.eye(4)
     matrix[1, 1] = np.nan
-    message = error_message(lambda: core._channel(system, system, matrix, False))
+    message = error_message(lambda: core._channel(system, system, matrix))
     assert message == "transformation matrix holds NaN or infinity"
     matrix = 2.0 * np.eye(4)
-    message = error_message(lambda: core._channel(system, system, matrix, False))
+    message = error_message(lambda: core._channel(system, system, matrix))
     assert message.startswith("transformation does not preserve the unit effect")
 
 

@@ -1,6 +1,5 @@
 """Tests for path experiments, supports, phases, and detectability orders."""
 
-import dataclasses
 import itertools
 import math
 
@@ -395,8 +394,8 @@ def test_is_phase_agrees_with_the_pulled_back_effects():
                 tilt = np.eye(dim, dtype=complex)
                 tilt[:2, :2] = [[math.cos(eps), -math.sin(eps)], [math.sin(eps), math.cos(eps)]]
                 cases.append((unitary_channel(system, kets @ tilt @ kets.conj().T), experiment, None))
-            plain = identity_transformation(system)
-            cases.append((dataclasses.replace(plain, reversible=False), experiment, False))
+            if dim == 2:
+                cases.append((DEPHASE, experiment, False))
     classical = classical_system(3)
     for perm in itertools.permutations(range(3)):
         cases.append((
@@ -493,10 +492,20 @@ Q2, Q3, C2 = quantum_system(2), quantum_system(3), classical_system(2)
 QUBIT_PATHS, BIT_PATHS = basis_experiment(Q2), basis_experiment(C2)
 # reversible, but it moves the which-path effects
 HADAMARD = unitary_channel(Q2, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+HADAMARD_SHIFT = float(np.max(np.abs(
+    HADAMARD.matrix.T @ QUBIT_PATHS.paths[0].effect.coeffs - QUBIT_PATHS.paths[0].effect.coeffs)))
 # prepares the maximally mixed qutrit whatever the qubit held: unit-preserving, out of Q2
 REPLACE = Transformation(Q2, Q3, np.outer(maximally_mixed(Q3).coeffs, unit_effect(Q2).coeffs))
-# kills every coherence and keeps the diagonal, with the reversible flag set by hand
-DEPHASE = Transformation(Q2, Q2, np.diag([1.0, 0.0, 0.0, 1.0]), reversible=True)
+# kills every coherence and keeps the diagonal: it fixes every which-path
+# effect, but its matrix is singular, so it is not reversible
+DEPHASE = Transformation(Q2, Q2, np.diag([1.0, 0.0, 0.0, 1.0]))
+# an orthogonal map on qutrit coefficients that keeps the diagonal and swaps
+# the 0-1 coefficients with the 1-2 ones: it reads as reversible and fixes
+# every which-path effect, yet moves coherence 0-1 onto 1-2
+_moves = np.arange(9)
+_moves[[1, 3, 4, 6]] = [3, 1, 6, 4]
+SWAP_COHERENCES = Transformation(Q3, Q3, np.eye(9)[_moves])
+QUTRIT_PATHS = basis_experiment(Q3)
 BIT_FLIP = permutation_transformation(C2, [1, 0])
 
 # (call, what it gives): every public entry point of paths that checks a
@@ -519,15 +528,26 @@ PATHS_CASES = {
     "is-phase-output": (lambda: is_phase(REPLACE, QUBIT_PATHS), False),
     "angles-classical": (lambda: phase_relative_angles(identity_transformation(C2), BIT_PATHS), (
         SystemMismatchError, "relative phase angles needs a quantum system, got classical(2)")),
+    "is-phase-dephased": (lambda: is_phase(DEPHASE, QUBIT_PATHS), False),
+    "is-phase-swapped-coherences": (lambda: is_phase(SWAP_COHERENCES, QUTRIT_PATHS), True),
     "angles-dephased": (lambda: phase_relative_angles(DEPHASE, QUBIT_PATHS), (
+        NotAPhaseError, "transformation is not reversible")),
+    "angles-swapped-coherences": (lambda: phase_relative_angles(SWAP_COHERENCES, QUTRIT_PATHS), (
         NotAPhaseError, "path coherence 0-1 is not phase-transported (magnitude 0.0)")),
+    "undetectable-dephased": (lambda: is_n_undetectable(DEPHASE, QUBIT_PATHS, 2), (
+        NotAPhaseError, "transformation is not reversible")),
+    "undetectable-dephased-search": (lambda: is_n_undetectable(
+        DEPHASE, QUBIT_PATHS, 2, method="search"), (
+        NotAPhaseError, "transformation is not reversible")),
     "undetectable-classical-flip": (lambda: is_n_undetectable(BIT_FLIP, BIT_PATHS, 2), (
-        NotAPhaseError, "transformation does not fix the which-path effects")),
+        NotAPhaseError, "transformation moves the effect of path 0 (deviation 1.0)")),
     "search-classical": (lambda: search_detecting_effect(
         identity_transformation(C2), BIT_PATHS, 1), (
         SystemMismatchError, "effect search needs a quantum system, got classical(2)")),
     "search-not-a-phase": (lambda: search_detecting_effect(HADAMARD, QUBIT_PATHS, 1), (
-        NotAPhaseError, "transformation does not fix the which-path effects")),
+        NotAPhaseError, f"transformation moves the effect of path 0 (deviation {HADAMARD_SHIFT!r})")),
+    "search-output": (lambda: search_detecting_effect(REPLACE, QUBIT_PATHS, 1), (
+        NotAPhaseError, "transformation output is quantum(3), expected quantum(2)")),
     "enumerate-quantum": (lambda: enumerate_classical_phases(QUBIT_PATHS), (
         SystemMismatchError, "phase enumeration needs a classical system, got quantum(2)")),
 }

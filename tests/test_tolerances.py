@@ -119,6 +119,7 @@ def test_states_effects_and_channels_pass_at_large_d(dim, seed, kind):
     state = random_state(system, rng, kind=kind)
     effect = random_effect(system, rng)
     channel = random_unitary(system, rng)
+    assert channel.reversible
     moved = apply(channel, state)
     pulled = transform_effect(channel, effect)
     assert abs(pair(unit_effect(system), moved) - 1.0) <= EPS_EQ
@@ -133,6 +134,7 @@ def test_tensor_products_pass_up_to_composite_12(factors, seed, kind_a, kind_b):
     state = tensor_states(random_state(a, rng, kind=kind_a), random_state(b, rng, kind=kind_b))
     effect = tensor_effects(random_effect(a, rng), random_effect(b, rng))
     channel = tensor_transformations(random_unitary(a, rng), random_unitary(b, rng))
+    assert channel.reversible
     moved = apply(channel, state)
     pulled = transform_effect(channel, effect)
     assert abs(pair(pulled, state) - pair(effect, moved)) <= EPS_EQ
@@ -149,6 +151,7 @@ def test_controlled_maps_and_kickback_pass_at_large_d(dim, n, seed):
     phases = rng.uniform(0.0, 2.0 * math.pi, (n, dim))
     branches = [(basis * np.exp(1j * row)) @ basis.conj().T for row in phases]
     controlled = build_controlled(branches, target, seed=rng)
+    assert controlled.composite.reversible
     assert common_fixed_state(branches, target) is not None
     column = int(rng.integers(dim))
     result = extract_kickback(controlled, ket_state(target, basis[:, column]), seed=rng)

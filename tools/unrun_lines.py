@@ -1,8 +1,9 @@
-"""Fail when the Tier-1 suite leaves a line of src/interferlab unexecuted.
+"""Fail when a Tier-1 test fails or leaves a line of src/interferlab unexecuted.
 
 Runs the suite in process under a stdlib line tracer, then prints, per module,
-the executable lines that no test reached.  Exits 1 when such a line is not on
-the allow-list below, or when an allow-list entry matches no unexecuted line.
+the executable lines that no test reached.  Exits 1 when a test fails, when
+such a line is not on the allow-list below, or when an allow-list entry matches
+no unexecuted line, so one traced run can stand in for the plain Tier-1 run.
 Entries are keyed by (file, stripped source text), not by line number, so an
 edit elsewhere in the file leaves them valid.  Run from the repository root:
 
@@ -89,7 +90,7 @@ def main() -> int:
         print(f"{len(found)} lines {title}")
         for entry in found:
             print(f"  {entry}")
-    return 1 if unlisted or stale else 0
+    return 1 if status or unlisted or stale else 0
 
 
 if __name__ == "__main__":
