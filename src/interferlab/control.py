@@ -33,16 +33,17 @@ from .core import (
     _encode,
     _pair_factor,
     _pure_densities,
+    _pure_ket,
     _readonly,
     _require_finite,
     _require_same,
     _require_theory,
+    _require_within,
     _rowpair,
     _rowwise,
     _tensor_coeffs,
     basis_state,
     composite_system,
-    density_matrix,
     ket_state,
     quantum_system,
     unitary_channel,
@@ -151,8 +152,10 @@ def _verified(
 ) -> ControlledTransformation:
     """The map, once its contract holds on random samples; its constructor checked its arrays."""
     report = verify_control_contract(built, trials=verify_samples, seed=seed)
-    if report["max_branch_deviation"] > EPS_EQ or report["max_filter_deviation"] > EPS_EQ:
-        raise ValidationError(f"controlled contract failed at construction: {report}")
+    _require_within(report["max_branch_deviation"], EPS_EQ,
+                    "controlled contract failed at construction: max branch deviation")
+    _require_within(report["max_filter_deviation"], EPS_EQ,
+                    "controlled contract failed at construction: max filter deviation")
     return built
 
 
@@ -464,17 +467,9 @@ def extract_kickback(
     moved = _branched(controlled, fixed_state.coeffs)
     deviations = np.max(np.abs(moved - fixed_state.coeffs), axis=-1)
     worst = int(np.argmax(deviations))
-    if deviations[worst] > EPS_EQ:
-        raise InfeasibleError(
-            f"branch {worst} moves the target state (deviation {float(deviations[worst])!r})"
-        )
-    vals, vecs = np.linalg.eigh(density_matrix(fixed_state))
-    if vals[-1] < 1.0 - EPS_PSD:
-        raise InfeasibleError(
-            f"fixed state is not pure (top eigenvalue {float(vals[-1])!r}); "
-            "kick-back needs a pure fixed state"
-        )
-    psi = vecs[:, -1]
+    _require_within(deviations[worst], EPS_EQ, "branch {} moves the target state: max deviation",
+                    worst, error=InfeasibleError)
+    psi = _pure_ket(fixed_state, "fixed state is not pure")
     # a branch that fixes the state to EPS_EQ per coefficient sends psi to
     # its phase times psi, up to D EPS_EQ / sqrt(2) on a D-dimensional target;
     # the kick-back equation checked below bounds what remains
@@ -491,10 +486,8 @@ def extract_kickback(
         controlled, (sigmas, fixed_state.coeffs), (kicked, fixed_state.coeffs))
     effects = controlled._projectors
     phase_dev = float(np.max(np.abs(_rowwise(transform.matrix.T, effects) - effects)))
-    if kb_dev > EPS_EQ:
-        raise ValidationError(f"kick-back equation failed verification (deviation {kb_dev!r})")
-    if phase_dev > EPS_EQ:
-        raise ValidationError(f"kicked transform moves a which-path effect ({phase_dev!r})")
+    _require_within(kb_dev, EPS_EQ, "kick-back equation failed verification: max deviation")
+    _require_within(phase_dev, EPS_EQ, "kicked transform moves a which-path effect: max deviation")
     return KickbackResult(
         fixed_state=fixed_state,
         angles=angles,
@@ -533,16 +526,13 @@ def control_target_swap_check(controlled: ControlledTransformation) -> dict:
     """
     d_c, d_t = controlled.control_system.dim, controlled.target_system.dim
     _require_same(d_t, d_c, "target dimension")
-    if float(np.max(np.abs(controlled.control_kets - np.eye(d_c)))) > EPS_EQ:
-        raise ValidationError("swap comparison assumes the computational control basis")
+    _require_within(np.max(np.abs(controlled.control_kets - np.eye(d_c))), EPS_EQ,
+                    "swap comparison assumes the computational control basis: max|K - I|")
     betas = np.empty((controlled.n_branches, d_t))
     for i, u in enumerate(controlled.branch_unitaries):
-        off = u - np.diag(np.diag(u))
-        if float(np.max(np.abs(off))) > EPS_EQ:
-            raise NotAPhaseError(
-                f"branch {i} is not diagonal in the target basis; "
-                "both factorizations need phase branches"
-            )
+        _require_within(np.max(np.abs(u - np.diag(np.diag(u)))), EPS_EQ,
+                        "branch {} is not diagonal in the target basis, as both factorizations "
+                        "need: max off-diagonal magnitude", i, error=NotAPhaseError)
         betas[i] = np.angle(np.diag(u))
     swapped_branches = [np.diag(np.exp(1j * betas[:, j])) for j in range(d_t)]
     rebuilt = build_controlled(swapped_branches, controlled.control_system)
@@ -632,12 +622,10 @@ def anyonic_exchange_unitary(
     """
     system = particle_state.system
     _require_same(system.factors, (system.factors[0],) * 2, "particle state's factor tuple")
-    vals, vecs = np.linalg.eigh(density_matrix(particle_state))
-    if vals[-1] < 1.0 - EPS_PSD:
-        raise InfeasibleError("anyonic exchange needs a pure state")
-    psi = vecs[:, -1]
+    psi = _pure_ket(particle_state, "anyonic exchange needs a pure state")
     swap = swap_exchange_unitary(system.factors[0])
-    if float(np.max(np.abs(swap @ psi - psi))) > EPS_EQ:
-        raise InfeasibleError("state is not swap-symmetric; injected phase would not be clean")
+    _require_within(np.max(np.abs(swap @ psi - psi)), EPS_EQ,
+                    "state is not swap-symmetric, so the injected phase would not be clean: "
+                    "max|S psi - psi|", error=InfeasibleError)
     ray = np.outer(psi, psi.conj())
     return swap @ (np.eye(system.dim) + (np.exp(1j * theta) - 1.0) * ray)

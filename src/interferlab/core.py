@@ -78,7 +78,10 @@ EPS_DECISION = 1e-6
 # message form: _require_same ("{what} is {found}, expected {want}"),
 # _require_theory ("{what} needs a {theory} system, got {system}"),
 # _require_shape ("{what} has shape {found}, expected {want}") and
-# _require_index ("{what} {index} is out of range({count})").
+# _require_index ("{what} {index} is out of range({count})").  Every check
+# that rejects a residual past a tolerance calls a fifth, _require_within
+# ("{what} ({residual} > {constant name} = {value})"); predicates and rank
+# cuts compare inline, as they decide structure, not pass or fail.
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -143,6 +146,19 @@ def _require_shape(shape: tuple[int, ...], want: tuple[int, ...], what: str) -> 
 def _require_index(index: int, count: int, what: str) -> None:
     if not 0 <= index < count:
         raise SystemMismatchError(f"{what} {index} is out of range({count})")
+
+
+_BOUND_NAMES = {EPS_EQ: "EPS_EQ", EPS_PSD: "EPS_PSD", EPS_DECISION: "EPS_DECISION"}
+
+
+def _require_within(residual: float, bound: float, what: str, *fields: object,
+                    error: type[ValueError] = ValidationError) -> None:
+    """Raise `error` when residual > bound, one of the three constants.  `what`
+    names the check and its residual; its {} slots take `fields` on failure
+    only, so a passing check formats no string."""
+    if residual > bound:
+        raise error(
+            f"{what.format(*fields)} ({float(residual)!r} > {_BOUND_NAMES[bound]} = {bound!r})")
 
 
 @dataclass(frozen=True)
@@ -328,8 +344,8 @@ def _encode(mat: np.ndarray, dim: int) -> np.ndarray:
     terms *= lay.enc_weight
     imag = terms[..., 0, n:] + terms[..., 1, n:]
     # the bare ufunc reduction: ndarray.max adds a Python layer per call
-    if np.maximum.reduce(np.abs(imag, out=imag), axis=None) > EPS_PSD:
-        raise ValidationError("matrix is not Hermitian within tolerance")
+    _require_within(np.maximum.reduce(np.abs(imag, out=imag), axis=None), EPS_PSD,
+                    "matrix is not Hermitian: max|Im Tr(B_k X)|")
     return terms[..., 0, :n] + terms[..., 1, :n]
 
 
@@ -374,12 +390,11 @@ def _check_states(system: SystemType, coeffs: np.ndarray) -> None:
     factorization of rho + EPS_PSD * I (see the positivity rule at the top),
     one block of rows at a time; only when a block fails does a batched
     eigvalsh, again by blocks, find the lowest eigenvalue over the whole
-    stack.  The error reports the worst row.
+    stack.  The error reports the worst residual over the stack.
     """
     norms = coeffs @ unit_effect(system).coeffs
-    worst = float(norms[np.abs(norms - 1.0).argmax()])
-    if abs(worst - 1.0) > EPS_EQ:
-        raise ValidationError(f"state is not normalized: unit pairing {worst!r}")
+    _require_within(np.abs(norms - 1.0).max(), EPS_EQ,
+                    "state is not normalized: |unit pairing - 1|")
     if system.theory == QUANTUM:
         d = system.dim
         blocks = _blocks(len(coeffs), 2 * d * d)
@@ -395,8 +410,7 @@ def _check_states(system: SystemType, coeffs: np.ndarray) -> None:
         low = min(float(np.linalg.eigvalsh(_decode(coeffs[b], d))[:, 0].min()) for b in blocks)
     else:
         low = float(coeffs.min())
-    if low < -EPS_PSD:
-        raise ValidationError(f"state is not positive: lowest eigenvalue {low!r}")
+    _require_within(-low, EPS_PSD, "state is not positive: -(lowest eigenvalue)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,8 +448,9 @@ def _check_effects(system: SystemType, coeffs: np.ndarray) -> None:
             low, high = min(low, float(eigs[:, 0].min())), max(high, float(eigs[:, -1].max()))
     else:
         low, high = float(coeffs.min()), float(coeffs.max())
-    if low < -EPS_PSD or high > 1.0 + EPS_PSD:
-        raise ValidationError(f"effect pairing range [{low!r}, {high!r}] leaves [0, 1]")
+    _require_within(max(-low, high - 1.0), EPS_PSD,
+                    "effect pairing range [{!r}, {!r}] leaves [0, 1]: max(-low, high - 1)",
+                    low, high)
 
 
 @dataclass(frozen=True, eq=False)
@@ -466,11 +481,8 @@ class Transformation:
         _require_finite(arr, "transformation matrix")
         # Unit-effect preservation holds for every transformation we admit.
         pulled = unit_effect(self.out_system).coeffs @ arr
-        dev = float(np.max(np.abs(pulled - unit_effect(self.in_system).coeffs)))
-        if dev > EPS_EQ:
-            raise ValidationError(
-                f"transformation does not preserve the unit effect (deviation {dev!r})"
-            )
+        _require_within(np.max(np.abs(pulled - unit_effect(self.in_system).coeffs)), EPS_EQ,
+                        "transformation does not preserve the unit effect: max deviation")
 
     @functools.cached_property
     def reversible(self) -> bool:
@@ -517,9 +529,8 @@ class Measurement:
         for i, e in enumerate(self.effects):
             _require_same(e.system, self.system, f"effect {i}")
         total = np.sum([e.coeffs for e in self.effects], axis=0)
-        dev = float(np.max(np.abs(total - unit_effect(self.system).coeffs)))
-        if dev > EPS_EQ:
-            raise ValidationError(f"effects do not sum to the unit effect (deviation {dev!r})")
+        _require_within(np.max(np.abs(total - unit_effect(self.system).coeffs)), EPS_EQ,
+                        "effects do not sum to the unit effect: max deviation")
 
 
 # ---------------------------------------------------------------------------
@@ -780,9 +791,8 @@ def _ket_projector(system: SystemType, amplitudes: Sequence[complex]) -> np.ndar
     _require_theory(system, QUANTUM, "amplitude vector")
     psi = np.asarray(amplitudes, dtype=complex)
     _require_shape(psi.shape, (system.dim,), "amplitude vector")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > EPS_EQ:
-        raise ValidationError(f"amplitudes are not normalized: |psi| = {norm!r}")
+    _require_within(abs(float(np.linalg.norm(psi)) - 1.0), EPS_EQ,
+                    "amplitudes are not normalized: ||psi| - 1|")
     return _encode(np.outer(psi, psi.conj()), system.dim)
 
 
@@ -820,6 +830,15 @@ def basis_effect(system: SystemType, index: int) -> Effect:
     return Effect(system, e)
 
 
+def _pure_ket(state: StateVector, what: str, *fields: object) -> np.ndarray:
+    """The ket of a pure quantum state, the top eigenvector of its density
+    matrix; InfeasibleError `what` when the top eigenvalue falls short of 1."""
+    vals, vecs = np.linalg.eigh(density_matrix(state))
+    _require_within(1.0 - vals[-1], EPS_PSD, what + ": 1 - top eigenvalue", *fields,
+                    error=InfeasibleError)
+    return vecs[:, -1]
+
+
 def distinguishing_measurement(states: Sequence[StateVector]) -> Measurement:
     """Measurement whose j-th effect fires with certainty exactly on state j.
 
@@ -834,25 +853,19 @@ def distinguishing_measurement(states: Sequence[StateVector]) -> Measurement:
     for i, s in enumerate(states):
         _require_same(s.system, system, f"state {i}")
     if system.theory == QUANTUM:
-        kets = []
-        for i, s in enumerate(states):
-            vals, vecs = np.linalg.eigh(density_matrix(s))
-            if vals[-1] < 1.0 - EPS_PSD:
-                raise InfeasibleError(f"state {i} is not pure (top eigenvalue {float(vals[-1])!r})")
-            kets.append(vecs[:, -1])
+        kets = [_pure_ket(s, "state {} is not pure", i) for i, s in enumerate(states)]
         for i, j in itertools.combinations(range(len(states)), 2):
-            overlap = abs(np.vdot(kets[i], kets[j])) ** 2
-            if overlap > EPS_EQ:
-                raise InfeasibleError(
-                    f"states {i} and {j} are not distinguishable (overlap {float(overlap)!r})"
-                )
+            _require_within(abs(np.vdot(kets[i], kets[j])) ** 2, EPS_EQ,
+                            "states {} and {} are not distinguishable: overlap", i, j,
+                            error=InfeasibleError)
         effects = [projector_effect(system, k) for k in kets]
     else:
         points = []
         for i, s in enumerate(states):
             top = int(np.argmax(s.coeffs))
-            if s.coeffs[top] < 1.0 - EPS_PSD:
-                raise InfeasibleError(f"state {i} is not a point mass")
+            _require_within(1.0 - s.coeffs[top], EPS_PSD,
+                            "state {} is not a point mass: 1 - top weight", i,
+                            error=InfeasibleError)
             points.append(top)
         for i, j in itertools.combinations(range(len(states)), 2):
             if points[i] == points[j]:
@@ -876,9 +889,8 @@ def _as_unitary(mat: np.ndarray, dim: int, label: str) -> np.ndarray:
     u = np.asarray(mat, dtype=complex)
     _require_shape(u.shape, (dim, dim), label)
     _require_finite(u, label)
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-    if dev > EPS_EQ:
-        raise ValidationError(f"{label} is not unitary (deviation {dev!r})")
+    _require_within(np.max(np.abs(u.conj().T @ u - np.eye(dim))), EPS_EQ,
+                    "{} is not unitary: max|U^dag U - I|", label)
     return u
 
 
@@ -971,15 +983,11 @@ def channel_from_matrix(
 def _require_channel(t: Transformation) -> None:
     """Raise ValidationError unless t is CPTP (quantum) or stochastic (classical)."""
     if t.in_system.theory == QUANTUM:
-        low = float(np.linalg.eigvalsh(_choi_matrix(t))[0])
-        if low < -EPS_PSD:
-            raise ValidationError(
-                f"map is not completely positive (operator eigenvalue {low!r})"
-            )
+        _require_within(-np.linalg.eigvalsh(_choi_matrix(t))[0], EPS_PSD,
+                        "map is not completely positive: -(lowest Choi eigenvalue)")
     else:
-        low = float(t.matrix.min())
-        if low < -EPS_PSD:
-            raise ValidationError(f"stochastic matrix has negative entry {low!r}")
+        _require_within(-t.matrix.min(), EPS_PSD,
+                        "stochastic matrix has a negative entry: -(lowest entry)")
 
 
 def _choi_matrix(t: Transformation) -> np.ndarray:

@@ -34,6 +34,7 @@ from .core import (
     _readonly,
     _require_same,
     _require_theory,
+    _require_within,
     basis_effect,
     basis_state,
     density_matrix,
@@ -60,9 +61,8 @@ class Path:
 
     def __post_init__(self) -> None:
         _require_same(self.effect.system, self.state.system, "path effect")
-        p = pair(self.effect, self.state)
-        if abs(p - 1.0) > EPS_EQ:
-            raise ValidationError(f"path pairing is {p!r}, expected 1")
+        _require_within(abs(pair(self.effect, self.state) - 1.0), EPS_EQ,
+                        "path pairing is not 1: |pairing - 1|")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,17 +79,11 @@ class PathExperiment:
         for i, p in enumerate(self.paths):
             _require_same(p.state.system, system, f"path {i}")
         for i, j in itertools.permutations(range(len(self.paths)), 2):
-            val = pair(self.paths[i].effect, self.paths[j].state)
-            if abs(val) > EPS_EQ:
-                raise ValidationError(
-                    f"paths {i} and {j} are not disjoint: cross pairing {val!r}"
-                )
+            _require_within(abs(pair(self.paths[i].effect, self.paths[j].state)), EPS_EQ,
+                            "paths {} and {} are not disjoint: |cross pairing|", i, j)
         total = np.sum([p.effect.coeffs for p in self.paths], axis=0)
-        dev = float(np.max(np.abs(total - unit_effect(system).coeffs)))
-        if dev > EPS_EQ:
-            raise ValidationError(
-                f"path effects do not resolve the unit effect (deviation {dev!r})"
-            )
+        _require_within(np.max(np.abs(total - unit_effect(system).coeffs)), EPS_EQ,
+                        "path effects do not resolve the unit effect: max deviation")
         if system.theory == QUANTUM:
             self.kets  # fills the cache; raises PathRankError on rank >= 2 paths
 
@@ -108,8 +102,10 @@ class PathExperiment:
         kets = []
         for i, p in enumerate(self.paths):
             vals, vecs = np.linalg.eigh(density_matrix(p.state))
-            if vals[-1] < 1.0 - EPS_PSD or abs(vals[:-1]).max() > EPS_PSD:
-                raise PathRankError(f"path {i} state has rank above 1 (spectrum {vals!r})")
+            _require_within(max(1.0 - vals[-1], abs(vals[:-1]).max()), EPS_PSD,
+                            "path {} state has rank above 1 (spectrum {!r}): "
+                            "max(1 - top eigenvalue, max|other eigenvalues|)", i, vals,
+                            error=PathRankError)
             kets.append(vecs[:, -1])
         return _readonly(np.column_stack(kets))
 
@@ -210,10 +206,9 @@ def phase_relative_angles(
         op = coherence + coherence.conj().T
         moved = _decode(transformation.matrix @ _encode(op, d), d)
         val = kets[:, 0].conj() @ moved @ kets[:, j]
-        if abs(abs(val) - 1.0) > EPS_DECISION:
-            raise NotAPhaseError(
-                f"path coherence 0-{j} is not phase-transported (magnitude {float(abs(val))!r})"
-            )
+        _require_within(abs(abs(val) - 1.0), EPS_DECISION,
+                        "path coherence 0-{} is not phase-transported: |magnitude - 1|", j,
+                        error=NotAPhaseError)
         angles[j] = -np.angle(val) % (2.0 * math.pi)
     return angles
 

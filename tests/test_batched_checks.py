@@ -178,7 +178,7 @@ def test_broken_kickback_reports_the_loop_deviation(n, d):
     broken = with_composite(controlled, random_unitary(controlled.composite.in_system, 99))
     with pytest.raises(ValidationError, match="kick-back equation failed") as err:
         extract_kickback(broken, fixed, seed=1)
-    got = float(re.search(r"deviation (\S+)\)", str(err.value)).group(1))
+    got = residual_of(str(err.value))
     assert abs(got - ref_kickback_deviation(broken, transform, fixed, 20, 1)) <= TOL
 
 
@@ -289,6 +289,11 @@ def test_random_states_equal_the_validated_constructors(d):
         assert np.array_equal(random_state(system, rng, kind="mixed").coeffs, mixed.coeffs)
 
 
+def residual_of(message):
+    """The residual a core._require_within message reports."""
+    return float(re.fullmatch(r".* \((\S+) > EPS_\w+ = \S+\)", message).group(1))
+
+
 def single_row_error(system, row):
     with pytest.raises(ValidationError) as err:
         StateVector(system, row)
@@ -301,7 +306,7 @@ def test_stack_check_fires_on_one_unnormalized_row(system):
     stack = np.array([random_state(system, rng, kind="mixed").coeffs for _ in range(6)])
     stack[4] = 2.0 * maximally_mixed(system).coeffs
     message = single_row_error(system, stack[4])
-    assert message.startswith("state is not normalized: unit pairing")
+    assert message.startswith("state is not normalized: |unit pairing - 1| (")
     with pytest.raises(ValidationError) as err:
         core._check_states(system, stack)
     assert str(err.value) == message
@@ -316,7 +321,8 @@ def test_stack_check_reports_the_first_worst_normalization(system):
         worst = max(norms, key=lambda x: abs(x - 1.0))  # the first of the largest
         with pytest.raises(ValidationError) as err:
             core._check_states(system, rows)
-        assert str(err.value) == f"state is not normalized: unit pairing {worst!r}"
+        assert str(err.value) == (
+            f"state is not normalized: |unit pairing - 1| ({abs(worst - 1.0)!r} > EPS_EQ = 1e-09)")
 
 
 def test_stack_check_fires_on_one_row_with_a_negative_eigenvalue():
@@ -326,12 +332,13 @@ def test_stack_check_fires_on_one_row_with_a_negative_eigenvalue():
     core._check_states(system, stack)
     stack[2] = core._encode(np.diag([0.75, 0.5, -0.25]).astype(complex), 3)
     message = single_row_error(system, stack[2])
-    prefix = "state is not positive: lowest eigenvalue "
+    prefix = "state is not positive: -(lowest eigenvalue) ("
     assert message.startswith(prefix)
-    with pytest.raises(ValidationError, match=prefix) as err:
+    with pytest.raises(ValidationError) as err:
         core._check_states(system, stack)
-    low = float(str(err.value)[len(prefix):])
-    assert abs(low - float(message[len(prefix):])) <= TOL
+    assert str(err.value).startswith(prefix)
+    low = -residual_of(str(err.value))
+    assert abs(low + residual_of(message)) <= TOL
     assert abs(low + 0.25) <= TOL
 
 
@@ -367,7 +374,8 @@ def test_positivity_certificate_rejects_below_the_tolerance_with_the_spectrum_me
     calls = counting_linalg(monkeypatch)
     with pytest.raises(ValidationError) as err:
         StateVector(quantum_system(dim), coeffs)
-    assert str(err.value) == f"state is not positive: lowest eigenvalue {low!r}"
+    assert str(err.value) == (
+        f"state is not positive: -(lowest eigenvalue) ({-low!r} > EPS_PSD = 1e-08)")
     # the factorization failed, so the spectrum decided
     assert calls == {"cholesky": 1, "eigvalsh": 1}
 
@@ -392,7 +400,8 @@ def test_stack_check_fires_on_a_negative_classical_entry():
     message = single_row_error(system, stack[1])
     with pytest.raises(ValidationError) as err:
         core._check_states(system, stack)
-    assert str(err.value) == message == "state is not positive: lowest eigenvalue -0.2"
+    assert str(err.value) == message == (
+        "state is not positive: -(lowest eigenvalue) (0.2 > EPS_PSD = 1e-08)")
 
 
 def test_effect_stack_check_fires_on_one_row_outside_the_unit_interval():
@@ -414,7 +423,9 @@ def test_effect_stack_check_fires_on_a_negative_classical_entry():
     stack = np.array([[0.2, 0.3, 0.5], [0.6, 0.6, -0.2], [1.0, 0.0, 0.0]])
     with pytest.raises(ValidationError) as err:
         core._check_effects(system, stack)
-    assert str(err.value) == "effect pairing range [-0.2, 1.0] leaves [0, 1]"
+    assert str(err.value) == (
+        "effect pairing range [-0.2, 1.0] leaves [0, 1]: max(-low, high - 1) "
+        "(0.2 > EPS_PSD = 1e-08)")
 
 
 def leaky_composite(controlled):

@@ -340,6 +340,16 @@ def unitarity_gap(u):
     return float(np.max(np.abs(u.conj().T @ u - np.eye(len(u)))))
 
 
+def not_unitary(label, gap):
+    return f"{label} is not unitary: max|U^dag U - I| ({gap!r} > EPS_EQ = 1e-09)"
+
+
+def not_pure(what, state):
+    """The message core._pure_ket gives: its residual is 1 - the top eigenvalue."""
+    top = np.linalg.eigh(density_matrix(state))[0][-1]
+    return f"{what}: 1 - top eigenvalue ({float(1.0 - top)!r} > EPS_PSD = 1e-08)"
+
+
 def test_public_entry_points_keep_their_exact_check_messages():
     skew = np.array([[1.0, 1.0], [0.0, 1.0]])
     gap = unitarity_gap(skew)
@@ -350,7 +360,7 @@ def test_public_entry_points_keep_their_exact_check_messages():
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
     cases = [
         (lambda: common_fixed_state([np.eye(2), skew]),
-         ValidationError, f"branch 1 is not unitary (deviation {gap!r})"),
+         ValidationError, not_unitary("branch 1", gap)),
         (lambda: common_fixed_state([np.eye(2), np.eye(3)]),
          SystemMismatchError, "branch 1 has shape (3, 3), expected (2, 2)"),
         (lambda: common_fixed_state([np.eye(2)], quantum_system(3)),
@@ -358,15 +368,15 @@ def test_public_entry_points_keep_their_exact_check_messages():
         (lambda: common_fixed_state([np.eye(2), Z], bit),
          SystemMismatchError, "common fixed state needs a quantum system, got classical(2)"),
         (lambda: build_controlled([skew, np.eye(2)], qubit),
-         ValidationError, f"branch 0 is not unitary (deviation {gap!r})"),
+         ValidationError, not_unitary("branch 0", gap)),
         (lambda: build_controlled([np.eye(2), Z], qubit, control_kets=skew),
-         ValidationError, f"control kets is not unitary (deviation {gap!r})"),
+         ValidationError, not_unitary("control kets", gap)),
         (lambda: build_controlled([np.eye(2), Z], bit),
          SystemMismatchError, "controlled transformation needs a quantum system, got classical(2)"),
         (lambda: build_controlled([np.eye(2)], qubit),
          ValidationError, "need at least two branches to control on"),
         (lambda: multi_path_permutation_experiment([skew4], sym),
-         ValidationError, f"branch 1 is not unitary (deviation {unitarity_gap(skew4)!r})"),
+         ValidationError, not_unitary("branch 1", unitarity_gap(skew4))),
         (lambda: multi_path_permutation_experiment([np.eye(4), np.eye(3)], sym),
          SystemMismatchError, "branch 2 has shape (3, 3), expected (4, 4)"),
         (lambda: multi_path_permutation_experiment([], sym),
@@ -378,9 +388,17 @@ def test_public_entry_points_keep_their_exact_check_messages():
         (lambda: control_target_swap_check(build_controlled([np.eye(3)] * 2, quantum_system(3))),
          SystemMismatchError, "target dimension is 3, expected 2"),
         (lambda: control_target_swap_check(build_controlled([np.eye(2), Z], qubit, hadamard)),
-         ValidationError, "swap comparison assumes the computational control basis"),
+         ValidationError, "swap comparison assumes the computational control basis: max|K - I| "
+         f"({float(np.max(np.abs(hadamard - np.eye(2))))!r} > EPS_EQ = 1e-09)"),
         (lambda: anyonic_exchange_unitary(basis_state(quantum_system(4), 0), 1.0),
          SystemMismatchError, "particle state's factor tuple is (4,), expected (4, 4)"),
+        (lambda: anyonic_exchange_unitary(maximally_mixed(system), 1.0), InfeasibleError,
+         not_pure("anyonic exchange needs a pure state", maximally_mixed(system))),
+        (lambda: anyonic_exchange_unitary(basis_state(system, 1), 1.0), InfeasibleError,
+         "state is not swap-symmetric, so the injected phase would not be clean: "
+         "max|S psi - psi| (1.0 > EPS_EQ = 1e-09)"),
+        (lambda: extract_kickback(sign, maximally_mixed(qubit)), InfeasibleError,
+         not_pure("fixed state is not pure", maximally_mixed(qubit))),
         (lambda: realize_phase_as_kickback(identity_transformation(bit), basis_experiment(bit)),
          SystemMismatchError, "relative phase angles needs a quantum system, got classical(2)"),
     ]
@@ -419,11 +437,11 @@ def test_the_constructor_checks_its_input_with_the_exact_messages():
         ((qubit, [np.eye(2)], np.eye(1)),
          ValidationError, "need at least two branches to control on"),
         ((qubit, [np.eye(2), skew], np.eye(2)),
-         ValidationError, f"branch 1 is not unitary (deviation {gap!r})"),
+         ValidationError, not_unitary("branch 1", gap)),
         ((qubit, [np.eye(3), Z], np.eye(2)),
          SystemMismatchError, "branch 0 has shape (3, 3), expected (2, 2)"),
         ((qubit, [np.eye(2), Z], skew),
-         ValidationError, f"control kets is not unitary (deviation {gap!r})"),
+         ValidationError, not_unitary("control kets", gap)),
         ((qubit, [np.eye(2), Z], np.eye(2), basis_state(quantum_system(3), 0)),
          SystemMismatchError, "designated target is quantum(3), expected quantum(2)"),
         ((qubit, [np.eye(2), Z], np.eye(2), basis_effect(qubit, 0)),

@@ -501,9 +501,9 @@ def plus_state():
 @pytest.mark.parametrize(
     "fail, label",
     [
-        (mixed_fixed_state_kickback, "top eigenvalue"),
+        (mixed_fixed_state_kickback, "1 - top eigenvalue"),
         (lambda: distinguishing_measurement([maximally_mixed(quantum_system(2))]),
-         "top eigenvalue"),
+         "1 - top eigenvalue"),
         (lambda: distinguishing_measurement([basis_state(quantum_system(2), 0), plus_state()]),
          "overlap"),
     ],
@@ -515,7 +515,7 @@ def test_infeasibility_messages_print_bare_floats(fail, label):
         fail()
     message = str(info.value)
     assert "np." not in message
-    value = message.split(f"({label} ", 1)[1].split(")", 1)[0]
+    value = message.split(f"{label} (", 1)[1].split(" > ", 1)[0]
     assert value == repr(float(value))
     assert abs(float(value) - 0.5) < 1e-12
 
@@ -594,7 +594,8 @@ CORE_CASES = {
     "measurement-system": (lambda: Measurement(Q2, (basis_effect(Q2, 0), basis_effect(Q3, 0))),
                            (SystemMismatchError, "effect 1 is quantum(3), expected quantum(2)")),
     "measurement-sum": (lambda: Measurement(C2, (basis_effect(C2, 0),)), (
-        ValidationError, "effects do not sum to the unit effect (deviation 1.0)")),
+        ValidationError,
+        "effects do not sum to the unit effect: max deviation (1.0 > EPS_EQ = 1e-09)")),
     "pair": (lambda: pair(basis_effect(Q3, 0), basis_state(Q2, 0)),
              (SystemMismatchError, "state is quantum(2), expected quantum(3)")),
     "apply": (lambda: apply(identity_transformation(Q3), basis_state(Q2, 0)),
@@ -636,6 +637,10 @@ CORE_CASES = {
         SystemMismatchError, "effect matrix needs a quantum system, got classical(2)")),
     "effect-from-matrix-shape": (lambda: effect_from_matrix(Q3, np.eye(2)), (
         SystemMismatchError, "effect matrix has shape (2, 2), expected (3, 3)")),
+    "effect-from-matrix-hermitian": (lambda: effect_from_matrix(Q2, [[0, 1], [0, 0]]), (
+        ValidationError,
+        f"matrix is not Hermitian: max|Im Tr(B_k X)| ({float(1.0 / np.sqrt(2.0))!r} "
+        "> EPS_PSD = 1e-08)")),
     "ket-state-theory": (lambda: ket_state(C2, [1.0, 0.0]), (
         SystemMismatchError, "amplitude vector needs a quantum system, got classical(2)")),
     "projector-effect-shape": (lambda: projector_effect(Q2, [1.0, 0.0, 0.0]), (
@@ -649,8 +654,11 @@ CORE_CASES = {
     "distinguish-system": (lambda: distinguishing_measurement(
         [basis_state(Q2, 0), basis_state(Q3, 1)]),
         (SystemMismatchError, "state 1 is quantum(3), expected quantum(2)")),
-    "distinguish-spread": (lambda: distinguishing_measurement([maximally_mixed(C2)]),
-                           (InfeasibleError, "state 0 is not a point mass")),
+    "distinguish-spread": (lambda: distinguishing_measurement([maximally_mixed(C2)]), (
+        InfeasibleError, "state 0 is not a point mass: 1 - top weight (0.5 > EPS_PSD = 1e-08)")),
+    "distinguish-overlap": (lambda: distinguishing_measurement(
+        [basis_state(Q3, 0), basis_state(Q3, 1), basis_state(Q3, 1)]), (
+        InfeasibleError, "states 1 and 2 are not distinguishable: overlap (1.0 > EPS_EQ = 1e-09)")),
     "distinguish-same-point": (lambda: distinguishing_measurement(
         [basis_state(C2, 1), basis_state(C2, 1)]),
         (InfeasibleError, "states 0 and 1 are not distinguishable (same point mass)")),
@@ -680,25 +688,68 @@ def test_core_rejections_give_the_exact_error(call, want, outcome):
 SYSTEM_GUARDS = {"_require_same", "_require_theory", "_require_shape", "_require_index"}
 
 
-def system_mismatch_raises(path):
-    """The innermost enclosing function of each `raise SystemMismatchError` in a file."""
+SRC = pathlib.Path(core.__file__).resolve().parent
+TOLERANCES = {"EPS_EQ", "EPS_PSD", "EPS_DECISION"}
+
+
+def owned_nodes(path):
+    """Every AST node of a file with its innermost enclosing function's name, or None."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     owner = {}
     for fn in ast.walk(tree):  # an outer function comes before the ones nested in it
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner.update((node, fn.name) for node in ast.walk(fn))
+    return [(node, owner.get(node)) for node in ast.walk(tree)]
+
+
+def named(node):
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def system_mismatch_raises(path):
+    """The innermost enclosing function of each `raise SystemMismatchError` in a file."""
     found = []
-    for node in ast.walk(tree):
+    for node, fn in owned_nodes(path):
         exc = node.exc if isinstance(node, ast.Raise) else None
-        name = exc.func if isinstance(exc, ast.Call) else exc
-        if getattr(name, "id", getattr(name, "attr", None)) == "SystemMismatchError":
-            found.append(owner.get(node))
+        if named(exc.func if isinstance(exc, ast.Call) else exc) == "SystemMismatchError":
+            found.append(fn)
     return found
 
 
 def test_system_mismatches_are_raised_by_the_core_helpers_only():
-    src = pathlib.Path(core.__file__).resolve().parent
     found = sorted(
-        (path.name, name) for path in src.glob("*.py") for name in system_mismatch_raises(path)
+        (path.name, name) for path in SRC.glob("*.py") for name in system_mismatch_raises(path)
     )
     assert found == [("core.py", name) for name in sorted(SYSTEM_GUARDS)]
+
+
+def tolerance_guards(path):
+    """(function, line) of each `if` that tests an EPS_* constant and starts with a raise,
+    and the source of the bound passed to each _require_within call, in a file."""
+    raises, bounds = [], []
+    for node, fn in owned_nodes(path):
+        if isinstance(node, ast.If) and isinstance(node.body[0], ast.Raise) and any(
+            (named(n) or "").startswith("EPS_") for n in ast.walk(node.test)
+        ):
+            raises.append((fn, node.lineno))
+        if isinstance(node, ast.Call) and named(node.func) == "_require_within":
+            bound = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "bound")]
+            bounds.append(ast.unparse(bound[0]))
+    return raises, bounds
+
+
+def test_tolerance_rejections_are_raised_by_the_core_helper_only():
+    found = {path.name: tolerance_guards(path) for path in sorted(SRC.glob("*.py"))}
+    assert {name: raises for name, (raises, _) in found.items() if raises} == {}
+    bounds = {bound for _, passed in found.values() for bound in passed}
+    assert bounds and bounds <= TOLERANCES
+
+
+@pytest.mark.parametrize("name", sorted(TOLERANCES))
+def test_the_tolerance_guard_passes_at_its_bound_and_names_it_one_ulp_above(name):
+    bound = getattr(core, name)
+    core._require_within(bound, bound, "unused")
+    over = np.nextafter(bound, 1.0)
+    with pytest.raises(InfeasibleError) as err:
+        core._require_within(over, bound, "check {} on {!r}", 2, "x", error=InfeasibleError)
+    assert str(err.value) == f"check 2 on 'x' ({float(over)!r} > {name} = {bound!r})"

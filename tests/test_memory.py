@@ -73,7 +73,8 @@ def test_a_non_positive_row_in_the_last_block_reports_the_stack_minimum(monkeypa
     stack[-1] = encoded([1.25, -0.25, 0.0])
     whole = error_message(lambda: core._check_states(system, stack))
     low = min(np.linalg.eigvalsh(core._decode(row, d))[0] for row in stack)
-    assert whole == f"state is not positive: lowest eigenvalue {float(low)!r}"
+    assert whole == (
+        f"state is not positive: -(lowest eigenvalue) ({-float(low)!r} > EPS_PSD = 1e-08)")
     spans_blocks(monkeypatch, rows, 2 * d * d)
     assert error_message(lambda: core._check_states(system, stack)) == whole
 
@@ -90,21 +91,23 @@ def test_an_effect_outside_the_unit_interval_in_the_last_block_reports_the_stack
     whole = error_message(lambda: core._check_effects(system, stack))
     spectra = [np.linalg.eigvalsh(core._decode(row, d)) for row in stack]
     low, high = min(s[0] for s in spectra), max(s[-1] for s in spectra)
-    assert whole == f"effect pairing range [{float(low)!r}, {float(high)!r}] leaves [0, 1]"
+    assert whole == (
+        f"effect pairing range [{float(low)!r}, {float(high)!r}] leaves [0, 1]: "
+        f"max(-low, high - 1) ({max(-float(low), float(high) - 1.0)!r} > EPS_PSD = 1e-08)")
     spans_blocks(monkeypatch, rows, 2 * d * d)
     assert error_message(lambda: core._check_effects(system, stack)) == whole
 
 
 def test_an_unnormalised_row_in_the_last_block_reports_the_first_worst_norm(monkeypatch):
     # at d = 4 the unit pairing is 2 c_0, exact: rows of pairing 0.5 and 1.5
-    # deviate equally, and the first of them is reported
+    # deviate equally, by the residual reported
     d, rows = 4, 12
     system = quantum_system(d)
     stack = state_stack(d, rows, 3)
     stack[-2, 0] = 0.25
     stack[-1, 0] = 0.75
     whole = error_message(lambda: core._check_states(system, stack))
-    assert whole == "state is not normalized: unit pairing 0.5"
+    assert whole == "state is not normalized: |unit pairing - 1| (0.5 > EPS_EQ = 1e-09)"
     spans_blocks(monkeypatch, rows, 2 * d * d)
     assert error_message(lambda: core._check_states(system, stack)) == whole
 
@@ -278,7 +281,9 @@ def test_the_constructors_private_path_keeps_every_check():
     assert message == "transformation matrix holds NaN or infinity"
     matrix = 2.0 * np.eye(4)
     message = error_message(lambda: core._channel(system, system, matrix))
-    assert message.startswith("transformation does not preserve the unit effect")
+    # the unit effect is sqrt(2) e_0, which 2 I moves by sqrt(2)
+    assert message == ("transformation does not preserve the unit effect: max deviation "
+                       f"({float(np.sqrt(2.0))!r} > EPS_EQ = 1e-09)")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.int64])

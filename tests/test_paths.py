@@ -533,7 +533,8 @@ PATHS_CASES = {
     "angles-dephased": (lambda: phase_relative_angles(DEPHASE, QUBIT_PATHS), (
         NotAPhaseError, "transformation is not reversible")),
     "angles-swapped-coherences": (lambda: phase_relative_angles(SWAP_COHERENCES, QUTRIT_PATHS), (
-        NotAPhaseError, "path coherence 0-1 is not phase-transported (magnitude 0.0)")),
+        NotAPhaseError, "path coherence 0-1 is not phase-transported: |magnitude - 1| "
+        "(1.0 > EPS_DECISION = 1e-06)")),
     "undetectable-dephased": (lambda: is_n_undetectable(DEPHASE, QUBIT_PATHS, 2), (
         NotAPhaseError, "transformation is not reversible")),
     "undetectable-dephased-search": (lambda: is_n_undetectable(
