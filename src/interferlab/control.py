@@ -137,10 +137,10 @@ def build_controlled(
     """Construct and verify the controlled transformation of the given branches.
 
     The control kets default to the computational basis of an n-level quantum
-    system.  The contract is checked on random target states: branch i acts
-    on the target whenever the control is prepared on ket i, and filtering
-    the control on (k_i| after the composite yields branch i weighted by the
-    control overlap.
+    system.  The contract is checked on seeded Haar-pure target states:
+    branch i acts on the target whenever the control is prepared on ket i,
+    and filtering the control on (k_i| after the composite yields branch i
+    weighted by the control overlap.
     """
     kets = np.eye(len(branch_unitaries)) if control_kets is None else control_kets
     built = ControlledTransformation(target_system, branch_unitaries, kets)
@@ -150,7 +150,7 @@ def build_controlled(
 def _verified(
     built: ControlledTransformation, verify_samples: int, seed: int | np.random.Generator
 ) -> ControlledTransformation:
-    """The map, once its contract holds on random samples; its constructor checked its arrays."""
+    """The map once its contract holds on Haar-pure samples; its constructor checked its arrays."""
     report = verify_control_contract(built, trials=verify_samples, seed=seed)
     _require_within(report["max_branch_deviation"], EPS_EQ,
                     "controlled contract failed at construction: max branch deviation")
@@ -164,7 +164,7 @@ def verify_control_contract(
     trials: int = 20,
     seed: int | np.random.Generator = 0,
 ) -> dict:
-    """Check the two defining equations on random target states.
+    """Check the two defining equations on seeded Haar-pure target states.
 
     Returns max deviations for branch action on control basis states and for
     control filtering on superposed controls.  The samples are checked as one
@@ -223,41 +223,22 @@ def _branched(controlled: ControlledTransformation, rows: np.ndarray) -> np.ndar
 def _sample_stacks(
     systems: Sequence[SystemType], trials: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Coefficient stacks of seeded random states, one stack per system.
+    """Coefficient stacks of seeded Haar-pure states, one stack per system.
 
-    Each trial draws one state per system, in order; system j's state in
-    trial t is pure when t + j is even and mixed otherwise, drawn as
-    core._random_density draws it.  Every draw is standard normal, so one
-    bulk draw sliced in that order gives the same numbers and leaves the
-    Generator where the per-state draws did.  Trials 2r and 2r + 1 draw the
-    same sizes in the same order and fill row r of the bulk draw, so each
-    (system, trial parity) is a column slice.  The densities are built as
-    stacks, bit for bit as one at a time, and each stack is one unchecked
-    row-exact encode, C-contiguous for the row-exact matmuls downstream.
+    Each trial draws one state per system, in order, as core.random_state
+    draws a pure one: d real normals, then d imaginary ones.  One trial-major
+    bulk draw gives the same numbers and leaves the Generator where those
+    draws did.  Each stack is one unchecked row-exact encode, bit for bit the
+    states one at a time, C-contiguous for the row-exact matmuls downstream.
     """
     dims = [system.dim for system in systems]
-    # a draw takes a real then an imaginary part: d numbers each when pure, d * d when mixed
-    first = 2 * sum(d if j % 2 == 0 else d * d for j, d in enumerate(dims))
-    block = 2 * sum(d + d * d for d in dims)
-    rows = np.empty((-(-trials // 2), block))
-    rng.standard_normal(out=rows.reshape(-1)[: trials // 2 * block + trials % 2 * first])
-    rhos = [np.empty((trials, d, d), dtype=complex) for d in dims]
-    at = 0
-    for h in (0, 1):
-        count = len(range(h, trials, 2))
-        for j, (rho, d) in enumerate(zip(rhos, dims)):
-            # the kind follows the parity, not the size: at d = 1 both take 2 numbers
-            shape = (d,) if (h + j) % 2 == 0 else (d, d)
-            size = d ** len(shape)
-            part = rows[:count, at : at + 2 * size].reshape(count, 2, *shape)
-            at += 2 * size
-            z = part[:, 0] + 1j * part[:, 1]
-            if len(shape) == 1:
-                rho[h::2] = _pure_densities(z)
-            else:
-                g = z @ z.conj().swapaxes(-1, -2)
-                rho[h::2] = g / np.trace(g, axis1=-2, axis2=-1).real[:, None, None]
-    return [_encode(rho, d) for rho, d in zip(rhos, dims)]
+    rows = rng.standard_normal((trials, 2 * sum(dims)))
+    stacks, at = [], 0
+    for d in dims:
+        z = rows[:, at : at + d] + 1j * rows[:, at + d : at + 2 * d]
+        stacks.append(_encode(_pure_densities(z), d))
+        at += 2 * d
+    return stacks
 
 
 def verify_superposition_preservation(
@@ -267,7 +248,7 @@ def verify_superposition_preservation(
 ) -> dict:
     """Deviation of control filtering from weighted branch action.
 
-    For random control states w and target states sigma, compares
+    For seeded Haar-pure control states w and target states sigma, compares
     (i| filtering of composite(w (x) sigma) against pair(i, w) times branch i
     of sigma.  Returns the maximum coefficient deviation over all samples and
     branches; a genuinely controlled composite sits at numerical zero.  The
@@ -287,14 +268,7 @@ def verify_superposition_preservation(
     got = _pair_factor(joint, moved, effects, 0)
     # one dot product per weight, as pair() takes it
     weights = _rowpair(effects[:, None], omegas)[..., None]
-    # rows are trials and columns branches: the loop order the first maximum wins in
-    devs = np.max(np.abs(got - weights * branched), axis=-1).T
-    _, worst_branch = np.unravel_index(np.argmax(devs), devs.shape)
-    return {
-        "max_deviation": float(devs.max()),
-        "worst_branch": int(worst_branch),
-        "trials": trials,
-    }
+    return {"max_deviation": float(np.max(np.abs(got - weights * branched))), "trials": trials}
 
 
 def _eigenphase_clusters(u: np.ndarray) -> list[np.ndarray]:
@@ -454,9 +428,9 @@ def extract_kickback(
     gauged so branch 0 sits at zero; the returned transform acts on the
     control and fixes all which-path effects of the control basis.
 
-    The kick-back equation is checked on random control states as one stack,
-    each channel applied by one matmul; every intermediate state is still
-    validated, by one batched check per system.
+    The kick-back equation is checked on seeded Haar-pure control states as
+    one stack, each channel applied by one matmul; every intermediate state is
+    still validated, by one batched check per system.
     """
     _require_samples(verify_samples)
     if fixed_state is None:

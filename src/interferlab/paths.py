@@ -322,19 +322,20 @@ def search_detecting_effect(
     return None
 
 
-def enumerate_classical_phases(
-    experiment: PathExperiment, max_dim: int = 8
-) -> list[Transformation]:
+# the largest dimension whose d! permutations enumerate_classical_phases walks
+_ENUMERATION_CAP = 8
+
+
+def enumerate_classical_phases(experiment: PathExperiment) -> list[Transformation]:
     """All classical reversible transformations fixing the which-path effects.
 
-    Exhaustive over permutations, so guarded to small dimensions.
+    Exhaustive over permutations, so guarded to dimension _ENUMERATION_CAP.
     """
     system = experiment.system
     _require_theory(system, CLASSICAL, "phase enumeration")
-    if system.dim > max_dim:
-        raise ValidationError(
-            f"refusing to enumerate {system.dim}! permutations (max_dim={max_dim})"
-        )
+    if system.dim > _ENUMERATION_CAP:
+        raise ValidationError(f"refusing to enumerate {system.dim}! permutations "
+                              f"(dimension cap {_ENUMERATION_CAP})")
     found = []
     for perm in itertools.permutations(range(system.dim)):
         t = permutation_transformation(system, perm)

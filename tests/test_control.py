@@ -94,7 +94,7 @@ def test_contract_deviations_are_numerically_zero():
     assert report["max_filter_deviation"] < 1e-12
     filt = verify_superposition_preservation(controlled, trials=40, seed=5)
     assert filt["max_deviation"] < 1e-12
-    assert 0 <= filt["worst_branch"] < controlled.n_branches
+    assert filt.keys() == {"max_deviation", "trials"}
 
 
 def test_build_rejects_bad_branches():

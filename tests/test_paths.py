@@ -551,6 +551,9 @@ PATHS_CASES = {
         NotAPhaseError, "transformation output is quantum(3), expected quantum(2)")),
     "enumerate-quantum": (lambda: enumerate_classical_phases(QUBIT_PATHS), (
         SystemMismatchError, "phase enumeration needs a classical system, got quantum(2)")),
+    "enumerate-above-cap": (lambda: enumerate_classical_phases(
+        basis_experiment(classical_system(9))), (
+        ValidationError, "refusing to enumerate 9! permutations (dimension cap 8)")),
 }
 
 
