@@ -30,6 +30,7 @@ from .core import (
     _as_unitary,
     _check_effects,
     _check_states,
+    _derived,
     _encode,
     _pair_factor,
     _pure_densities,
@@ -91,12 +92,12 @@ class ControlledTransformation:
 
     @cached_property
     def control_states(self) -> tuple[StateVector, ...]:
-        return tuple(StateVector(self.control_system, c, check=False) for c in self._projectors)
+        return tuple(_derived(StateVector, self.control_system, c) for c in self._projectors)
 
     @cached_property
     def control_effects(self) -> tuple[Effect, ...]:
         """Projectors onto the control kets: effect i fires exactly on branch i."""
-        return tuple(Effect(self.control_system, c, check=False) for c in self._projectors)
+        return tuple(_derived(Effect, self.control_system, c) for c in self._projectors)
 
     @cached_property
     def _projectors(self) -> np.ndarray:
@@ -104,14 +105,12 @@ class ControlledTransformation:
 
         The control states and effects share this stack.  It is encoded
         row-exactly, so row i is bit for bit ket_state's and
-        projector_effect's, and checked once as a state stack and once as an
-        effect stack.
+        projector_effect's.  It is not checked again: the diagonal of the
+        constructor's unitarity check bounds |k_i^dag k_i - 1| by EPS_EQ, the
+        bound ket_state applies, and a rank-1 projector is positive.
         """
         kets = np.ascontiguousarray(self.control_kets.T)
-        coeffs = _readonly(_encode(kets[:, :, None] * kets.conj()[:, None, :], self.n_branches))
-        _check_states(self.control_system, coeffs)
-        _check_effects(self.control_system, coeffs)
-        return coeffs
+        return _readonly(_encode(kets[:, :, None] * kets.conj()[:, None, :], self.n_branches))
 
     @cached_property
     def branch_transforms(self) -> tuple[Transformation, ...]:
@@ -251,8 +250,8 @@ def verify_superposition_preservation(
     For seeded Haar-pure control states w and target states sigma, compares
     (i| filtering of composite(w (x) sigma) against pair(i, w) times branch i
     of sigma.  Returns the maximum coefficient deviation over all samples and
-    branches; a genuinely controlled composite sits at numerical zero.  The
-    samples are checked as one stack, like verify_control_contract's.
+    branches; a genuinely controlled composite sits at numerical zero.  Each
+    stack it applies or pairs is checked once, like verify_control_contract's.
     """
     _require_samples(trials)
     rng = np.random.default_rng(seed)
@@ -265,6 +264,7 @@ def verify_superposition_preservation(
     _check_states(joint, np.concatenate([prepared, moved]))
     _check_states(target, branched.reshape(-1, sigmas.shape[1]))
     effects = controlled._projectors
+    _check_effects(control, effects)
     got = _pair_factor(joint, moved, effects, 0)
     # one dot product per weight, as pair() takes it
     weights = _rowpair(effects[:, None], omegas)[..., None]

@@ -39,7 +39,7 @@ import functools
 import itertools
 import math
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,27 +61,27 @@ EPS_DECISION = 1e-6
 # eigenvalue, which then decides and is reported, so every rejection and its
 # message are the spectrum test's.
 
-# Validation policy: data is checked once, where it enters: the StateVector,
-# Effect and Transformation constructors on caller arrays, ket_state,
-# projector_effect, state_from_density, effect_from_matrix,
+# Validation policy: data is checked once, where it enters.  StateVector and
+# Effect copy and check every array they are given; ket_state and
+# projector_effect check |psi^dag psi - 1| <= EPS_EQ, the normalization of
+# the projector they build; state_from_density, effect_from_matrix,
 # channel_from_matrix, _as_unitary, PathExperiment and
-# ControlledTransformation.  A value derived from validated values by a step
-# that preserves validity (a seeded draw, a projector sandwich, a phase built
-# from path kets) is not checked again (check=False, or bare coefficients).
-# Two kinds of value are built once per key and then shared, because they
-# are frozen and depend only on the key: unit_effect per system (exact by
-# construction), and the pairwise-parity readouts of oracle._pair_readout
-# per (n, i, j), which the validating constructors check on first use.
-# apply, transform_effect, the tensor products and the verify functions keep
-# their checks: a raw transformation need not preserve positivity.  Every
-# SystemMismatchError comes from one of four helpers below, each with one
-# message form: _require_same ("{what} is {found}, expected {want}"),
-# _require_theory ("{what} needs a {theory} system, got {system}"),
-# _require_shape ("{what} has shape {found}, expected {want}") and
-# _require_index ("{what} {index} is out of range({count})").  Every check
-# that rejects a residual past a tolerance calls a fifth, _require_within
-# ("{what} ({residual} > {constant name} = {value})"); predicates and rank
-# cuts compare inline, as they decide structure, not pass or fail.
+# ControlledTransformation check their inputs.  A value the package derives
+# from validated ones by a step that keeps validity (a seeded draw, a partial
+# trace, a projector sandwich, a phase built from path kets) is built by
+# _derived without a check, or stays bare coefficients.  _channel keeps
+# Transformation's checks, cheap beside building the matrix, as a product of
+# channels can drift off the unit effect.  apply, transform_effect, the
+# tensor products and the verify functions keep theirs: a raw transformation
+# need not preserve positivity.  Every SystemMismatchError comes from one of
+# four helpers below, each with one message form: _require_same ("{what} is
+# {found}, expected {want}"), _require_theory ("{what} needs a {theory}
+# system, got {system}"), _require_shape ("{what} has shape {found},
+# expected {want}") and _require_index ("{what} {index} is out of
+# range({count})", also for a non-integer index).  Every check that rejects
+# a residual past a tolerance calls a fifth, _require_within ("{what}
+# ({residual} > {constant name} = {value})"); predicates and rank cuts
+# compare inline, as they decide structure, not pass or fail.
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -144,7 +144,7 @@ def _require_shape(shape: tuple[int, ...], want: tuple[int, ...], what: str) -> 
 
 
 def _require_index(index: int, count: int, what: str) -> None:
-    if not 0 <= index < count:
+    if not (isinstance(index, (int, np.integer)) and 0 <= index < count):
         raise SystemMismatchError(f"{what} {index} is out of range({count})")
 
 
@@ -369,18 +369,13 @@ class StateVector:
 
     system: SystemType
     coeffs: np.ndarray
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool) -> None:
+    def __post_init__(self) -> None:
         arr = _readonly(np.array(self.coeffs, dtype=float))
         object.__setattr__(self, "coeffs", arr)
         _require_shape(arr.shape, (self.system.vector_space_dim,), "state vector")
         _require_finite(arr, "state vector")
-        if check:
-            self._validate()
-
-    def _validate(self) -> None:
-        _check_states(self.system, self.coeffs[None])
+        _check_states(self.system, arr[None])
 
 
 def _check_states(system: SystemType, coeffs: np.ndarray) -> None:
@@ -419,18 +414,13 @@ class Effect:
 
     system: SystemType
     coeffs: np.ndarray
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool) -> None:
+    def __post_init__(self) -> None:
         arr = _readonly(np.array(self.coeffs, dtype=float))
         object.__setattr__(self, "coeffs", arr)
         _require_shape(arr.shape, (self.system.vector_space_dim,), "effect vector")
         _require_finite(arr, "effect vector")
-        if check:
-            self._validate()
-
-    def _validate(self) -> None:
-        _check_effects(self.system, self.coeffs[None])
+        _check_effects(self.system, arr[None])
 
 
 def _check_effects(system: SystemType, coeffs: np.ndarray) -> None:
@@ -513,6 +503,14 @@ def _channel(in_system: SystemType, out_system: SystemType, matrix: np.ndarray) 
     vars(t).update(in_system=in_system, out_system=out_system, matrix=matrix)
     t._admit(copy=False)
     return t
+
+
+def _derived(cls: type, system: SystemType, coeffs: np.ndarray) -> StateVector | Effect:
+    """cls(system, coeffs) without its copy and checks, for a fresh float64 vector
+    the package derived by a step that keeps validity: locked and kept as is."""
+    v = object.__new__(cls)
+    vars(v).update(system=system, coeffs=_readonly(coeffs))
+    return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -664,10 +662,10 @@ def marginalize(state: StateVector, keep: int | Sequence[int]) -> StateVector:
         labels = list(range(n)) + [i if i not in kept else i + n for i in range(n)]
         out = np.einsum(rho, labels, [i for i in kept] + [i + n for i in kept])
         out = out.reshape(out_system.dim, out_system.dim)
-        return StateVector(out_system, _encode(out, out_system.dim))
+        return _derived(StateVector, out_system, _encode(out, out_system.dim))
     p = state.coeffs.reshape(system.factors)
     drop = tuple(i for i in range(n) if i not in kept)
-    return StateVector(out_system, p.sum(axis=drop).reshape(-1))
+    return _derived(StateVector, out_system, p.sum(axis=drop).reshape(-1))
 
 
 def partial_pair(state: StateVector, effect: Effect, factor: int) -> StateVector:
@@ -675,7 +673,7 @@ def partial_pair(state: StateVector, effect: Effect, factor: int) -> StateVector
 
     Returns the conditional state on the remaining factors.  Its unit pairing
     equals the probability of the effect, so the result is subnormalized and
-    skips the normalization check.
+    built unchecked.
     """
     system = state.system
     # pairing the only factor would keep none, so a one-factor state has no factor to pair
@@ -685,11 +683,11 @@ def partial_pair(state: StateVector, effect: Effect, factor: int) -> StateVector
     out_system = _kept_system(system, kept)
     if system.theory == QUANTUM:
         out = _pair_factor(system, state.coeffs, effect.coeffs[None], factor)[0]
-        return StateVector(out_system, out, check=False)
+        return _derived(StateVector, out_system, out)
     p = state.coeffs.reshape(system.factors)
     e = effect.coeffs
     out = np.tensordot(e, p, axes=([0], [factor]))
-    return StateVector(out_system, out.reshape(-1), check=False)
+    return _derived(StateVector, out_system, out.reshape(-1))
 
 
 def _pair_factor(
@@ -732,7 +730,7 @@ def unit_effect(system: SystemType) -> Effect:
         coeffs[0] = np.sqrt(system.dim)
     else:
         coeffs = np.ones(system.dim)
-    return Effect(system, coeffs, check=False)
+    return _derived(Effect, system, coeffs)
 
 
 def maximally_mixed(system: SystemType) -> StateVector:
@@ -740,8 +738,8 @@ def maximally_mixed(system: SystemType) -> StateVector:
     if system.theory == QUANTUM:
         coeffs = np.zeros(system.vector_space_dim)
         coeffs[0] = 1.0 / np.sqrt(system.dim)
-        return StateVector(system, coeffs, check=False)
-    return StateVector(system, np.full(system.dim, 1.0 / system.dim), check=False)
+        return _derived(StateVector, system, coeffs)
+    return _derived(StateVector, system, np.full(system.dim, 1.0 / system.dim))
 
 
 def dynamically_faithful_state(system: SystemType) -> StateVector:
@@ -758,7 +756,7 @@ def dynamically_faithful_state(system: SystemType) -> StateVector:
     ket = np.eye(d).reshape(-1) / np.sqrt(d)
     rho = np.outer(ket, ket.conj())
     comp = composite_system(system, system)
-    return StateVector(comp, _encode(rho, comp.dim))
+    return _derived(StateVector, comp, _encode(rho, comp.dim))
 
 
 def density_matrix(state: StateVector) -> np.ndarray:
@@ -791,43 +789,38 @@ def _ket_projector(system: SystemType, amplitudes: Sequence[complex]) -> np.ndar
     _require_theory(system, QUANTUM, "amplitude vector")
     psi = np.asarray(amplitudes, dtype=complex)
     _require_shape(psi.shape, (system.dim,), "amplitude vector")
-    _require_within(abs(float(np.linalg.norm(psi)) - 1.0), EPS_EQ,
-                    "amplitudes are not normalized: ||psi| - 1|")
+    _require_finite(psi, "amplitude vector")
+    _require_within(abs(float(np.vdot(psi, psi).real) - 1.0), EPS_EQ,
+                    "amplitudes are not normalized: |psi^dag psi - 1|")
     return _encode(np.outer(psi, psi.conj()), system.dim)
 
 
 def ket_state(system: SystemType, amplitudes: Sequence[complex]) -> StateVector:
     """Pure quantum state from a normalized amplitude vector."""
-    return StateVector(system, _ket_projector(system, amplitudes))
+    return _derived(StateVector, system, _ket_projector(system, amplitudes))
 
 
 def projector_effect(system: SystemType, amplitudes: Sequence[complex]) -> Effect:
     """Rank-1 projector effect from a normalized amplitude vector."""
-    return Effect(system, _ket_projector(system, amplitudes))
+    return _derived(Effect, system, _ket_projector(system, amplitudes))
 
 
 def basis_state(system: SystemType, index: int) -> StateVector:
     """Computational basis state (quantum) or point mass (classical)."""
-    _require_index(index, system.dim, "basis index")
-    if system.theory == QUANTUM:
-        psi = np.zeros(system.dim)
-        psi[index] = 1.0
-        return ket_state(system, psi)
-    p = np.zeros(system.dim)
-    p[index] = 1.0
-    return StateVector(system, p)
+    return _basis(StateVector, system, index)
 
 
 def basis_effect(system: SystemType, index: int) -> Effect:
     """Projector onto a computational basis state, or a classical indicator."""
+    return _basis(Effect, system, index)
+
+
+def _basis(cls: type, system: SystemType, index: int) -> StateVector | Effect:
     _require_index(index, system.dim, "basis index")
-    if system.theory == QUANTUM:
-        psi = np.zeros(system.dim)
-        psi[index] = 1.0
-        return projector_effect(system, psi)
-    e = np.zeros(system.dim)
-    e[index] = 1.0
-    return Effect(system, e)
+    unit = np.zeros(system.dim)
+    unit[index] = 1.0
+    quantum = system.theory == QUANTUM
+    return _derived(cls, system, _encode(np.diag(unit), system.dim) if quantum else unit)
 
 
 def _pure_ket(state: StateVector, what: str, *fields: object) -> np.ndarray:
@@ -963,7 +956,8 @@ def permutation_transformation(system: SystemType, perm: Sequence[int]) -> Trans
     """Relabeling of classical outcomes; the classical reversible constructor."""
     _require_theory(system, CLASSICAL, "permutation")
     perm = list(perm)
-    if sorted(perm) != list(range(system.dim)):
+    if (not all(isinstance(p, (int, np.integer)) for p in perm)
+            or sorted(perm) != list(range(system.dim))):
         raise ValidationError(f"{perm} is not a permutation of range({system.dim})")
     matrix = np.zeros((system.dim, system.dim))
     for src, dst in enumerate(perm):
@@ -1059,10 +1053,10 @@ def random_state(
         raise ValidationError(f"unknown state kind {kind!r}")
     if system.theory == QUANTUM:
         rho = _random_density(system.dim, rng, kind)
-        return StateVector(system, _encode(rho, system.dim), check=False)
+        return _derived(StateVector, system, _encode(rho, system.dim))
     if kind == "pure":
         return basis_state(system, int(rng.integers(system.dim)))
-    return StateVector(system, rng.dirichlet(np.ones(system.dim)), check=False)
+    return _derived(StateVector, system, rng.dirichlet(np.ones(system.dim)))
 
 
 def random_effect(system: SystemType, seed: int | np.random.Generator) -> Effect:
@@ -1071,8 +1065,8 @@ def random_effect(system: SystemType, seed: int | np.random.Generator) -> Effect
     if system.theory == QUANTUM:
         v = haar_unitary(system.dim, rng)
         vals = rng.uniform(0.0, 1.0, system.dim)
-        return Effect(system, _encode((v * vals) @ v.conj().T, system.dim), check=False)
-    return Effect(system, rng.uniform(0.0, 1.0, system.dim))
+        return _derived(Effect, system, _encode((v * vals) @ v.conj().T, system.dim))
+    return _derived(Effect, system, rng.uniform(0.0, 1.0, system.dim))
 
 
 # ---------------------------------------------------------------------------

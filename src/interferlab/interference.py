@@ -28,6 +28,7 @@ from .core import (
     _check_effects,
     _check_states,
     _decode,
+    _derived,
     _encode,
     _pure_densities,
     _require_finite,
@@ -69,6 +70,14 @@ def pattern(state: StateVector, effect: Effect, experiment: PathExperiment) -> I
     return InterferencePattern(experiment, state, effect)
 
 
+def _path_subset(indices: Iterable[int], n: int) -> list[int]:
+    """The distinct path indices, sorted; refused unless each is an integer in range(n)."""
+    idx = list(indices)
+    if not idx or not all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in idx):
+        raise ValidationError(f"invalid path subset {idx} for {n} paths")
+    return sorted(set(int(i) for i in idx))
+
+
 def filtered_effect(
     effect: Effect, indices: Iterable[int], experiment: PathExperiment
 ) -> Effect:
@@ -76,11 +85,9 @@ def filtered_effect(
     system = experiment.system
     _require_theory(system, QUANTUM, "projector filtering")
     _require_same(effect.system, system, "effect")
-    idx = sorted(set(int(i) for i in indices))
-    if not idx or not set(idx) <= set(range(experiment.n)):
-        raise ValidationError(f"invalid path subset {idx} for {experiment.n} paths")
+    idx = _path_subset(indices, experiment.n)
     # P E P is an effect whenever E is; _encode still checks Hermiticity
-    return Effect(system, _filtered_coeffs(effect.coeffs, idx, experiment), check=False)
+    return _derived(Effect, system, _filtered_coeffs(effect.coeffs, idx, experiment))
 
 
 def _filtered_coeffs(
@@ -104,13 +111,9 @@ def masked_effect(
     system = experiment.system
     _require_theory(system, CLASSICAL, "outcome masking")
     _require_same(effect.system, system, "effect")
-    idx = set(int(i) for i in indices)
-    if not idx or not idx <= set(range(experiment.n)):
-        raise ValidationError(f"invalid path subset {sorted(idx)} for {experiment.n} paths")
-    mask = np.zeros(system.dim)
-    for i in idx:
-        mask += (experiment.paths[i].state.coeffs > 0.5).astype(float)
-    return Effect(system, effect.coeffs * mask)
+    idx = _path_subset(indices, experiment.n)
+    mask = sum((experiment.paths[i].state.coeffs > 0.5).astype(float) for i in idx)
+    return _derived(Effect, system, effect.coeffs * mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,7 +300,7 @@ def second_order_witness(
     system = experiment.system
     if system.theory == CLASSICAL:
         half = 0.5 * (experiment.paths[0].state.coeffs + experiment.paths[1].state.coeffs)
-        state = StateVector(system, half)
+        state = _derived(StateVector, system, half)
         effect = experiment.paths[0].effect
         values = np.array(
             [pair(effect, apply(t, state)) for t in enumerate_classical_phases(experiment)]
@@ -375,8 +378,8 @@ def third_order_scan_quantum(
     return _report(
         3,
         samples,
-        StateVector(system, states[worst], check=False),
-        Effect(system, effects[worst], check=False),
+        _derived(StateVector, system, states[worst].copy()),
+        _derived(Effect, system, effects[worst].copy()),
     )
 
 

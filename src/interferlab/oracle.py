@@ -7,9 +7,9 @@ a single query is an accounting fact, not a bookkeeping convention.
 
 The readout of a pairwise protocol (its prepared state and its two effects)
 depends only on the systems and the level pair, never on the function table.
-It is built with the validating constructors, so every check runs, once per
-(control, target, i, j) in a process, and is then shared by every oracle with
-those systems: per (n, i, j) for the qubit-target oracles of build_oracle.
+Its amplitudes and tensor products are checked, once per (control, target,
+i, j) in a process, and it is then shared by every oracle with those systems:
+per (n, i, j) for the qubit-target oracles of build_oracle.
 """
 
 from __future__ import annotations
@@ -51,11 +51,12 @@ class DecisionFunction:
     table: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", tuple(int(b) for b in self.table))
-        if len(self.table) < 2:
+        table = tuple(self.table)
+        if len(table) < 2:
             raise ValidationError("decision functions need at least two inputs")
-        if any(b not in (0, 1) for b in self.table):
-            raise ValidationError(f"table {self.table} contains non-bits")
+        if any(b not in (0, 1) for b in table):
+            raise ValidationError(f"table {table} contains non-bits")
+        object.__setattr__(self, "table", tuple(int(b) for b in table))
 
     @property
     def n(self) -> int:
@@ -141,7 +142,8 @@ def run_pairwise(oracle: OracleInstance, i: int, j: int) -> ParityResult:
     """
     control = oracle.controlled.control_system
     n = control.dim
-    if not (0 <= i < n and 0 <= j < n and i != j):
+    levels = all(isinstance(k, (int, np.integer)) and 0 <= k < n for k in (i, j))
+    if not levels or i == j:
         raise ValidationError(f"invalid control level pair ({i}, {j}) for {n} levels")
     prepared, stay, flip = _pair_readout(control, oracle.controlled.target_system, i, j)
     before = oracle.query_count

@@ -29,6 +29,7 @@ from .core import (
     Transformation,
     ValidationError,
     _decode,
+    _derived,
     _encode,
     _haar,
     _readonly,
@@ -318,7 +319,7 @@ def search_detecting_effect(
             dev = np.max(np.abs(moved - stack), axis=1)
             hit = int(np.argmax(dev))
             if dev[hit] > EPS_PSD:
-                return Effect(experiment.system, stack[hit], check=False)
+                return _derived(Effect, experiment.system, stack[hit].copy())
     return None
 
 

@@ -253,19 +253,20 @@ def test_stacked_control_projectors_equal_the_one_ket_constructors(n):
             assert np.array_equal(controlled.control_effects[i].coeffs, effect.coeffs)
 
 
-def test_control_projectors_are_checked_once_as_states_and_as_effects(monkeypatch):
+def test_control_projectors_are_not_checked_again(monkeypatch):
+    # the constructor's unitarity check on the kets already bounds each
+    # projector's normalization, and a rank-1 projector is positive; only the
+    # filter check, which pairs them as effects, checks them as its own stack
     calls = []
-    for name in ("_check_states", "_check_effects"):
-        original = getattr(control, name)
-
-        def counted(system, coeffs, _name=name, _original=original):
-            calls.append((_name, system.dim, coeffs.shape))
-            return _original(system, coeffs)
-
-        monkeypatch.setattr(control, name, counted)
+    for module in (core, control):
+        for name in ("_check_states", "_check_effects"):
+            monkeypatch.setattr(module, name, lambda system, coeffs, _name=name:
+                                calls.append((_name, system.dim, coeffs.shape)))
     controlled = control.ControlledTransformation(quantum_system(2), [np.eye(2)] * 3, np.eye(3))
     assert len(controlled.control_states) == len(controlled.control_effects) == 3
-    assert calls == [("_check_states", 3, (3, 9)), ("_check_effects", 3, (3, 9))]
+    assert calls == []
+    control.verify_superposition_preservation(controlled, trials=2)
+    assert [c for c in calls if c[0] == "_check_effects"] == [("_check_effects", 3, (3, 9))]
     with pytest.raises(ValidationError, match="control kets is not unitary"):
         control.ControlledTransformation(quantum_system(2), [Z] * 2, 1.01 * np.eye(2))
 

@@ -167,10 +167,8 @@ def test_non_finite_entries_are_rejected(bad):
     q, c = quantum_system(2), classical_system(2)
     builds = [
         lambda: StateVector(c, [bad, 1.0]),
-        lambda: StateVector(q, [bad] * 4, check=False),
         lambda: ket_state(q, [bad, 1.0]),
         lambda: Effect(q, [bad] * 4),
-        lambda: Effect(c, [bad, 0.0], check=False),
         lambda: Transformation(q, q, np.full((4, 4), bad)),
         lambda: phase_unitary(q, [0.0, bad]),
         lambda: unitary_channel(q, np.diag([1.0, bad])),
@@ -380,14 +378,33 @@ def amplitude_damping(gamma):
 
 
 def test_transformation_stores_its_systems_and_matrix_only():
-    assert [f.name for f in dataclasses.fields(Transformation)] == [
-        "in_system", "out_system", "matrix"]
     assert isinstance(vars(Transformation)["reversible"], functools.cached_property)
     t = phase_unitary(Q2, [0.0, 0.3])
     assert "reversible" not in vars(t)
     assert t.reversible and vars(t)["reversible"] is True
+
+
+@pytest.mark.parametrize("cls, fields, dropped", [
+    (StateVector, ["system", "coeffs"], "check"),
+    (Effect, ["system", "coeffs"], "check"),
+    (Transformation, ["in_system", "out_system", "matrix"], "reversible"),
+])
+def test_values_take_their_fields_and_no_flag(cls, fields, dropped):
+    assert [f.name for f in dataclasses.fields(cls)] == fields
+    c2 = classical_system(2)
+    args = (c2, c2, np.eye(2)) if cls is Transformation else (c2, [1.0, 0.0])
     with pytest.raises(TypeError):
-        Transformation(Q2, Q2, t.matrix, reversible=True)
+        cls(*args, **{dropped: False})
+
+
+@pytest.mark.parametrize("make", [ket_state, projector_effect])
+def test_ket_state_and_projector_effect_share_one_amplitude_rule(make):
+    # |psi^dag psi - 1| = 2 eps + eps**2: inside EPS_EQ at the first two; the
+    # CORE_CASES rows ket-state-norm and projector-effect-norm pin 0.6e-9
+    for eps in (0.3e-9, 0.45e-9):
+        make(Q2, [1.0 + eps, 0.0])
+    with pytest.raises(ValidationError, match=r"^amplitudes are not normalized: \|psi\^dag"):
+        make(Q2, [1.0 + 1.1e-9, 0.0])
 
 
 def test_reversibility_is_read_from_the_matrix():
@@ -623,6 +640,8 @@ CORE_CASES = {
                            (SystemMismatchError, "factor index -1 is out of range(2)")),
     "partial-pair-effect": (lambda: partial_pair(JOINT, basis_effect(Q3, 0), 0),
                             (SystemMismatchError, "effect is quantum(3), expected quantum(2)")),
+    "partial-pair-float": (lambda: partial_pair(JOINT, basis_effect(Q2, 0), 1.0),
+                           (SystemMismatchError, "factor index 1.0 is out of range(2)")),
     "faithful-classical": (lambda: dynamically_faithful_state(C2), (
         InfeasibleError, "classical composites carry no dynamically faithful state in this sense")),
     "density-matrix": (lambda: density_matrix(basis_state(C2, 0)), (
@@ -649,6 +668,16 @@ CORE_CASES = {
                     (SystemMismatchError, "basis index 2 is out of range(2)")),
     "basis-effect": (lambda: basis_effect(C2, -1),
                      (SystemMismatchError, "basis index -1 is out of range(2)")),
+    "basis-state-float": (lambda: basis_state(Q2, 1.0),
+                          (SystemMismatchError, "basis index 1.0 is out of range(2)")),
+    "basis-effect-float": (lambda: basis_effect(C2, 1.5),
+                           (SystemMismatchError, "basis index 1.5 is out of range(2)")),
+    "ket-state-norm": (lambda: ket_state(Q2, [1.0 + 0.6e-9, 0.0]), (
+        ValidationError, "amplitudes are not normalized: |psi^dag psi - 1| "
+        f"({(1.0 + 0.6e-9) * (1.0 + 0.6e-9) - 1.0!r} > EPS_EQ = 1e-09)")),
+    "projector-effect-norm": (lambda: projector_effect(Q2, [1.0 + 0.6e-9, 0.0]), (
+        ValidationError, "amplitudes are not normalized: |psi^dag psi - 1| "
+        f"({(1.0 + 0.6e-9) * (1.0 + 0.6e-9) - 1.0!r} > EPS_EQ = 1e-09)")),
     "distinguish-nothing": (lambda: distinguishing_measurement([]),
                             (ValidationError, "need at least one state to distinguish")),
     "distinguish-system": (lambda: distinguishing_measurement(
@@ -672,6 +701,8 @@ CORE_CASES = {
         SystemMismatchError, "permutation needs a classical system, got quantum(2)")),
     "permutation-repeat": (lambda: permutation_transformation(C3, [0, 0, 1]),
                            (ValidationError, "[0, 0, 1] is not a permutation of range(3)")),
+    "permutation-float": (lambda: permutation_transformation(C2, [1.0, 0.0]),
+                          (ValidationError, "[1.0, 0.0] is not a permutation of range(2)")),
     "random-unitary": (lambda: random_unitary(C2, 0), (
         SystemMismatchError, "unitary channel needs a quantum system, got classical(2)")),
     "channel-from-matrix": (lambda: channel_from_matrix(Q2, Q3, np.eye(4)), (

@@ -583,6 +583,10 @@ INTERFERENCE_CASES = {
                       (SystemMismatchError, "effect is classical(3), expected classical(2)")),
     "masked-outside": (lambda: masked_effect(basis_effect(C2, 0), [2], BIT_PATHS),
                        (ValidationError, "invalid path subset [2] for 2 paths")),
+    "masked-float": (lambda: masked_effect(basis_effect(C2, 0), [1.7], BIT_PATHS),
+                     (ValidationError, "invalid path subset [1.7] for 2 paths")),
+    "filtered-float": (lambda: filtered_effect(basis_effect(Q2, 0), [0, 1.0], QUBIT_PATHS),
+                       (ValidationError, "invalid path subset [0, 1.0] for 2 paths")),
     "choice-system": (lambda: EffectChoice(QUBIT_PATHS, {frozenset({0}): basis_effect(Q3, 0)}),
                       (SystemMismatchError, "effect is quantum(3), expected quantum(2)")),
     "residual-choice-system": (lambda: residual(

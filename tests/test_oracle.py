@@ -41,6 +41,13 @@ def test_decision_function_validation():
         DecisionFunction((1,))
     with pytest.raises(ValidationError):
         DecisionFunction((0, 2))
+    # non-bits are refused before conversion, not truncated to bits
+    for table in ((0.5, 1), (1.9, 0), ("1", "0")):
+        with pytest.raises(ValidationError, match="contains non-bits"):
+            DecisionFunction(table)
+    with pytest.raises(ValidationError, match=r"table \(0.7, 1\) contains non-bits"):
+        run_deutsch(build_oracle((0.7, 1)))
+    assert DecisionFunction((1.0, 0)).table == (1, 0)
 
 
 @pytest.mark.parametrize("table", all_tables(2))
@@ -91,10 +98,11 @@ def test_pairwise_parity_matches_table_on_all_functions(n):
 
 def test_pairwise_rejects_bad_level_pairs():
     oracle = build_oracle((0, 1, 1))
-    with pytest.raises(ValidationError):
-        run_pairwise(oracle, 1, 1)
-    with pytest.raises(ValidationError):
-        run_pairwise(oracle, 0, 3)
+    # every bad pair, a non-integer level included, is the same ValidationError
+    for i, j in ((1, 1), (0, 3), (-1, 0), (0.0, 1)):
+        with pytest.raises(ValidationError) as info:
+            run_pairwise(oracle, i, j)
+        assert str(info.value) == f"invalid control level pair ({i}, {j}) for 3 levels"
 
 
 @pytest.mark.parametrize("n", [2, 3])

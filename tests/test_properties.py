@@ -17,6 +17,7 @@ from interferlab import (
     EPS_PSD,
     Effect,
     apply,
+    basis_experiment,
     basis_state,
     build_controlled,
     channel_from_matrix,
@@ -33,6 +34,8 @@ from interferlab import (
     ket_state,
     make_experiment,
     marginalize,
+    masked_effect,
+    maximally_mixed,
     pair,
     partial_pair,
     projector_effect,
@@ -373,4 +376,70 @@ def test_filtered_effects_pass_the_effect_check(dim, seed, data):
     )
     subset = data.draw(st.sets(st.integers(0, dim - 1), min_size=1))
     restricted = filtered_effect(random_effect(system, rng), subset, experiment)
-    Effect(system, restricted.coeffs, check=True)
+    Effect(system, restricted.coeffs)
+
+
+# Values the package derives from validated ones are built unchecked
+# (core._derived); these draws check at test time what no longer runs at call
+# time.
+@SETTINGS
+@given(make=theories, dim=dims, seed=seeds, kind=kinds)
+def test_drawn_states_and_effects_pass_the_constructor_checks(make, dim, seed, kind):
+    rng = np.random.default_rng(seed)
+    system = make(dim)
+    core._check_states(system, random_state(system, rng, kind=kind).coeffs[None])
+    core._check_effects(system, random_effect(system, rng).coeffs[None])
+    core._check_states(system, maximally_mixed(system).coeffs[None])
+    core._check_effects(system, unit_effect(system).coeffs[None])
+
+
+def lowest_eigenvalue(state):
+    if state.system.theory == core.QUANTUM:
+        return float(np.linalg.eigvalsh(density_matrix(state))[0])
+    return float(state.coeffs.min())
+
+
+@SETTINGS
+@given(make=theories, sizes=st.lists(st.integers(1, 3), min_size=2, max_size=3), seed=seeds,
+       kind=kinds, data=st.data())
+def test_marginals_are_states_and_partial_pairings_are_positive(make, sizes, seed, kind, data):
+    rng = np.random.default_rng(seed)
+    system = make(sizes[0])
+    for d in sizes[1:]:
+        system = composite_system(system, make(d))
+    state = random_state(system, rng, kind=kind)
+    keep = data.draw(st.sets(st.integers(0, len(sizes) - 1), min_size=1))
+    kept = marginalize(state, sorted(keep))
+    core._check_states(kept.system, kept.coeffs[None])
+    factor = data.draw(st.integers(0, len(sizes) - 1))
+    # the conditional state is subnormalized, so only its positivity holds
+    paired = partial_pair(state, random_effect(make(sizes[factor]), rng), factor)
+    assert lowest_eigenvalue(paired) >= -EPS_PSD
+
+
+@SETTINGS
+@given(dim=st.integers(2, 6), seed=seeds, data=st.data())
+def test_masked_effects_pass_the_effect_check(dim, seed, data):
+    system = classical_system(dim)
+    subset = data.draw(st.sets(st.integers(0, dim - 1), min_size=1))
+    masked = masked_effect(random_effect(system, seed), subset, basis_experiment(system))
+    core._check_effects(system, masked.coeffs[None])
+
+
+@SETTINGS
+@given(n=st.integers(2, 5), dim=st.integers(1, 3), seed=seeds)
+def test_control_projectors_pass_the_state_and_effect_checks(n, dim, seed):
+    kets = haar_unitary(n, seed)
+    controlled = control.ControlledTransformation(quantum_system(dim), [np.eye(dim)] * n, kets)
+    system = controlled.control_system
+    core._check_states(system, np.stack([s.coeffs for s in controlled.control_states]))
+    core._check_effects(system, np.stack([e.coeffs for e in controlled.control_effects]))
+
+
+@SETTINGS
+@given(dim=st.integers(1, 5), seed=seeds, deviation=st.floats(-0.95, 0.95))
+def test_kets_within_the_amplitude_bound_pass_the_constructor_checks(dim, seed, deviation):
+    system = quantum_system(dim)
+    psi = haar_unitary(dim, seed)[:, 0] * math.sqrt(1.0 + deviation * EPS_EQ)
+    core._check_states(system, ket_state(system, psi).coeffs[None])
+    core._check_effects(system, projector_effect(system, psi).coeffs[None])
