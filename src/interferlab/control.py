@@ -105,9 +105,10 @@ class ControlledTransformation:
 
         The control states and effects share this stack.  It is encoded
         row-exactly, so row i is bit for bit ket_state's and
-        projector_effect's.  It is not checked again: the diagonal of the
+        projector_effect's.  It needs no check of its own: the diagonal of the
         constructor's unitarity check bounds |k_i^dag k_i - 1| by EPS_EQ, the
-        bound ket_state applies, and a rank-1 projector is positive.
+        bound ket_state applies, and a rank-1 projector is positive.  Still,
+        verify_superposition_preservation runs _check_effects on it.
         """
         kets = np.ascontiguousarray(self.control_kets.T)
         return _readonly(_encode(kets[:, :, None] * kets.conj()[:, None, :], self.n_branches))

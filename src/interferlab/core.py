@@ -16,7 +16,9 @@ decoding, unitary channels and tensor products are gathers over a per-dimension
 index layout (_Layout) plus small Helmert products: O(d**2) per state and
 O(d**4) per channel.  All three tensor products (of states, of effects and of
 transformations) go through the one kernel _tensor_coeffs; no basis change
-between the product basis and the composite basis is stored.
+between the product basis and the composite basis is stored.  Both partial
+contractions, marginals and partial pairings, go through the one kernel
+_pair_factor on both backends: a marginal pairs the unit effect.
 
 Memory rule: at most one live copy of each channel matrix, and kernel
 temporaries bounded by one block budget.  Transformation copies the array it
@@ -172,6 +174,10 @@ class SystemType:
     def __post_init__(self) -> None:
         if self.theory not in (QUANTUM, CLASSICAL):
             raise ValidationError(f"unknown theory backend {self.theory!r}")
+        for what, value in [("system dimension", self.dim)] + [("factor", f) for f in self.factors]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"{what} must be an integer, got {value!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         if self.dim < 1:
             raise ValidationError(f"system dimension must be >= 1, got {self.dim}")
         factors = self.factors or (self.dim,)
@@ -632,8 +638,6 @@ def tensor_transformations(a: Transformation, b: Transformation) -> Transformati
 
 def _kept_system(system: SystemType, keep: tuple[int, ...]) -> SystemType:
     dims = [system.factors[i] for i in keep]
-    if len(dims) == 1:
-        return SystemType(system.theory, dims[0])
     return SystemType(system.theory, math.prod(dims), tuple(dims))
 
 
@@ -649,27 +653,18 @@ def _normalize_keep(system: SystemType, keep: int | Sequence[int]) -> tuple[int,
 
 
 def marginalize(state: StateVector, keep: int | Sequence[int]) -> StateVector:
-    """Discard all factors of a composite state except the selected ones."""
+    """Discard all factors of a composite state except the selected ones: pair
+    each other factor with its unit effect, last first, so earlier indices stay."""
     system = state.system
     kept = _normalize_keep(system, keep)
-    if len(kept) == len(system.factors):
-        return state
-    out_system = _kept_system(system, kept)
-    n = len(system.factors)
-    if system.theory == QUANTUM:
-        rho = _decode(state.coeffs, system.dim).reshape(system.factors * 2)
-        # einsum with repeated labels traces out the discarded factors
-        labels = list(range(n)) + [i if i not in kept else i + n for i in range(n)]
-        out = np.einsum(rho, labels, [i for i in kept] + [i + n for i in kept])
-        out = out.reshape(out_system.dim, out_system.dim)
-        return _derived(StateVector, out_system, _encode(out, out_system.dim))
-    p = state.coeffs.reshape(system.factors)
-    drop = tuple(i for i in range(n) if i not in kept)
-    return _derived(StateVector, out_system, p.sum(axis=drop).reshape(-1))
+    for factor in reversed(range(len(system.factors))):
+        if factor not in kept:
+            state = partial_pair(state, unit_effect(_kept_system(system, (factor,))), factor)
+    return state
 
 
 def partial_pair(state: StateVector, effect: Effect, factor: int) -> StateVector:
-    """Pair an effect with one factor of a composite state.
+    """Pair an effect with one factor of a composite state (see _pair_factor).
 
     Returns the conditional state on the remaining factors.  Its unit pairing
     equals the probability of the effect, so the result is subnormalized and
@@ -679,30 +674,29 @@ def partial_pair(state: StateVector, effect: Effect, factor: int) -> StateVector
     # pairing the only factor would keep none, so a one-factor state has no factor to pair
     _require_index(factor, len(system.factors) if system.is_composite else 0, "factor index")
     _require_same(effect.system, _kept_system(system, (factor,)), "effect")
-    kept = tuple(i for i in range(len(system.factors)) if i != factor)
-    out_system = _kept_system(system, kept)
-    if system.theory == QUANTUM:
-        out = _pair_factor(system, state.coeffs, effect.coeffs[None], factor)[0]
-        return _derived(StateVector, out_system, out)
-    p = state.coeffs.reshape(system.factors)
-    e = effect.coeffs
-    out = np.tensordot(e, p, axes=([0], [factor]))
-    return _derived(StateVector, out_system, out.reshape(-1))
+    out_system = _kept_system(system, tuple(i for i in range(len(system.factors)) if i != factor))
+    out = _pair_factor(system, state.coeffs, effect.coeffs[None], factor)[0]
+    return _derived(StateVector, out_system, out)
 
 
 def _pair_factor(
     system: SystemType, coeffs: np.ndarray, effects: np.ndarray, factor: int
 ) -> np.ndarray:
-    """Quantum partial pairing of one factor, for every effect and state.
+    """Partial pairing of one factor, for every effect and state.
 
     `coeffs` is a stack of composite states (any leading axes) and `effects`
     a 2-D stack of effect rows on the factor; returns the remaining factors'
-    coefficients, indexed (effect, *stack).  The states are decoded once.
+    coefficients, indexed (effect, *stack).  The one partial contraction on
+    both backends: one classical tensordot, or quantum states decoded once.
     """
     n = len(system.factors)
     stack = coeffs.shape[:-1]
     kept = [i for i in range(n) if i != factor]
     dim = math.prod(system.factors[i] for i in kept)
+    if system.theory != QUANTUM:
+        p = coeffs.reshape(*stack, *system.factors)
+        out = np.tensordot(effects, p, axes=([1], [len(stack) + factor]))
+        return out.reshape(len(effects), *stack, dim)
     rho = _decode(coeffs, system.dim).reshape(*stack, *system.factors * 2)
     e_mats = _decode(effects, system.factors[factor])
     # out_{r,s} = sum_{a,b} E_{ab} rho_{(..b..r..),(..a..s..)}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,12 +107,14 @@ def _filtered_coeffs(
 def masked_effect(
     effect: Effect, indices: Iterable[int], experiment: PathExperiment
 ) -> Effect:
-    """Restriction of a classical effect to a path subset by outcome masking."""
+    """Restriction of a classical effect to a path subset: each outcome scaled by
+    the subset's path effects.  They resolve the unit effect, so the restrictions
+    to disjoint subsets add, and every residual of order 2 or more vanishes."""
     system = experiment.system
     _require_theory(system, CLASSICAL, "outcome masking")
     _require_same(effect.system, system, "effect")
     idx = _path_subset(indices, experiment.n)
-    mask = sum((experiment.paths[i].state.coeffs > 0.5).astype(float) for i in idx)
+    mask = sum(experiment.paths[i].effect.coeffs for i in idx)
     return _derived(Effect, system, effect.coeffs * mask)
 
 
@@ -244,11 +246,13 @@ class SorkinReport:
         }
 
 
-def _report(order: int, samples: list[SorkinSample], state, effect) -> SorkinReport:
-    worst = max(samples, key=lambda s: abs(s.residual), default=None)
+def _report(order: int, samples: list[SorkinSample], witness_at: Callable) -> SorkinReport:
+    """The scan's report; the witness is the first trial of largest |residual|, and
+    witness_at(trial) builds its (state, effect) only when that exceeds EPS_EQ."""
+    worst = max(range(len(samples)), key=lambda t: abs(samples[t].residual))
     witness = None
-    if worst is not None and abs(worst.residual) > EPS_EQ:
-        witness = SorkinWitness(state, effect, worst.angles)
+    if abs(samples[worst].residual) > EPS_EQ:
+        witness = SorkinWitness(*witness_at(worst), samples[worst].angles)
     return SorkinReport(order, tuple(samples), witness)
 
 
@@ -324,7 +328,7 @@ def second_order_witness(
         SorkinSample(angles, float(v), float(best_const), float(v - best_const))
         for angles, v in zip(angle_sets, values)
     ]
-    return _report(2, samples, state, effect)
+    return _report(2, samples, lambda _: (state, effect))
 
 
 def third_order_scan_quantum(
@@ -373,14 +377,13 @@ def third_order_scan_quantum(
         SorkinSample(tuple(a), lhs_t, rhs_t, res_t)
         for a, lhs_t, rhs_t, res_t in zip(angles, lhs.tolist(), rhs.tolist(), residual.tolist())
     ]
-    # the witness is the last trial of largest |residual|
-    worst = trials - 1 - int(np.argmax(np.abs(residual)[::-1]))
-    return _report(
-        3,
-        samples,
-        _derived(StateVector, system, states[worst].copy()),
-        _derived(Effect, system, effects[worst].copy()),
-    )
+
+    def witness_at(t: int) -> tuple[StateVector, Effect]:
+        # copies, so that a witness does not keep the trial stacks alive
+        state, effect = states[t].copy(), effects[t].copy()
+        return _derived(StateVector, system, state), _derived(Effect, system, effect)
+
+    return _report(3, samples, witness_at)
 
 
 def interference_pattern_sweep(

@@ -584,6 +584,12 @@ def test_system_factors_must_multiply_to_the_dimension_exactly():
     assert core.SystemType(core.QUANTUM, 6, (2, 3)).factors == (2, 3)
 
 
+def test_numpy_integer_dimensions_are_stored_as_int():
+    system = quantum_system(np.int64(6), (np.int64(2), np.int64(3)))
+    assert type(system.dim) is int and system.vector_space_dim == 36
+    assert [type(f) for f in system.factors] == [int, int]
+
+
 Q2, Q3, C2, C3 = quantum_system(2), quantum_system(3), classical_system(2), classical_system(3)
 JOINT = tensor_states(basis_state(Q2, 0), basis_state(Q3, 0))
 
@@ -594,6 +600,14 @@ CORE_CASES = {
                        (ValidationError, "unknown theory backend 'qubit'")),
     "dimension-zero": (lambda: core.SystemType(core.QUANTUM, 0),
                        (ValidationError, "system dimension must be >= 1, got 0")),
+    "dimension-float": (lambda: quantum_system(2.5),
+                        (ValidationError, "system dimension must be an integer, got 2.5")),
+    "dimension-integral-float": (lambda: basis_state(quantum_system(2.0), 0),
+                                 (ValidationError, "system dimension must be an integer, got 2.0")),
+    "dimension-bool": (lambda: quantum_system(True),
+                       (ValidationError, "system dimension must be an integer, got True")),
+    "factor-float": (lambda: quantum_system(4, (2.0, 2.0)),
+                     (ValidationError, "factor must be an integer, got 2.0")),
     "composite-system": (lambda: composite_system(Q2, C2), (
         SystemMismatchError, "second factor needs a quantum system, got classical(2)")),
     "state-vector": (lambda: StateVector(Q2, [1.0, 0.0]), (

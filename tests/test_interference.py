@@ -255,6 +255,36 @@ def test_classical_masked_choice_residual_is_zero():
     assert abs(lhs - 0.5) < 1e-12
 
 
+def spread_classical_paths():
+    """Two classical(4) paths: the first state spreads over outcomes 0 and 1,
+    and the second path's effect also fires on outcome 3, which no state covers."""
+    system = classical_system(4)
+    return make_experiment([
+        (StateVector(system, [0.5, 0.5, 0.0, 0.0]), Effect(system, [1.0, 1.0, 0.0, 0.0])),
+        (StateVector(system, [0.0, 0.0, 1.0, 0.0]), Effect(system, [0.0, 0.0, 1.0, 1.0])),
+    ])
+
+
+def test_masked_effect_scales_each_outcome_by_the_subset_path_effects():
+    experiment = spread_classical_paths()
+    effect = Effect(experiment.system, [0.2, 0.4, 0.6, 0.8])
+    assert masked_effect(effect, (0,), experiment).coeffs.tolist() == [0.2, 0.4, 0.0, 0.0]
+    assert masked_effect(effect, (1,), experiment).coeffs.tolist() == [0.0, 0.0, 0.6, 0.8]
+
+
+def test_classical_residual_vanishes_on_every_phase_of_spread_paths():
+    experiment = spread_classical_paths()
+    system = experiment.system
+    state = StateVector(system, [0.25, 0.25, 0.5, 0.0])
+    effect = unit_effect(system)
+    choice = filter_choice(effect, experiment)
+    phases = paths.enumerate_classical_phases(experiment)
+    assert len(phases) == 4
+    for phase in phases:
+        _, _, residual = sorkin_residual(state, effect, experiment, phase, choice)
+        assert abs(residual) <= EPS_EQ
+
+
 def test_third_order_scan_is_absent_for_quantum():
     experiment = basis_experiment(quantum_system(3))
     report = third_order_scan_quantum(experiment, trials=200, seed=1)
@@ -372,12 +402,13 @@ def second_order_reference(experiment, seed, phase_samples):
 def third_order_reference(experiment, trials, rng):
     """third_order_scan_quantum as it was: a state, effect, channel and choice per trial.
 
-    Returns the samples and the (state, effect) the loop kept for the witness.
+    Returns the samples and the (state, effect) of the first trial of largest
+    |residual|, the trial the witness is built from.
     """
     system = experiment.system
     kets = experiment.kets
     samples = []
-    worst = (0.0, None, None)
+    worst = (-1.0, None, None)
     for _ in range(trials):
         state = random_state(system, rng, kind="pure")
         psi = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
@@ -388,7 +419,7 @@ def third_order_reference(experiment, trials, rng):
         choice = filter_choice(effect, experiment)
         lhs, rhs, residual = sorkin_residual(state, effect, experiment, transformation, choice)
         samples.append(SorkinSample(tuple(angles), lhs, rhs, residual))
-        if abs(residual) >= worst[0]:
+        if abs(residual) > worst[0]:
             worst = (abs(residual), state, effect)
     return tuple(samples), worst[1], worst[2]
 
@@ -405,23 +436,17 @@ def path_experiments(dim):
     return [basis_experiment(quantum_system(dim)), rotated_experiment(dim, 50 + dim)]
 
 
-def witness_choice(monkeypatch):
-    """Record the (state, effect) each scan hands to _report for its witness."""
-    seen = []
-    report = interference._report
-
-    def recording(order, samples, state, effect):
-        seen.append((state, effect))
-        return report(order, samples, state, effect)
-
-    monkeypatch.setattr(interference, "_report", recording)
-    return seen
+def assert_witness_is(report, samples, state, effect):
+    """The report's witness is the given trial's state and effect, at its angles."""
+    worst = max(samples, key=lambda s: abs(s.residual))
+    assert report.witness.angles == worst.angles
+    assert np.array_equal(report.witness.state.coeffs, state.coeffs)
+    assert np.array_equal(report.witness.effect.coeffs, effect.coeffs)
 
 
 @pytest.mark.parametrize("trials", [1, 7, 200])
 @pytest.mark.parametrize("seed", [7, 20260817])
 def test_third_order_scan_equals_the_per_trial_loop(monkeypatch, trials, seed):
-    seen = witness_choice(monkeypatch)
     for experiment in path_experiments(3):
         report = third_order_scan_quantum(experiment, trials=trials, seed=seed)
         samples, state, effect = third_order_reference(
@@ -429,27 +454,29 @@ def test_third_order_scan_equals_the_per_trial_loop(monkeypatch, trials, seed):
         )
         assert report.samples == samples
         assert report.witness is None
-        got_state, got_effect = seen.pop()
-        assert np.array_equal(got_state.coeffs, state.coeffs)
-        assert np.array_equal(got_effect.coeffs, effect.coeffs)
+        # a negative bound makes every scan emit its witness
+        with monkeypatch.context() as m:
+            m.setattr(interference, "EPS_EQ", -1.0)
+            report = third_order_scan_quantum(experiment, trials=trials, seed=seed)
+        assert_witness_is(report, samples, state, effect)
 
 
-def test_third_order_scan_keeps_the_last_of_tied_worst_trials(monkeypatch):
-    seen = witness_choice(monkeypatch)
+def test_third_order_scan_keeps_the_first_of_tied_worst_trials(monkeypatch):
+    monkeypatch.setattr(interference, "EPS_EQ", -1.0)
     experiment = basis_experiment(quantum_system(3))
     # the basis experiment's residuals are often exactly 0.0 or a few ulps, so
     # ties happen; which seeds tie depends on rounding, so take the first one
     for seed in range(40):
-        seen.clear()
         report = third_order_scan_quantum(experiment, trials=200, seed=seed)
         worst = max(abs(s.residual) for s in report.samples)
-        if sum(abs(s.residual) == worst for s in report.samples) > 1:
+        tied = [t for t, s in enumerate(report.samples) if abs(s.residual) == worst]
+        if len(tied) > 1:
             break
     else:
         pytest.fail("no seed in range(40) gives a tied worst trial")
-    _, state, effect = third_order_reference(experiment, 200, np.random.default_rng(seed))
-    assert np.array_equal(seen[0][0].coeffs, state.coeffs)
-    assert np.array_equal(seen[0][1].coeffs, effect.coeffs)
+    samples, state, effect = third_order_reference(experiment, 200, np.random.default_rng(seed))
+    assert_witness_is(report, samples, state, effect)
+    assert samples[tied[0]].angles != samples[tied[-1]].angles
 
 
 def test_the_scans_leave_a_passed_generator_where_the_loops_did():
@@ -483,7 +510,6 @@ def test_pattern_sweep_equals_the_per_point_loop(monkeypatch, dim):
 @pytest.mark.parametrize("seed", [7, 20260817])
 @pytest.mark.parametrize("phase_samples", [1, 64, 256])
 def test_second_order_witness_equals_the_per_phase_loop(monkeypatch, seed, phase_samples):
-    seen = witness_choice(monkeypatch)
     for experiment in path_experiments(2):
         values = second_order_reference(experiment, seed, phase_samples)
         for block_entries in (core._BLOCK_ENTRIES, 5 * 2**4):
@@ -492,12 +518,11 @@ def test_second_order_witness_equals_the_per_phase_loop(monkeypatch, seed, phase
             assert np.array_equal([s.lhs for s in report.samples], values)
             best = 0.5 * (values.max() + values.min())
             assert [s.residual for s in report.samples] == (values - best).tolist()
-            state, effect = seen.pop()
             kets = experiment.kets
             uniform = (kets[:, 0] + kets[:, 1]) / math.sqrt(2.0)
             system = experiment.system
-            assert np.array_equal(state.coeffs, ket_state(system, uniform).coeffs)
-            assert np.array_equal(effect.coeffs, projector_effect(system, uniform).coeffs)
+            state, effect = ket_state(system, uniform), projector_effect(system, uniform)
+            assert_witness_is(report, report.samples, state, effect)
 
 
 def test_pattern_sweep_rejects_non_finite_angles():

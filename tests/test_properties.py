@@ -16,6 +16,7 @@ from interferlab import (
     EPS_EQ,
     EPS_PSD,
     Effect,
+    StateVector,
     apply,
     basis_experiment,
     basis_state,
@@ -28,7 +29,9 @@ from interferlab import (
     density_matrix,
     distinguishing_measurement,
     effect_matrix,
+    enumerate_classical_phases,
     extract_kickback,
+    filter_choice,
     filtered_effect,
     haar_unitary,
     ket_state,
@@ -44,6 +47,7 @@ from interferlab import (
     random_state,
     random_unitary,
     search_detecting_effect,
+    sorkin_residual,
     support_of_effect,
     tensor_effects,
     tensor_states,
@@ -314,6 +318,39 @@ def test_third_order_residual_vanishes_on_random_qutrit_paths(seed):
     paths = [(ket_state(system, k), projector_effect(system, k)) for k in basis.T]
     report = third_order_scan_quantum(make_experiment(paths), trials=20, seed=rng)
     assert report.verdict == "absent"
+
+
+def random_classical_experiment(dim, n, rng):
+    """n classical paths on dim outcomes: each path state a Dirichlet draw on
+    its own block of outcomes, each path effect that block's indicator plus a
+    Dirichlet share of the outcomes no path state covers."""
+    system = classical_system(dim)
+    order = rng.permutation(dim)
+    covered = int(rng.integers(n, dim + 1))
+    cuts = np.sort(rng.choice(np.arange(1, covered), n - 1, replace=False))
+    blocks = np.split(order[:covered], cuts)
+    shares = rng.dirichlet(np.ones(n), dim - covered)
+    pairs = []
+    for i, block in enumerate(blocks):
+        state, effect = np.zeros(dim), np.zeros(dim)
+        state[block] = rng.dirichlet(np.ones(len(block)))
+        effect[block] = 1.0
+        effect[order[covered:]] = shares[:, i]
+        pairs.append((StateVector(system, state), Effect(system, effect)))
+    return make_experiment(pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(3, 6), data=st.data(), seed=seeds)
+def test_classical_residuals_vanish_on_every_phase(dim, data, seed):
+    rng = np.random.default_rng(seed)
+    experiment = random_classical_experiment(dim, data.draw(st.integers(2, min(4, dim))), rng)
+    state = StateVector(experiment.system, rng.dirichlet(np.ones(dim)))
+    effect = Effect(experiment.system, rng.uniform(0.0, 1.0, dim))
+    choice = filter_choice(effect, experiment)
+    for phase in enumerate_classical_phases(experiment):
+        _, _, residual = sorkin_residual(state, effect, experiment, phase, choice)
+        assert abs(residual) <= EPS_EQ
 
 
 @settings(max_examples=20, deadline=None)

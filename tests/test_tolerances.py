@@ -80,6 +80,56 @@ def test_thresholds_are_named_only_in_the_core_policy_block():
     assert {name: getattr(core, name) for name in POLICY} == POLICY
 
 
+def nodes_by_function(path):
+    """(name of the innermost def around it, node) for every node of a module;
+    the name is "" at module level."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            name = child.name if is_def else where
+            found.append((name, child))
+            visit(child, name)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return found
+
+
+def test_partial_contractions_run_only_in_pair_factor():
+    """_pair_factor is the one partial-contraction kernel, on both backends."""
+    kernels = {"einsum", "tensordot"}
+    found = {
+        (path.name, where)
+        for path in sorted(SRC.glob("*.py"))
+        for where, node in nodes_by_function(path)
+        if getattr(node, "attr", None) in kernels or getattr(node, "id", None) in kernels
+    }
+    assert found == {("core.py", "_pair_factor")}
+
+
+# (file, function, literal) -> why that comparison may take a bare float literal
+FLOAT_COMPARISONS = {
+    ("control.py", "_first_meet", 0.5):
+        "the principal-cosine bound that common_fixed_state's docstring proves: below it, "
+        "no singular value of the pair's SVD comes near EPS_PSD",
+}
+
+
+def test_comparisons_take_no_bare_float_literal():
+    """A cut is one of the three tolerances, or an exact bound listed with its reason."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for where, node in nodes_by_function(path):
+            if isinstance(node, ast.Compare):
+                for operand in (node.left, *node.comparators):
+                    if isinstance(operand, ast.UnaryOp):
+                        operand = operand.operand
+                    if isinstance(operand, ast.Constant) and isinstance(operand.value, float):
+                        found.add((path.name, where, operand.value))
+    assert found == set(FLOAT_COMPARISONS)
+
+
 def test_the_package_exports_the_three_tolerances_only():
     for name in POLICY:
         assert name in interferlab.__all__
