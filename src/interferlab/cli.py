@@ -23,6 +23,7 @@ from .core import (
     InfeasibleError,
     SystemMismatchError,
     ValidationError,
+    _require_count,
     classical_system,
     composite_system,
     ket_state,
@@ -229,12 +230,9 @@ def _resolve_config(command: str, args: argparse.Namespace) -> dict:
 def _validate_common(command: str, cfg: dict) -> None:
     if cfg.get("theory", "quantum") not in ("quantum", "classical"):
         raise CliError(f"unknown theory {cfg['theory']!r}; use quantum or classical")
-    if cfg.get("dim", 2) < 2:
-        raise CliError(f"dim must be >= 2, got {cfg['dim']}")
-    if cfg.get("trials") is not None and cfg["trials"] < 1:
-        raise CliError(f"trials must be >= 1, got {cfg['trials']}")
-    if cfg.get("seed") is not None and cfg["seed"] < 0:
-        raise CliError(f"seed must be >= 0, got {cfg['seed']}")
+    for key, least in (("dim", 2), ("trials", 1), ("seed", 0), ("grid_points", 1)):
+        if cfg.get(key) is not None:
+            _require_count(cfg[key], least, key.replace("_", "-"))
     for key, value in cfg.items():
         if _OPTIONS[key][0] is float and not math.isfinite(value):
             raise CliError(f"{key.replace('_', '-')} must be finite, got {value!r}")
@@ -286,8 +284,6 @@ def _csv_document(header: list[str], rows: list[list[float]]) -> str:
 
 
 def _run_mz_sweep(cfg: dict) -> tuple[str, int]:
-    if cfg["grid_points"] < 1:
-        raise CliError(f"grid-points must be >= 1, got {cfg['grid_points']}")
     _require_size(_POINT_BYTES * cfg["grid_points"], "the phase grid")
     system = quantum_system(2)
     experiment = basis_experiment(system)
@@ -355,8 +351,7 @@ def _run_kickback(cfg: dict) -> tuple[str, int]:
         mats = [complex_matrix_from_dict(m) for m in data["unitaries"]]
     except _LIBRARY_ERRORS as err:
         raise CliError(f"bad unitary descriptor: {err}") from err
-    if len(mats) < 2:
-        raise CliError(f"need at least two branch unitaries, got {len(mats)}")
+    _require_count(len(mats), 2, "branch unitary count")
     if mats[0].ndim != 2:
         raise CliError(f"branch 0 has shape {mats[0].shape}, expected a square matrix")
     d_target = mats[0].shape[0]
@@ -373,8 +368,6 @@ def _run_kickback(cfg: dict) -> tuple[str, int]:
         raise CliError(f"cannot build the controlled transformation: {err}") from err
     try:
         result = extract_kickback(controlled, fixed, seed=seed)
-    except InfeasibleError as err:
-        raise CliError(str(err)) from err
     except ValidationError as err:
         raise CliError(str(err), EXIT_TOLERANCE) from err
     payload = _metadata("kickback", cfg, d_target, len(mats))
@@ -431,8 +424,6 @@ def _run_exchange(cfg: dict) -> tuple[str, int]:
         op = swap_exchange_unitary(d)
     try:
         theta = exchange_experiment(state, op, seed=seed)
-    except InfeasibleError as err:
-        raise CliError(str(err)) from err
     except ValidationError as err:
         raise CliError(str(err), EXIT_TOLERANCE) from err
     particle = classify_particle(theta)
@@ -451,8 +442,7 @@ def _run_phase_order(cfg: dict) -> tuple[str, int]:
         raise CliError(f"bad angle list {cfg['angles']!r}: {err}") from err
     if not all(map(math.isfinite, angles)):
         raise CliError(f"angles must be finite, got {cfg['angles']!r}")
-    if len(angles) < 2:
-        raise CliError(f"need at least two angles, got {len(angles)}")
+    _require_count(len(angles), 2, "angle count")
     system = quantum_system(len(angles))
     experiment = basis_experiment(system)
     transformation = phase_unitary(system, angles)

@@ -36,6 +36,7 @@ from .core import (
     _pure_densities,
     _pure_ket,
     _readonly,
+    _require_count,
     _require_finite,
     _require_same,
     _require_theory,
@@ -70,8 +71,7 @@ class ControlledTransformation:
     def __post_init__(self) -> None:
         _require_theory(self.target_system, QUANTUM, "controlled transformation")
         n, d = len(self.branch_unitaries), self.target_system.dim
-        if n < 2:
-            raise ValidationError("need at least two branches to control on")
+        _require_count(n, 2, "branch count")
         unitaries = tuple(_readonly(np.array(_as_unitary(u, d, f"branch {i}")))
                           for i, u in enumerate(self.branch_unitaries))
         object.__setattr__(self, "branch_unitaries", unitaries)
@@ -172,7 +172,7 @@ def verify_control_contract(
     still validated, by one batched check per system, and each deviation is
     bit for bit the one a sample-by-sample check would compute.
     """
-    _require_samples(trials)
+    _require_count(trials, 1, "verification samples")
     rng = np.random.default_rng(seed)
     (sigmas,) = _sample_stacks((controlled.target_system,), trials, rng)
     # axis 0 runs over the control basis states, axis 1 over the samples
@@ -203,11 +203,6 @@ def _product_deviation(
     after = _rowwise(composite.matrix, before)
     _check_states(composite.in_system, np.concatenate([before, after, want]))
     return float(np.max(np.abs(after - want)))
-
-
-def _require_samples(trials: int) -> None:
-    if trials < 1:
-        raise ValidationError(f"need at least one verification sample, got {trials}")
 
 
 def _branched(controlled: ControlledTransformation, rows: np.ndarray) -> np.ndarray:
@@ -254,7 +249,7 @@ def verify_superposition_preservation(
     branches; a genuinely controlled composite sits at numerical zero.  Each
     stack it applies or pairs is checked once, like verify_control_contract's.
     """
-    _require_samples(trials)
+    _require_count(trials, 1, "verification samples")
     rng = np.random.default_rng(seed)
     control, target = controlled.control_system, controlled.target_system
     joint = controlled.composite.in_system
@@ -344,10 +339,9 @@ def common_fixed_state(
     would return nothing for the pair.  Every surviving pair takes that SVD
     unchanged, so pruning changes no bit of the result.
     """
-    if not branch_unitaries:
-        raise ValidationError("need at least one branch")
-    if target_system is None:
-        target_system = quantum_system(np.asarray(branch_unitaries[0]).shape[0])
+    _require_count(len(branch_unitaries), 1, "branch count")
+    if target_system is None:  # a 0-d first branch reads as 1 x 1, so _as_unitary names its shape
+        target_system = quantum_system((*np.shape(branch_unitaries[0]), 1)[0])
     _require_theory(target_system, QUANTUM, "common fixed state")
     d = target_system.dim
     unitaries = [_as_unitary(u, d, f"branch {i}") for i, u in enumerate(branch_unitaries)]
@@ -423,22 +417,25 @@ def extract_kickback(
 ) -> KickbackResult:
     """Kicked phase of a controlled transformation on a commonly fixed target.
 
-    The fixed state defaults to a computed common fixed state.  A supplied one
-    is re-verified: each branch must fix it, which for a pure state means the
-    ket is a simultaneous eigenvector.  Angles are the branch eigenphases
-    gauged so branch 0 sits at zero; the returned transform acts on the
-    control and fixes all which-path effects of the control basis.
+    The fixed state defaults to the designated target, else a computed common
+    fixed state; either way each branch must fix it, which for a pure state
+    means the ket is a simultaneous eigenvector.  Angles are the branch
+    eigenphases gauged so branch 0 sits at zero; the returned transform acts
+    on the control and fixes all which-path effects of the control basis.
 
     The kick-back equation is checked on seeded Haar-pure control states as
     one stack, each channel applied by one matmul; every intermediate state is
     still validated, by one batched check per system.
     """
-    _require_samples(verify_samples)
+    _require_count(verify_samples, 1, "verification samples")
     if fixed_state is None:
-        fixed_state = _common_fixed_state(controlled.branch_unitaries, controlled.target_system)
+        fixed_state = controlled.designated_target or _common_fixed_state(
+            controlled.branch_unitaries, controlled.target_system)
         if fixed_state is None:
             raise InfeasibleError("branches share no fixed state to kick back from")
-    _require_same(fixed_state.system, controlled.target_system, "fixed state")
+    found = (fixed_state.system if isinstance(fixed_state, StateVector)
+             else type(fixed_state).__name__)
+    _require_same(found, controlled.target_system, "fixed state")
     moved = _branched(controlled, fixed_state.coeffs)
     deviations = np.max(np.abs(moved - fixed_state.coeffs), axis=-1)
     worst = int(np.argmax(deviations))
@@ -582,6 +579,7 @@ def multi_path_permutation_experiment(
 
 def swap_exchange_unitary(factor_dim: int) -> np.ndarray:
     """The unitary exchanging two factors of equal dimension."""
+    _require_count(factor_dim, 1, "factor dimension")
     # row (j, i) is basis vector (i, j): the identity with its rows transposed
     n = factor_dim
     return np.eye(n * n)[np.arange(n * n).reshape(n, n).T.reshape(-1)]
@@ -595,6 +593,7 @@ def anyonic_exchange_unitary(
     Composes the factor swap with a phase on the state's ray, so the state
     stays fixed while its exchange eigenphase becomes theta.
     """
+    _require_finite(theta, "exchange angle")
     system = particle_state.system
     _require_same(system.factors, (system.factors[0],) * 2, "particle state's factor tuple")
     psi = _pure_ket(particle_state, "anyonic exchange needs a pure state")

@@ -83,7 +83,10 @@ EPS_DECISION = 1e-6
 # range({count})", also for a non-integer index).  Every check that rejects
 # a residual past a tolerance calls a fifth, _require_within ("{what}
 # ({residual} > {constant name} = {value})"); predicates and rank cuts
-# compare inline, as they decide structure, not pass or fail.
+# compare inline, as they decide structure, not pass or fail.  An integer is
+# an int or np.integer, never a bool (_is_integer, in every index test), and
+# every count a caller passes meets a sixth, _require_count ("{what} must be
+# an integer, got {value!r}" or "{what} must be >= {least}, got {value!r}").
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -145,9 +148,20 @@ def _require_shape(shape: tuple[int, ...], want: tuple[int, ...], what: str) -> 
         raise SystemMismatchError(f"{what} has shape {shape}, expected {want}")
 
 
+def _is_integer(value: object) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _require_index(index: int, count: int, what: str) -> None:
-    if not (isinstance(index, (int, np.integer)) and 0 <= index < count):
+    if not (_is_integer(index) and 0 <= index < count):
         raise SystemMismatchError(f"{what} {index} is out of range({count})")
+
+
+def _require_count(value: int, least: int, what: str) -> None:
+    if not _is_integer(value):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{what} must be >= {least}, got {value!r}")
 
 
 _BOUND_NAMES = {EPS_EQ: "EPS_EQ", EPS_PSD: "EPS_PSD", EPS_DECISION: "EPS_DECISION"}
@@ -175,13 +189,10 @@ class SystemType:
         if self.theory not in (QUANTUM, CLASSICAL):
             raise ValidationError(f"unknown theory backend {self.theory!r}")
         for what, value in [("system dimension", self.dim)] + [("factor", f) for f in self.factors]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{what} must be an integer, got {value!r}")
+            _require_count(value, 1, what)
         object.__setattr__(self, "dim", int(self.dim))
-        if self.dim < 1:
-            raise ValidationError(f"system dimension must be >= 1, got {self.dim}")
         factors = self.factors or (self.dim,)
-        if min(factors) < 1 or math.prod(factors) != self.dim:
+        if math.prod(factors) != self.dim:
             raise ValidationError(
                 f"composite descriptor {factors} does not split dim {self.dim} into factors >= 1"
             )
@@ -528,8 +539,7 @@ class Measurement:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "effects", tuple(self.effects))
-        if not self.effects:
-            raise ValidationError("measurement needs at least one effect")
+        _require_count(len(self.effects), 1, "measurement effect count")
         for i, e in enumerate(self.effects):
             _require_same(e.system, self.system, f"effect {i}")
         total = np.sum([e.coeffs for e in self.effects], axis=0)
@@ -643,8 +653,7 @@ def _kept_system(system: SystemType, keep: tuple[int, ...]) -> SystemType:
 
 def _normalize_keep(system: SystemType, keep: int | Sequence[int]) -> tuple[int, ...]:
     kept = (keep,) if isinstance(keep, (int, np.integer)) else tuple(keep)
-    if not kept:
-        raise ValidationError("must keep at least one factor")
+    _require_count(len(kept), 1, "kept factor count")
     if len(set(kept)) != len(kept):
         raise ValidationError(f"duplicate factors in keep selector {kept}")
     for i in kept:
@@ -834,8 +843,7 @@ def distinguishing_measurement(states: Sequence[StateVector]) -> Measurement:
     unit effect.
     """
     states = list(states)
-    if not states:
-        raise ValidationError("need at least one state to distinguish")
+    _require_count(len(states), 1, "distinguished state count")
     system = states[0].system
     for i, s in enumerate(states):
         _require_same(s.system, system, f"state {i}")
@@ -950,8 +958,7 @@ def permutation_transformation(system: SystemType, perm: Sequence[int]) -> Trans
     """Relabeling of classical outcomes; the classical reversible constructor."""
     _require_theory(system, CLASSICAL, "permutation")
     perm = list(perm)
-    if (not all(isinstance(p, (int, np.integer)) for p in perm)
-            or sorted(perm) != list(range(system.dim))):
+    if not all(map(_is_integer, perm)) or sorted(perm) != list(range(system.dim)):
         raise ValidationError(f"{perm} is not a permutation of range({system.dim})")
     matrix = np.zeros((system.dim, system.dim))
     for src, dst in enumerate(perm):
@@ -1009,6 +1016,7 @@ def _haar(z: np.ndarray) -> np.ndarray:
 
 def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with the phase convention fixed."""
+    _require_count(dim, 1, "unitary dimension")
     rng = np.random.default_rng(seed)
     return _haar(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 

@@ -30,7 +30,9 @@ from .core import (
     _decode,
     _derived,
     _encode,
+    _is_integer,
     _pure_densities,
+    _require_count,
     _require_finite,
     _require_same,
     _require_shape,
@@ -73,7 +75,7 @@ def pattern(state: StateVector, effect: Effect, experiment: PathExperiment) -> I
 def _path_subset(indices: Iterable[int], n: int) -> list[int]:
     """The distinct path indices, sorted; refused unless each is an integer in range(n)."""
     idx = list(indices)
-    if not idx or not all(isinstance(i, (int, np.integer)) and 0 <= i < n for i in idx):
+    if not idx or not all(_is_integer(i) and 0 <= i < n for i in idx):
         raise ValidationError(f"invalid path subset {idx} for {n} paths")
     return sorted(set(int(i) for i in idx))
 
@@ -301,6 +303,7 @@ def second_order_witness(
     """
     if experiment.n != 2:
         raise ValidationError(f"second-order scan needs a 2-path experiment, got {experiment.n}")
+    _require_count(phase_samples, 1, "phase samples")
     system = experiment.system
     if system.theory == CLASSICAL:
         half = 0.5 * (experiment.paths[0].state.coeffs + experiment.paths[1].state.coeffs)
@@ -351,8 +354,7 @@ def third_order_scan_quantum(
     _require_theory(experiment.system, QUANTUM, "third-order scan")
     if experiment.n != 3:
         raise ValidationError(f"third-order scan needs a 3-path experiment, got {experiment.n}")
-    if trials < 1:
-        raise ValidationError("need at least one trial")
+    _require_count(trials, 1, "trials")
     rng = np.random.default_rng(seed)
     system = experiment.system
     # per trial: the real and imaginary parts of the state's and the effect's

@@ -26,6 +26,8 @@ from .core import (
     StateVector,
     SystemType,
     ValidationError,
+    _is_integer,
+    _require_count,
     apply,
     basis_state,
     ket_state,
@@ -52,8 +54,7 @@ class DecisionFunction:
 
     def __post_init__(self) -> None:
         table = tuple(self.table)
-        if len(table) < 2:
-            raise ValidationError("decision functions need at least two inputs")
+        _require_count(len(table), 2, "decision function input count")
         if any(b not in (0, 1) for b in table):
             raise ValidationError(f"table {table} contains non-bits")
         object.__setattr__(self, "table", tuple(int(b) for b in table))
@@ -142,8 +143,7 @@ def run_pairwise(oracle: OracleInstance, i: int, j: int) -> ParityResult:
     """
     control = oracle.controlled.control_system
     n = control.dim
-    levels = all(isinstance(k, (int, np.integer)) and 0 <= k < n for k in (i, j))
-    if not levels or i == j:
+    if not all(_is_integer(k) and 0 <= k < n for k in (i, j)) or i == j:
         raise ValidationError(f"invalid control level pair ({i}, {j}) for {n} levels")
     prepared, stay, flip = _pair_readout(control, oracle.controlled.target_system, i, j)
     before = oracle.query_count

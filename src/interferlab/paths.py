@@ -33,6 +33,7 @@ from .core import (
     _encode,
     _haar,
     _readonly,
+    _require_count,
     _require_same,
     _require_theory,
     _require_within,
@@ -74,8 +75,7 @@ class PathExperiment:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "paths", tuple(self.paths))
-        if len(self.paths) < 2:
-            raise ValidationError("a path experiment needs at least two paths")
+        _require_count(len(self.paths), 2, "path count")
         system = self.paths[0].state.system
         for i, p in enumerate(self.paths):
             _require_same(p.state.system, system, f"path {i}")
@@ -230,8 +230,7 @@ def is_n_undetectable(
     order.  The search method instead samples random effects per subset and
     can only falsify.
     """
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
+    _require_count(order, 1, "order")
     if method not in ("closed-form", "search"):
         raise ValidationError(f"unknown method {method!r}")
     if experiment.system.theory == CLASSICAL:
@@ -310,6 +309,8 @@ def search_detecting_effect(
     """
     _require_theory(experiment.system, QUANTUM, "effect search")
     _require_phase(transformation, experiment)
+    _require_count(max_support, 1, "max support")
+    _require_count(trials, 1, "trials")
     rng = np.random.default_rng(seed)
     size_cap = min(max_support, experiment.n)
     for size in range(1, size_cap + 1):

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -176,14 +177,14 @@ def test_filtering_detects_mislabeled_branches():
 @pytest.mark.parametrize("count", [0, -5])
 def test_contract_checks_reject_sample_counts_below_one(count):
     target = quantum_system(2)
-    with pytest.raises(ValidationError, match="at least one verification sample"):
+    with pytest.raises(ValidationError, match=f"verification samples must be >= 1, got {count}"):
         build_controlled([np.eye(2), Z], target, verify_samples=count)
     controlled = build_controlled([np.eye(2), Z], target)
-    with pytest.raises(ValidationError, match="at least one verification sample"):
+    with pytest.raises(ValidationError, match=f"verification samples must be >= 1, got {count}"):
         verify_control_contract(controlled, trials=count)
-    with pytest.raises(ValidationError, match="at least one verification sample"):
+    with pytest.raises(ValidationError, match=f"verification samples must be >= 1, got {count}"):
         verify_superposition_preservation(controlled, trials=count)
-    with pytest.raises(ValidationError, match="at least one verification sample"):
+    with pytest.raises(ValidationError, match=f"verification samples must be >= 1, got {count}"):
         extract_kickback(controlled, basis_state(target, 1), verify_samples=count)
 
 
@@ -374,13 +375,13 @@ def test_public_entry_points_keep_their_exact_check_messages():
         (lambda: build_controlled([np.eye(2), Z], bit),
          SystemMismatchError, "controlled transformation needs a quantum system, got classical(2)"),
         (lambda: build_controlled([np.eye(2)], qubit),
-         ValidationError, "need at least two branches to control on"),
+         ValidationError, "branch count must be >= 2, got 1"),
         (lambda: multi_path_permutation_experiment([skew4], sym),
          ValidationError, not_unitary("branch 1", unitarity_gap(skew4))),
         (lambda: multi_path_permutation_experiment([np.eye(4), np.eye(3)], sym),
          SystemMismatchError, "branch 2 has shape (3, 3), expected (4, 4)"),
         (lambda: multi_path_permutation_experiment([], sym),
-         ValidationError, "need at least two branches to control on"),
+         ValidationError, "branch count must be >= 2, got 1"),
         (lambda: multi_path_permutation_experiment([np.eye(2)], basis_state(bit, 0)),
          SystemMismatchError, "controlled transformation needs a quantum system, got classical(2)"),
         (lambda: extract_kickback(sign, basis_state(quantum_system(3), 0)),
@@ -401,6 +402,22 @@ def test_public_entry_points_keep_their_exact_check_messages():
          not_pure("fixed state is not pure", maximally_mixed(qubit))),
         (lambda: realize_phase_as_kickback(identity_transformation(bit), basis_experiment(bit)),
          SystemMismatchError, "relative phase angles needs a quantum system, got classical(2)"),
+        (lambda: build_controlled([np.eye(2), Z], qubit, verify_samples=2.5),
+         ValidationError, "verification samples must be an integer, got 2.5"),
+        (lambda: build_controlled([np.eye(2), Z], qubit, verify_samples=True),
+         ValidationError, "verification samples must be an integer, got True"),
+        (lambda: swap_exchange_unitary(-2),
+         ValidationError, "factor dimension must be >= 1, got -2"),
+        (lambda: swap_exchange_unitary(1.5),
+         ValidationError, "factor dimension must be an integer, got 1.5"),
+        (lambda: swap_exchange_unitary(0),
+         ValidationError, "factor dimension must be >= 1, got 0"),
+        (lambda: extract_kickback(sign, basis_effect(qubit, 1)),
+         SystemMismatchError, "fixed state is Effect, expected quantum(2)"),
+        (lambda: common_fixed_state([np.array(1.0)]),
+         SystemMismatchError, "branch 0 has shape (), expected (1, 1)"),
+        (lambda: common_fixed_state([]),
+         ValidationError, "branch count must be >= 1, got 0"),
     ]
     for call, kind, message in cases:
         with pytest.raises(kind) as err:
@@ -435,7 +452,7 @@ def test_the_constructor_checks_its_input_with_the_exact_messages():
         ((classical_system(2), [np.eye(2), np.eye(2)], np.eye(2)),
          SystemMismatchError, "controlled transformation needs a quantum system, got classical(2)"),
         ((qubit, [np.eye(2)], np.eye(1)),
-         ValidationError, "need at least two branches to control on"),
+         ValidationError, "branch count must be >= 2, got 1"),
         ((qubit, [np.eye(2), skew], np.eye(2)),
          ValidationError, not_unitary("branch 1", gap)),
         ((qubit, [np.eye(3), Z], np.eye(2)),
@@ -514,6 +531,10 @@ def test_realized_phase_kicks_back_its_own_angles(angles):
     assert controlled.designated_target is not None
     result = extract_kickback(controlled, controlled.designated_target)
     assert wrapped_gap(result.angles, angles) < 1e-9
+    # without a fixed state the kick-back reads the designated target too
+    default = extract_kickback(controlled)
+    assert default.fixed_state is controlled.designated_target
+    assert wrapped_gap(default.angles, angles) < 1e-9
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -665,6 +686,12 @@ def test_anyonic_exchange_guards():
     uneven = quantum_system(6, (2, 3))
     with pytest.raises(SystemMismatchError):
         anyonic_exchange_unitary(basis_state(uneven, 0), 1.0)
+    # a non-finite angle is refused before numpy's exp can warn or return NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for theta in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match="exchange angle holds NaN or infinity"):
+                anyonic_exchange_unitary(sym, theta)
 
 
 def test_exchange_requires_the_state_to_be_fixed():

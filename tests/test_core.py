@@ -590,6 +590,19 @@ def test_numpy_integer_dimensions_are_stored_as_int():
     assert [type(f) for f in system.factors] == [int, int]
 
 
+def test_the_count_guard_passes_at_its_least_value_and_refuses_bools():
+    core._require_count(2, 2, "count")
+    core._require_count(np.int64(2), 2, "count")
+    for value, want in ((1, "count must be >= 2, got 1"),
+                        (True, "count must be an integer, got True"),
+                        (np.bool_(True), f"count must be an integer, got {np.bool_(True)!r}"),
+                        (2.0, "count must be an integer, got 2.0"),
+                        ("2", "count must be an integer, got '2'")):
+        with pytest.raises(ValidationError) as err:
+            core._require_count(value, 2, "count")
+        assert str(err.value) == want
+
+
 Q2, Q3, C2, C3 = quantum_system(2), quantum_system(3), classical_system(2), classical_system(3)
 JOINT = tensor_states(basis_state(Q2, 0), basis_state(Q3, 0))
 
@@ -621,7 +634,7 @@ CORE_CASES = {
     "inverse-irreversible": (lambda: Transformation(C2, C2, [[1.0, 0.5], [0.0, 0.5]]).inverse(),
                              (InfeasibleError, "transformation is not reversible")),
     "measurement-empty": (lambda: Measurement(Q2, ()),
-                          (ValidationError, "measurement needs at least one effect")),
+                          (ValidationError, "measurement effect count must be >= 1, got 0")),
     "measurement-system": (lambda: Measurement(Q2, (basis_effect(Q2, 0), basis_effect(Q3, 0))),
                            (SystemMismatchError, "effect 1 is quantum(3), expected quantum(2)")),
     "measurement-sum": (lambda: Measurement(C2, (basis_effect(C2, 0),)), (
@@ -643,7 +656,7 @@ CORE_CASES = {
         identity_transformation(Q2), identity_transformation(C2)), (
         SystemMismatchError, "second factor needs a quantum system, got classical(2)")),
     "marginalize-nothing": (lambda: marginalize(JOINT, []),
-                            (ValidationError, "must keep at least one factor")),
+                            (ValidationError, "kept factor count must be >= 1, got 0")),
     "marginalize-twice": (lambda: marginalize(JOINT, [1, 1]),
                           (ValidationError, "duplicate factors in keep selector (1, 1)")),
     "marginalize-index": (lambda: marginalize(JOINT, 2),
@@ -686,6 +699,9 @@ CORE_CASES = {
                           (SystemMismatchError, "basis index 1.0 is out of range(2)")),
     "basis-effect-float": (lambda: basis_effect(C2, 1.5),
                            (SystemMismatchError, "basis index 1.5 is out of range(2)")),
+    # a bool is never an index: numpy would read True as a mask
+    "basis-state-bool": (lambda: basis_state(Q2, True),
+                         (SystemMismatchError, "basis index True is out of range(2)")),
     "ket-state-norm": (lambda: ket_state(Q2, [1.0 + 0.6e-9, 0.0]), (
         ValidationError, "amplitudes are not normalized: |psi^dag psi - 1| "
         f"({(1.0 + 0.6e-9) * (1.0 + 0.6e-9) - 1.0!r} > EPS_EQ = 1e-09)")),
@@ -693,7 +709,7 @@ CORE_CASES = {
         ValidationError, "amplitudes are not normalized: |psi^dag psi - 1| "
         f"({(1.0 + 0.6e-9) * (1.0 + 0.6e-9) - 1.0!r} > EPS_EQ = 1e-09)")),
     "distinguish-nothing": (lambda: distinguishing_measurement([]),
-                            (ValidationError, "need at least one state to distinguish")),
+                            (ValidationError, "distinguished state count must be >= 1, got 0")),
     "distinguish-system": (lambda: distinguishing_measurement(
         [basis_state(Q2, 0), basis_state(Q3, 1)]),
         (SystemMismatchError, "state 1 is quantum(3), expected quantum(2)")),
@@ -717,6 +733,14 @@ CORE_CASES = {
                            (ValidationError, "[0, 0, 1] is not a permutation of range(3)")),
     "permutation-float": (lambda: permutation_transformation(C2, [1.0, 0.0]),
                           (ValidationError, "[1.0, 0.0] is not a permutation of range(2)")),
+    "permutation-bool": (lambda: permutation_transformation(C2, [True, False]),
+                         (ValidationError, "[True, False] is not a permutation of range(2)")),
+    "haar-negative": (lambda: haar_unitary(-1, 0),
+                      (ValidationError, "unitary dimension must be >= 1, got -1")),
+    "haar-float": (lambda: haar_unitary(2.5, 0),
+                   (ValidationError, "unitary dimension must be an integer, got 2.5")),
+    "haar-zero": (lambda: haar_unitary(0, 0),
+                  (ValidationError, "unitary dimension must be >= 1, got 0")),
     "random-unitary": (lambda: random_unitary(C2, 0), (
         SystemMismatchError, "unitary channel needs a quantum system, got classical(2)")),
     "channel-from-matrix": (lambda: channel_from_matrix(Q2, Q3, np.eye(4)), (

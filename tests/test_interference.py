@@ -629,6 +629,14 @@ INTERFERENCE_CASES = {
         (ValidationError, "choice is missing subset [1]")),
     "third-order-classical": (lambda: third_order_scan_quantum(TRIT_PATHS), (
         SystemMismatchError, "third-order scan needs a quantum system, got classical(3)")),
+    "third-order-float-trials": (lambda: third_order_scan_quantum(basis_experiment(Q3), trials=2.5),
+                                 (ValidationError, "trials must be an integer, got 2.5")),
+    "second-order-negative-samples": (lambda: second_order_witness(QUBIT_PATHS, phase_samples=-3),
+                                      (ValidationError, "phase samples must be >= 1, got -3")),
+    "second-order-float-samples": (lambda: second_order_witness(QUBIT_PATHS, phase_samples=2.5),
+                                   (ValidationError, "phase samples must be an integer, got 2.5")),
+    "second-order-no-samples": (lambda: second_order_witness(QUBIT_PATHS, phase_samples=0),
+                                (ValidationError, "phase samples must be >= 1, got 0")),
     "sweep-angles": (lambda: interference_pattern_sweep(
         basis_state(Q2, 0), basis_effect(Q2, 0), QUBIT_PATHS, [[0.0, 0.0, 0.0]]),
         (SystemMismatchError, "angle vector has shape (3,), expected (2,)")),

@@ -98,11 +98,14 @@ def test_pairwise_parity_matches_table_on_all_functions(n):
 
 def test_pairwise_rejects_bad_level_pairs():
     oracle = build_oracle((0, 1, 1))
-    # every bad pair, a non-integer level included, is the same ValidationError
-    for i, j in ((1, 1), (0, 3), (-1, 0), (0.0, 1)):
+    # every bad pair, a non-integer or bool level included, is the same ValidationError
+    for i, j in ((1, 1), (0, 3), (-1, 0), (0.0, 1), (False, True)):
         with pytest.raises(ValidationError) as info:
             run_pairwise(oracle, i, j)
         assert str(info.value) == f"invalid control level pair ({i}, {j}) for 3 levels"
+    # at two levels numpy would read (False, True) as masks and build a mixed readout
+    with pytest.raises(ValidationError, match=r"pair \(False, True\) for 2 levels"):
+        run_pairwise(build_oracle((0, 1)), False, True)
 
 
 @pytest.mark.parametrize("n", [2, 3])

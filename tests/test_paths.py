@@ -551,6 +551,18 @@ PATHS_CASES = {
         NotAPhaseError, "transformation output is quantum(3), expected quantum(2)")),
     "enumerate-quantum": (lambda: enumerate_classical_phases(QUBIT_PATHS), (
         SystemMismatchError, "phase enumeration needs a classical system, got quantum(2)")),
+    "search-no-trials": (lambda: search_detecting_effect(
+        identity_transformation(Q2), QUBIT_PATHS, 1, trials=0),
+        (ValidationError, "trials must be >= 1, got 0")),
+    "search-negative-trials": (lambda: search_detecting_effect(
+        identity_transformation(Q2), QUBIT_PATHS, 1, trials=-1),
+        (ValidationError, "trials must be >= 1, got -1")),
+    "search-no-support": (lambda: search_detecting_effect(
+        identity_transformation(Q2), QUBIT_PATHS, 0),
+        (ValidationError, "max support must be >= 1, got 0")),
+    "undetectable-float-order": (lambda: is_n_undetectable(
+        identity_transformation(Q2), QUBIT_PATHS, 1.5),
+        (ValidationError, "order must be an integer, got 1.5")),
     "enumerate-above-cap": (lambda: enumerate_classical_phases(
         basis_experiment(classical_system(9))), (
         ValidationError, "refusing to enumerate 9! permutations (dimension cap 8)")),

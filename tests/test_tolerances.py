@@ -130,6 +130,70 @@ def test_comparisons_take_no_bare_float_literal():
     assert found == set(FLOAT_COMPARISONS)
 
 
+# (file, function) -> why it may test for an integer type besides core._is_integer
+INTEGER_TESTS = {
+    ("core.py", "_normalize_keep"):
+        "it tells one factor index from a sequence of them; _require_index then checks each",
+}
+
+
+def test_integers_are_told_apart_only_by_the_core_predicate():
+    """No module decides for itself what an integer is: a bool is never one."""
+    found = {
+        (path.name, where)
+        for path in sorted(SRC.glob("*.py"))
+        for where, node in nodes_by_function(path)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+        and any(getattr(n, "attr", None) == "integer" for n in ast.walk(node.args[1]))
+    }
+    assert found == {("core.py", "_is_integer"), *INTEGER_TESTS}
+
+
+def if_conditions(test):
+    """The test of an `if`, or each operand of its and/or chains."""
+    if isinstance(test, ast.BoolOp):
+        for value in test.values:
+            yield from if_conditions(value)
+    else:
+        yield test
+
+
+def looks_like_a_count_check(condition):
+    """A comparison with < or <= against an integer literal, or `not` of a bare
+    name or attribute: the shapes a hand-written minimum-count check takes."""
+    if isinstance(condition, ast.UnaryOp) and isinstance(condition.op, ast.Not):
+        return isinstance(condition.operand, (ast.Name, ast.Attribute))
+    if not isinstance(condition, ast.Compare):
+        return False
+    operands = [o.operand if isinstance(o, ast.UnaryOp) else o
+                for o in (condition.left, *condition.comparators)]
+    return any(isinstance(op, (ast.Lt, ast.LtE)) for op in condition.ops) and any(
+        isinstance(o, ast.Constant) and type(o.value) is int for o in operands)
+
+
+# (file, function) -> why its `if` of that shape may raise: each decides structure
+STRUCTURAL_RAISES = {
+    ("core.py", "inverse"): "reversibility is read from the matrix; nothing is counted",
+    ("interference.py", "_path_subset"):
+        "an empty subset is one of the invalid path subsets its one message names",
+    ("interference.py", "__post_init__"):
+        "EffectChoice: an empty subset is not a nonempty proper path subset, one check",
+}
+
+
+def test_minimum_counts_are_checked_only_by_the_core_guard():
+    """Every count a caller passes goes through core._require_count."""
+    found = {
+        (path.name, where)
+        for path in sorted(SRC.glob("*.py"))
+        for where, node in nodes_by_function(path)
+        if isinstance(node, ast.If) and where != "_require_count"
+        and any(map(looks_like_a_count_check, if_conditions(node.test)))
+        and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))
+    }
+    assert found == set(STRUCTURAL_RAISES)
+
+
 def test_the_package_exports_the_three_tolerances_only():
     for name in POLICY:
         assert name in interferlab.__all__
