@@ -41,6 +41,7 @@ from .core import (
     _require_same,
     _require_theory,
     _require_within,
+    _rng,
     _rowpair,
     _rowwise,
     _tensor_coeffs,
@@ -168,17 +169,16 @@ def verify_control_contract(
 
     Returns max deviations for branch action on control basis states and for
     control filtering on superposed controls.  The samples are checked as one
-    stack, each channel applied by one matmul; every intermediate state is
-    still validated, by one batched check per system, and each deviation is
-    bit for bit the one a sample-by-sample check would compute.
+    stack, each channel applied by one matmul; what the composite produced is
+    validated by one batched check, and each deviation is bit for bit the one
+    a sample-by-sample check would compute.
     """
     _require_count(trials, 1, "verification samples")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     (sigmas,) = _sample_stacks((controlled.target_system,), trials, rng)
     # axis 0 runs over the control basis states, axis 1 over the samples
     controls = controlled._projectors[:, None, :]
     branched = _branched(controlled, sigmas)
-    _check_states(controlled.target_system, branched.reshape(-1, sigmas.shape[1]))
     branch_dev = _product_deviation(controlled, (controls, sigmas), (controls, branched))
     filt = verify_superposition_preservation(controlled, trials=trials, seed=rng)
     return {
@@ -246,11 +246,11 @@ def verify_superposition_preservation(
     For seeded Haar-pure control states w and target states sigma, compares
     (i| filtering of composite(w (x) sigma) against pair(i, w) times branch i
     of sigma.  Returns the maximum coefficient deviation over all samples and
-    branches; a genuinely controlled composite sits at numerical zero.  Each
-    stack it applies or pairs is checked once, like verify_control_contract's.
+    branches; a genuinely controlled composite sits at numerical zero.  It
+    checks the composite's stacks and the projectors, not the branch outputs.
     """
     _require_count(trials, 1, "verification samples")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     control, target = controlled.control_system, controlled.target_system
     joint = controlled.composite.in_system
     omegas, sigmas = _sample_stacks((control, target), trials, rng)
@@ -258,7 +258,6 @@ def verify_superposition_preservation(
     moved = _rowwise(controlled.composite.matrix, prepared)
     branched = _branched(controlled, sigmas)
     _check_states(joint, np.concatenate([prepared, moved]))
-    _check_states(target, branched.reshape(-1, sigmas.shape[1]))
     effects = controlled._projectors
     _check_effects(control, effects)
     got = _pair_factor(joint, moved, effects, 0)
@@ -424,8 +423,9 @@ def extract_kickback(
     on the control and fixes all which-path effects of the control basis.
 
     The kick-back equation is checked on seeded Haar-pure control states as
-    one stack, each channel applied by one matmul; every intermediate state is
-    still validated, by one batched check per system.
+    one stack, each channel applied by one matmul; what the composite produced
+    is validated by one batched check.  The phase residual is reported, not
+    checked: it is at most about 2 sqrt(n) max|K^dag K - I| (K the kets).
     """
     _require_count(verify_samples, 1, "verification samples")
     if fixed_state is None:
@@ -451,15 +451,13 @@ def extract_kickback(
     q_matrix = (kets * np.exp(1j * angles)) @ kets.conj().T
     transform = unitary_channel(controlled.control_system, q_matrix)
     control = controlled.control_system
-    (sigmas,) = _sample_stacks((control,), verify_samples, np.random.default_rng(seed))
+    (sigmas,) = _sample_stacks((control,), verify_samples, _rng(seed))
     kicked = _rowwise(transform.matrix, sigmas)
-    _check_states(control, kicked)
     kb_dev = _product_deviation(
         controlled, (sigmas, fixed_state.coeffs), (kicked, fixed_state.coeffs))
     effects = controlled._projectors
     phase_dev = float(np.max(np.abs(_rowwise(transform.matrix.T, effects) - effects)))
     _require_within(kb_dev, EPS_EQ, "kick-back equation failed verification: max deviation")
-    _require_within(phase_dev, EPS_EQ, "kicked transform moves a which-path effect: max deviation")
     return KickbackResult(
         fixed_state=fixed_state,
         angles=angles,

@@ -51,7 +51,7 @@ import numpy as np
 # EPS_PSD bounds values read from a decomposition or an encoding (spectra,
 # singular values, eigenphase gaps, an encoding's imaginary part);
 # EPS_DECISION bounds a probability or magnitude read as yes or no.  Inputs
-# are finite (_require_finite), so every deviation is a number.
+# are finite (_require_finite), and a NaN deviation fails its check.
 EPS_EQ = 1e-9
 EPS_PSD = 1e-8
 EPS_DECISION = 1e-6
@@ -73,20 +73,22 @@ EPS_DECISION = 1e-6
 # trace, a projector sandwich, a phase built from path kets) is built by
 # _derived without a check, or stays bare coefficients.  _channel keeps
 # Transformation's checks, cheap beside building the matrix, as a product of
-# channels can drift off the unit effect.  apply, transform_effect, the
-# tensor products and the verify functions keep theirs: a raw transformation
-# need not preserve positivity.  Every SystemMismatchError comes from one of
-# four helpers below, each with one message form: _require_same ("{what} is
-# {found}, expected {want}"), _require_theory ("{what} needs a {theory}
-# system, got {system}"), _require_shape ("{what} has shape {found},
-# expected {want}") and _require_index ("{what} {index} is out of
+# channels can drift off the unit effect.  apply, transform_effect and the
+# tensor products keep theirs: a raw transformation need not preserve
+# positivity.  The verify functions check what the map under test produced;
+# they do not re-check the outputs of the package's own validated branch
+# channels or of the kicked transform.  Every SystemMismatchError comes from
+# one of four helpers below, each with one message form: _require_same
+# ("{what} is {found}, expected {want}"), _require_theory ("{what} needs a
+# {theory} system, got {system}"), _require_shape ("{what} has shape
+# {found}, expected {want}") and _require_index ("{what} {index} is out of
 # range({count})", also for a non-integer index).  Every check that rejects
 # a residual past a tolerance calls a fifth, _require_within ("{what}
 # ({residual} > {constant name} = {value})"); predicates and rank cuts
 # compare inline, as they decide structure, not pass or fail.  An integer is
-# an int or np.integer, never a bool (_is_integer, in every index test), and
-# every count a caller passes meets a sixth, _require_count ("{what} must be
-# an integer, got {value!r}" or "{what} must be >= {least}, got {value!r}").
+# an int or np.integer, never a bool, and every count and seed a caller
+# passes meets a sixth, _require_count ("{what} must be an integer, got
+# {value!r}" or "{what} must be >= {least}, got {value!r}").
 
 QUANTUM = "quantum"
 CLASSICAL = "classical"
@@ -169,10 +171,10 @@ _BOUND_NAMES = {EPS_EQ: "EPS_EQ", EPS_PSD: "EPS_PSD", EPS_DECISION: "EPS_DECISIO
 
 def _require_within(residual: float, bound: float, what: str, *fields: object,
                     error: type[ValueError] = ValidationError) -> None:
-    """Raise `error` when residual > bound, one of the three constants.  `what`
-    names the check and its residual; its {} slots take `fields` on failure
-    only, so a passing check formats no string."""
-    if residual > bound:
+    """Raise `error` unless residual <= bound, one of the three constants, so a
+    NaN residual fails.  `what` names the check and its residual; its {} slots
+    take `fields` on failure only, so a passing check formats no string."""
+    if not residual <= bound:
         raise error(
             f"{what.format(*fields)} ({float(residual)!r} > {_BOUND_NAMES[bound]} = {bound!r})")
 
@@ -880,10 +882,12 @@ def distinguishing_measurement(states: Sequence[StateVector]) -> Measurement:
 
 
 def _as_unitary(mat: np.ndarray, dim: int, label: str) -> np.ndarray:
-    """The matrix as a complex d x d array, checked to be unitary."""
+    """The matrix as a complex d x d array, checked to be unitary: first its
+    entries, which a unitary holds to modulus <= 1, so U^dag U cannot overflow."""
     u = np.asarray(mat, dtype=complex)
     _require_shape(u.shape, (dim, dim), label)
     _require_finite(u, label)
+    _require_within(np.max(np.abs(u)) - 1.0, EPS_EQ, "{} is not unitary: max|u_ij| - 1", label)
     _require_within(np.max(np.abs(u.conj().T @ u - np.eye(dim))), EPS_EQ,
                     "{} is not unitary: max|U^dag U - I|", label)
     return u
@@ -1014,10 +1018,17 @@ def _haar(z: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
+def _rng(seed: int | np.random.Generator) -> np.random.Generator:
+    """numpy's generator for the seed; a Generator passes through unchanged."""
+    if not isinstance(seed, np.random.Generator):
+        _require_count(seed, 0, "seed")
+    return np.random.default_rng(seed)
+
+
 def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with the phase convention fixed."""
     _require_count(dim, 1, "unitary dimension")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return _haar(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
 
 
@@ -1050,7 +1061,7 @@ def random_state(
 ) -> StateVector:
     """Seeded random state: Haar pure or Hilbert-Schmidt mixed (quantum);
     point mass or flat-Dirichlet vector (classical)."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if kind not in ("pure", "mixed"):
         raise ValidationError(f"unknown state kind {kind!r}")
     if system.theory == QUANTUM:
@@ -1063,7 +1074,7 @@ def random_state(
 
 def random_effect(system: SystemType, seed: int | np.random.Generator) -> Effect:
     """Seeded random effect with spectrum drawn uniformly from [0, 1]."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     if system.theory == QUANTUM:
         v = haar_unitary(system.dim, rng)
         vals = rng.uniform(0.0, 1.0, system.dim)

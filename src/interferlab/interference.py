@@ -37,6 +37,7 @@ from .core import (
     _require_same,
     _require_shape,
     _require_theory,
+    _rng,
     _rowpair,
     _rowwise,
     _unitary_matrices,
@@ -128,11 +129,11 @@ class EffectChoice:
     assignments: Mapping[frozenset[int], Effect]
 
     def __post_init__(self) -> None:
-        frozen = {frozenset(k): v for k, v in dict(self.assignments).items()}
+        n = self.experiment.n
+        frozen = {frozenset(_path_subset(k, n)): v for k, v in dict(self.assignments).items()}
         object.__setattr__(self, "assignments", frozen)
-        full = frozenset(range(self.experiment.n))
         for subset, effect in frozen.items():
-            if not subset or not subset < full:
+            if len(subset) == n:  # _path_subset refused the empty one
                 raise ValidationError(
                     f"subset {sorted(subset)} is not a nonempty proper path subset"
                 )
@@ -318,7 +319,7 @@ def second_order_witness(
         uniform = (kets[:, 0] + kets[:, 1]) / math.sqrt(2.0)
         state = ket_state(system, uniform)
         effect = projector_effect(system, uniform)
-        rng = np.random.default_rng(seed)
+        rng = _rng(seed)
         # structured grid guarantees the extremes; random angles add coverage
         grid = np.linspace(0.0, 2.0 * math.pi, phase_samples, endpoint=False)
         extra = rng.uniform(0.0, 2.0 * math.pi, max(phase_samples // 8, 1))
@@ -355,7 +356,7 @@ def third_order_scan_quantum(
     if experiment.n != 3:
         raise ValidationError(f"third-order scan needs a 3-path experiment, got {experiment.n}")
     _require_count(trials, 1, "trials")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     system = experiment.system
     # per trial: the real and imaginary parts of the state's and the effect's
     # amplitudes, one standard_normal call, then the angles; random() and

@@ -37,6 +37,7 @@ from .core import (
     _require_same,
     _require_theory,
     _require_within,
+    _rng,
     basis_effect,
     basis_state,
     density_matrix,
@@ -127,7 +128,6 @@ def basis_experiment(system: SystemType) -> PathExperiment:
 
 def support_of_state(state: StateVector, experiment: PathExperiment) -> frozenset[int]:
     """Paths whose effect fires on the state above the support threshold."""
-    _require_same(state.system, experiment.system, "state")
     return frozenset(
         i for i, p in enumerate(experiment.paths) if pair(p.effect, state) > EPS_EQ
     )
@@ -311,7 +311,7 @@ def search_detecting_effect(
     _require_phase(transformation, experiment)
     _require_count(max_support, 1, "max support")
     _require_count(trials, 1, "trials")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     size_cap = min(max_support, experiment.n)
     for size in range(1, size_cap + 1):
         for indices in itertools.combinations(range(experiment.n), size):

@@ -465,3 +465,53 @@ def test_each_check_validates_the_composite_outputs(monkeypatch):
         verify_superposition_preservation(controlled)
     with pytest.raises(ValidationError, match="state is not positive"):
         extract_kickback(controlled, basis_state(controlled.target_system, 1))
+
+
+def identity_controlled():
+    """Two identity branches on a qubit, unverified: the composite is the identity."""
+    return control.ControlledTransformation(quantum_system(2), [np.eye(2)] * 2, np.eye(2))
+
+
+def test_construction_refuses_a_composite_that_breaks_the_branch_equation():
+    # the factor swap sends |1><1| (x) sigma to sigma (x) |1><1|, not to
+    # |1><1| (x) branch 1 of sigma
+    controlled = identity_controlled()
+    joint = controlled.composite.in_system
+    swapped = with_composite(controlled, unitary_channel(joint, control.swap_exchange_unitary(2)))
+    with pytest.raises(ValidationError) as err:
+        control._verified(swapped, 20, 0)
+    found = re.fullmatch(r"controlled contract failed at construction: max branch deviation "
+                         r"\((\S+) > EPS_EQ = 1e-09\)", str(err.value))
+    assert found and float(found.group(1)) > 1.0
+
+
+def control_dephasing(rho, kick):
+    """A unit-preserving map on control (x) qubit target, control index major:
+    it keeps the control-diagonal blocks, halves the off-diagonal block X and
+    adds +-kick (X + X^dag) to the two diagonal blocks."""
+    out = rho.copy()
+    x = rho[..., :2, 2:]
+    out[..., :2, 2:] = x / 2
+    out[..., 2:, :2] = rho[..., 2:, :2] / 2
+    moved = kick * (x + x.conj().swapaxes(-1, -2))
+    out[..., :2, :2] += moved
+    out[..., 2:, 2:] -= moved
+    return out
+
+
+def test_construction_refuses_a_composite_that_breaks_only_the_filter_equation():
+    # no CPTP composite can: one that fixes every |k_i><k_i| (x) sigma has
+    # Kraus operators diagonal in the control basis, so it only dephases, and
+    # filtering then returns each branch exactly.  This map of the same kind
+    # also moves weight between the branch blocks; it stays positive on the
+    # seed-0 samples
+    controlled = identity_controlled()
+    joint = controlled.composite.in_system
+    basis = core.hermitian_basis(4)
+    planted = with_composite(controlled, Transformation(
+        joint, joint, core._encode(control_dephasing(basis, 1e-6), 4).T))
+    assert verify_control_contract(planted)["max_branch_deviation"] <= 1e-15
+    with pytest.raises(ValidationError) as err:
+        control._verified(planted, 20, 0)
+    assert re.fullmatch(r"controlled contract failed at construction: max filter deviation "
+                        r"\((.+) > EPS_EQ = 1e-09\)", str(err.value))

@@ -277,6 +277,11 @@ def test_phase_order_input_guards():
     assert main(["phase-order", "--angles", "--format", "json"]) == 2
 
 
+def test_phase_order_names_the_angle_count(capsys):
+    assert main(["phase-order", "--angles", "0"]) == 2
+    assert capsys.readouterr().err == "interferlab: error: angle count must be >= 2, got 1\n"
+
+
 def unitaries_file(tmp_path, mats, fixed_amplitudes=None, name="unitaries.json"):
     doc = {"unitaries": [complex_matrix_to_dict(m) for m in mats]}
     if fixed_amplitudes is not None:
@@ -334,6 +339,14 @@ def test_kickback_file_guards(tmp_path):
     assert main(["kickback", "--unitaries", uneven, "--seed", "1"]) == 2
     spec = unitaries_file(tmp_path, [np.eye(2), np.diag([1.0, -1.0])])
     assert main(["kickback", "--unitaries", spec]) == 2
+
+
+@pytest.mark.parametrize("count", [0, 1])
+def test_kickback_needs_two_branch_unitaries(tmp_path, capsys, count):
+    spec = unitaries_file(tmp_path, [np.eye(2)] * count)
+    assert main(["kickback", "--unitaries", spec, "--seed", "1"]) == 2
+    assert capsys.readouterr().err == (
+        f"interferlab: error: branch unitary count must be >= 2, got {count}\n")
 
 
 def malformed(doc, path, value):

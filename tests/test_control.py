@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from interferlab import control
 from interferlab import (
+    EPS_EQ,
     ControlledTransformation,
     InfeasibleError,
     NotAPhaseError,
@@ -418,6 +419,10 @@ def test_public_entry_points_keep_their_exact_check_messages():
          SystemMismatchError, "branch 0 has shape (), expected (1, 1)"),
         (lambda: common_fixed_state([]),
          ValidationError, "branch count must be >= 1, got 0"),
+        (lambda: build_controlled([np.eye(2), Z], qubit, seed=-1),
+         ValidationError, "seed must be >= 0, got -1"),
+        (lambda: extract_kickback(sign, seed=2.5),
+         ValidationError, "seed must be an integer, got 2.5"),
     ]
     for call, kind, message in cases:
         with pytest.raises(kind) as err:
@@ -483,6 +488,22 @@ def test_kickback_of_controlled_sign_on_designated_state():
     doc = result.to_json_dict()
     assert doc["angles"] == [float(a) for a in result.angles]
     assert len(doc["fixed_state_coeffs"]) == 4
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_the_kicked_transform_fixes_every_control_projector(n, seed):
+    # Q = K diag(e^{i phi}) K^dag moves each |k_i><k_i| by at most about
+    # 2 sqrt(n) max|K^dag K - I|, which Haar kets hold at rounding level
+    rng = np.random.default_rng(seed)
+    kets = haar_unitary(n, rng)
+    phases = rng.uniform(0.0, 2.0 * math.pi, n)
+    qubit = quantum_system(2)
+    branches = [np.diag([1.0, np.exp(1j * phi)]) for phi in phases]
+    controlled = build_controlled(branches, qubit, control_kets=kets)
+    result = extract_kickback(controlled, basis_state(qubit, 1))
+    assert result.phase_residual <= EPS_EQ
+    assert wrapped_gap(result.angles, phases - phases[0]) <= 1e-9
 
 
 def test_default_fixed_state_kicks_trivially_for_sign_flip():

@@ -164,17 +164,19 @@ def test_amplitude_constructors_check_shape_norm_and_theory(make):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_entries_are_rejected(bad):
+    # each input names what held the value; a later check would refuse it too,
+    # as a NaN or infinite residual, but would not say why
     q, c = quantum_system(2), classical_system(2)
-    builds = [
-        lambda: StateVector(c, [bad, 1.0]),
-        lambda: ket_state(q, [bad, 1.0]),
-        lambda: Effect(q, [bad] * 4),
-        lambda: Transformation(q, q, np.full((4, 4), bad)),
-        lambda: phase_unitary(q, [0.0, bad]),
-        lambda: unitary_channel(q, np.diag([1.0, bad])),
-    ]
-    for build in builds:
-        with pytest.raises(ValidationError):
+    builds = {
+        "state vector": lambda: StateVector(c, [bad, 1.0]),
+        "amplitude vector": lambda: ket_state(q, [bad, 1.0]),
+        "effect vector": lambda: Effect(q, [bad] * 4),
+        "transformation matrix": lambda: Transformation(q, q, np.full((4, 4), bad)),
+        "phase angles": lambda: phase_unitary(q, [0.0, bad]),
+        "matrix": lambda: unitary_channel(q, np.diag([1.0, bad])),
+    }
+    for what, build in builds.items():
+        with pytest.raises(ValidationError, match=f"^{what} holds NaN or infinity$"):
             build()
 
 
@@ -741,6 +743,19 @@ CORE_CASES = {
                    (ValidationError, "unitary dimension must be an integer, got 2.5")),
     "haar-zero": (lambda: haar_unitary(0, 0),
                   (ValidationError, "unitary dimension must be >= 1, got 0")),
+    # a seed is an integer >= 0, never a bool, or a Generator
+    "seed-negative": (lambda: random_state(Q2, -1),
+                      (ValidationError, "seed must be >= 0, got -1")),
+    "seed-float": (lambda: random_state(Q2, 2.5),
+                   (ValidationError, "seed must be an integer, got 2.5")),
+    "seed-bool": (lambda: random_state(Q2, True),
+                  (ValidationError, "seed must be an integer, got True")),
+    # refused before U^dag U overflows, so numpy never warns
+    "unitary-overflow": (lambda: unitary_channel(Q2, [[1e308 + 1e308j, 0.0], [0.0, 1.0]]), (
+        ValidationError,
+        "matrix is not unitary: max|u_ij| - 1 (1.4142135623730951e+308 > EPS_EQ = 1e-09)")),
+    "nan-residual": (lambda: core._require_within(math.nan, EPS_EQ, "residual"),
+                     (ValidationError, "residual (nan > EPS_EQ = 1e-09)")),
     "random-unitary": (lambda: random_unitary(C2, 0), (
         SystemMismatchError, "unitary channel needs a quantum system, got classical(2)")),
     "channel-from-matrix": (lambda: channel_from_matrix(Q2, Q3, np.eye(4)), (

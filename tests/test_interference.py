@@ -614,6 +614,12 @@ INTERFERENCE_CASES = {
                        (ValidationError, "invalid path subset [0, 1.0] for 2 paths")),
     "choice-system": (lambda: EffectChoice(QUBIT_PATHS, {frozenset({0}): basis_effect(Q3, 0)}),
                       (SystemMismatchError, "effect is quantum(3), expected quantum(2)")),
+    "choice-bool-key": (lambda: EffectChoice(QUBIT_PATHS, {frozenset({True}): basis_effect(Q2, 1)}),
+        (ValidationError, "invalid path subset [True] for 2 paths")),
+    "choice-float-key": (lambda: EffectChoice(QUBIT_PATHS, {frozenset({0.0}): basis_effect(Q2, 0)}),
+        (ValidationError, "invalid path subset [0.0] for 2 paths")),
+    "choice-empty-key": (lambda: EffectChoice(QUBIT_PATHS, {frozenset(): basis_effect(Q2, 0)}),
+                         (ValidationError, "invalid path subset [] for 2 paths")),
     "residual-choice-system": (lambda: residual(
         QUBIT_PATHS, filter_choice(basis_effect(C2, 0), BIT_PATHS)),
         (SystemMismatchError, "choice's system is classical(2), expected quantum(2)")),

@@ -253,7 +253,11 @@ def test_unitary_check_is_shared_and_keeps_its_wording():
         unitary_channel(system, np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(core.SystemMismatchError):
         unitary_channel(system, np.eye(3))
-    with pytest.raises(core.ValidationError, match="^branch 1" + gap.format(r"3\.0")):
+    with pytest.raises(core.ValidationError, match="^branch 1" + gap.format(r"2\.0")):
+        core._as_unitary(np.ones((2, 2)), 2, "branch 1")
+    # an entry of modulus above 1 is refused before U^dag U is formed
+    entry = r"^branch 1 is not unitary: max\|u_ij\| - 1 \(1\.0 > EPS_EQ = 1e-09\)$"
+    with pytest.raises(core.ValidationError, match=entry):
         core._as_unitary(2.0 * np.eye(2), 2, "branch 1")
 
 

@@ -488,7 +488,7 @@ def test_enumeration_rejects_invalid_order():
         is_n_undetectable(t, experiment, 2, method="guess")
 
 
-Q2, Q3, C2 = quantum_system(2), quantum_system(3), classical_system(2)
+Q2, Q3, C2, C3 = quantum_system(2), quantum_system(3), classical_system(2), classical_system(3)
 QUBIT_PATHS, BIT_PATHS = basis_experiment(Q2), basis_experiment(C2)
 # reversible, but it moves the which-path effects
 HADAMARD = unitary_channel(Q2, np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
@@ -563,6 +563,14 @@ PATHS_CASES = {
     "undetectable-float-order": (lambda: is_n_undetectable(
         identity_transformation(Q2), QUBIT_PATHS, 1.5),
         (ValidationError, "order must be an integer, got 1.5")),
+    # pairings 1, effects resolving the unit effect, and one cross pairing of
+    # 5e-9: within every other check's tolerance, so only disjointness refuses it
+    "experiment-near-disjoint": (lambda: make_experiment([
+        (basis_state(C3, 0), basis_effect(C3, 0)),
+        (basis_state(C3, 1), Effect(C3, [5e-9, 1.0, 0.0])),
+        (basis_state(C3, 2), Effect(C3, [-5e-9, 0.0, 1.0]))]), (
+        ValidationError,
+        "paths 1 and 0 are not disjoint: |cross pairing| (5e-09 > EPS_EQ = 1e-09)")),
     "enumerate-above-cap": (lambda: enumerate_classical_phases(
         basis_experiment(classical_system(9))), (
         ValidationError, "refusing to enumerate 9! permutations (dimension cap 8)")),

@@ -176,8 +176,6 @@ STRUCTURAL_RAISES = {
     ("core.py", "inverse"): "reversibility is read from the matrix; nothing is counted",
     ("interference.py", "_path_subset"):
         "an empty subset is one of the invalid path subsets its one message names",
-    ("interference.py", "__post_init__"):
-        "EffectChoice: an empty subset is not a nonempty proper path subset, one check",
 }
 
 
